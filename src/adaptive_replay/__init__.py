@@ -21,12 +21,11 @@ from .envs import (
 )
 from .gradients import (
     GradientSample,
+    TrajectoryGradients,
     empirical_gradient_variance,
-    gradient_sample,
-    importance_ratio,
-    onpolicy_gradient,
     replay_gradient,
     score_return_grad,
+    trajectory_gradients,
     trajectory_return,
     variance_objective,
 )
@@ -70,6 +69,7 @@ __all__ = [
     "TrainingConfig",
     "TrainingTrace",
     "Trajectory",
+    "TrajectoryGradients",
     "WeightedStore",
     "best_static_cost",
     "chain_env",
@@ -79,15 +79,12 @@ __all__ = [
     "dynamic_competitor",
     "empirical_gradient_variance",
     "exact_policy_value",
-    "gradient_sample",
     "gridworld_env",
-    "importance_ratio",
     "lambda_ratio",
     "load_snapshot",
     "min_step_cost",
     "minimize_on_simplex",
     "moving_average",
-    "onpolicy_gradient",
     "optimal_value",
     "project_to_simplex",
     "replay_gradient",
@@ -99,6 +96,7 @@ __all__ = [
     "score_return_grad",
     "static_competitor",
     "stationary_sequence",
+    "trajectory_gradients",
     "trajectory_return",
     "two_state_bandit_env",
     "variance_objective",

@@ -3,7 +3,6 @@
 Subcommands::
 
     adaptive-replay run <spec.ini>     execute an experiment spec
-    adaptive-replay verify             run the full property/oracle test suite
     adaptive-replay bench              store index micro-benchmarks
     adaptive-replay metrics <trace..>  summarize trace CSVs forming a seed group
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .bench import run_bench
@@ -44,14 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory override", default=None)
     run_p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
 
-    verify_p = sub.add_parser("verify", help="run the full property/oracle suite (pytest)")
-    verify_p.add_argument(
-        "--tests",
-        default=None,
-        help="tests directory (default: ./tests relative to the current directory)",
-    )
-    verify_p.add_argument("--fast", action="store_true", help="skip the slow acceptance tests")
-
     bench_p = sub.add_parser("bench", help="store index micro-benchmarks")
     bench_p.add_argument("--capacity", type=int, default=1_000_000)
     bench_p.add_argument("--batch", type=int, default=256)
@@ -70,19 +60,6 @@ def _cmd_run(args) -> int:
         seeds = tuple(int(s) for s in args.seed_list.split(",") if s.strip())
         spec.seeds = seeds
     return run_suite(spec, out=args.out, workers=args.workers)
-
-
-def _cmd_verify(args) -> int:
-    import pytest
-
-    tests_dir = Path(args.tests) if args.tests else Path.cwd() / "tests"
-    if not tests_dir.is_dir():
-        print(f"error: tests directory not found at {tests_dir}", file=sys.stderr)
-        return 2
-    pytest_args = [str(tests_dir), "-v"]
-    if args.fast:
-        pytest_args += ["--ignore", str(tests_dir / "test_acceptance.py")]
-    return pytest.main(pytest_args)
 
 
 def _cmd_bench(args) -> int:
@@ -110,7 +87,6 @@ def _cmd_metrics(args) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "verify": _cmd_verify,
     "bench": _cmd_bench,
     "metrics": _cmd_metrics,
 }

@@ -8,6 +8,12 @@ slot sampling.  The estimator's expectation is the full-buffer mean
 ``(1/n) sum_i omega_i g_i`` for every valid sampling distribution; only its
 variance depends on ``p``, through ``f(p) = sum_i d(i) / p(i)`` with
 ``d(i) = ||omega_i g_i||^2``.
+
+:func:`trajectory_gradients` is the one place that computes ``omega``, ``g``
+and ``d``: it concatenates a batch of trajectories, gathers the per-step log
+probabilities from one log-softmax table, and segment-sums them with the
+policy's batched score functions.  Every estimator in the package consumes
+its output.
 """
 
 from __future__ import annotations
@@ -20,18 +26,6 @@ import numpy as np
 from .store import NotReadyError, Trajectory, WeightedStore
 from .sampler import SamplerState
 
-_ratio_cap_activations = 0
-
-
-def ratio_cap_activations() -> int:
-    """Number of importance ratios clamped at the exponential cap so far."""
-    return _ratio_cap_activations
-
-
-def reset_ratio_cap_activations() -> None:
-    global _ratio_cap_activations
-    _ratio_cap_activations = 0
-
 
 @dataclass
 class GradientSample:
@@ -42,28 +36,54 @@ class GradientSample:
     g: np.ndarray
     d: float
 
-    def __post_init__(self) -> None:
-        expected = self.omega**2 * float(self.g @ self.g)
-        if not np.isclose(self.d, expected, rtol=1e-9, atol=1e-300):
-            raise ValueError("d must equal omega^2 * ||g||^2")
 
+@dataclass
+class TrajectoryGradients:
+    """Per-trajectory estimator terms for a batch of K trajectories.
 
-def importance_ratio(traj: Trajectory, target, log_cap: float = 50.0) -> float:
-    """Product of per-step probability ratios pi(a|s) / mu(a|s), in log space.
-
-    The log ratio is clamped at ``log_cap`` before exponentiating so a long
-    streak of near-zero behavior probabilities cannot overflow; clamp events
-    are counted and retrievable via :func:`ratio_cap_activations`.
+    ``omega[k]`` is the importance ratio, ``score[k]`` the summed score
+    function, ``returns[k]`` the discounted return, ``g[k] = score[k] *
+    returns[k]`` and ``d[k] = omega[k]^2 ||g[k]||^2``.  ``cap_hits`` counts the
+    log ratios clamped at the cap.
     """
-    global _ratio_cap_activations
-    log_ratio = 0.0
-    for t in range(len(traj)):
-        log_ratio += target.log_prob(int(traj.states[t]), int(traj.actions[t]))
-        log_ratio -= np.log(traj.behavior_probs[t])
-    if log_ratio > log_cap:
-        log_ratio = log_cap
-        _ratio_cap_activations += 1
-    return float(np.exp(log_ratio))
+
+    omega: np.ndarray
+    score: np.ndarray
+    returns: np.ndarray
+    g: np.ndarray
+    d: np.ndarray
+    cap_hits: int
+
+
+def trajectory_gradients(
+    trajs: Sequence[Trajectory], target, gamma: float, log_cap: float = 50.0
+) -> TrajectoryGradients:
+    """Importance ratios, score-return gradients and losses of a batch of trajectories.
+
+    The log ratio ``sum_t log pi(a_t|s_t) - log mu(a_t|s_t)`` is clamped at
+    ``log_cap`` before exponentiating, so a long streak of near-zero behavior
+    probabilities cannot overflow; transition terms do not depend on the
+    policy parameters, so the trajectory score is the sum of per-step scores.
+    """
+    if len(trajs) == 0:
+        raise ValueError("cannot compute gradients of zero trajectories")
+    lengths = np.array([len(traj) for traj in trajs])
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    states = np.concatenate([traj.states for traj in trajs]).astype(np.int64)
+    actions = np.concatenate([traj.actions for traj in trajs]).astype(np.int64)
+    behavior = np.concatenate([traj.behavior_probs for traj in trajs])
+    rewards = np.concatenate([traj.rewards for traj in trajs])
+    step = np.arange(len(states)) - np.repeat(starts, lengths)
+
+    log_ratio = target.log_prob_table()[states, actions] - np.log(behavior)
+    log_omega = np.add.reduceat(log_ratio, starts)
+    capped = log_omega > log_cap
+    omega = np.exp(np.where(capped, log_cap, log_omega))
+    returns = np.add.reduceat(rewards * gamma**step, starts)
+    score = np.add.reduceat(target.scores(states, actions), starts, axis=0)
+    g = score * returns[:, None]
+    d = omega**2 * np.einsum("kp,kp->k", g, g)
+    return TrajectoryGradients(omega, score, returns, g, d, int(capped.sum()))
 
 
 def trajectory_return(traj: Trajectory, gamma: float) -> float:
@@ -72,47 +92,27 @@ def trajectory_return(traj: Trajectory, gamma: float) -> float:
 
 
 def score_return_grad(traj: Trajectory, target, gamma: float) -> np.ndarray:
-    """Gradient of the trajectory log-probability times the discounted return.
+    """Gradient of the trajectory log-probability times the discounted return."""
+    return trajectory_gradients([traj], target, gamma).g[0]
 
-    Transition terms do not depend on the policy parameters, so the gradient
-    reduces to the summed per-step score functions scaled by the return.
+
+def replay_gradient(
+    omega: np.ndarray, g: np.ndarray, slots: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Bias-corrected batch mean ``(1/|batch|) sum_k omega_k g_k / (p(slot_k) n)``.
+
+    Row ``k`` of ``omega`` and ``g`` belongs to the trajectory drawn as
+    ``slots[k]``; a slot drawn twice appears twice.
     """
-    score = np.zeros(target.n_params)
-    for t in range(len(traj)):
-        score += target.grad_log_prob(int(traj.states[t]), int(traj.actions[t]))
-    return score * trajectory_return(traj, gamma)
-
-
-def gradient_sample(
-    slot: int, traj: Trajectory, target, gamma: float, log_cap: float = 50.0
-) -> GradientSample:
-    omega = importance_ratio(traj, target, log_cap=log_cap)
-    g = score_return_grad(traj, target, gamma)
-    return GradientSample(slot=slot, omega=omega, g=g, d=omega**2 * float(g @ g))
-
-
-def replay_gradient(batch: Sequence[GradientSample], p: np.ndarray) -> np.ndarray:
-    """Bias-corrected batch mean ``(1/|batch|) sum_k omega_k g_k / (p(k) n)``."""
-    if len(batch) == 0:
+    slots = np.asarray(slots, dtype=np.int64)
+    if len(slots) == 0:
         raise ValueError("cannot estimate a gradient from an empty batch")
     p = np.asarray(p, dtype=np.float64)
-    n = len(p)
-    total = np.zeros_like(batch[0].g)
-    for sample in batch:
-        if p[sample.slot] <= 0.0:
-            raise ValueError(f"sampled slot {sample.slot} has zero probability")
-        total += sample.omega / (p[sample.slot] * n) * sample.g
-    return total / len(batch)
-
-
-def onpolicy_gradient(trajs: Sequence[Trajectory], target, gamma: float) -> np.ndarray:
-    """Monte Carlo policy gradient from on-policy rollouts (mean score-return gradient)."""
-    if len(trajs) == 0:
-        raise ValueError("cannot estimate a gradient from zero trajectories")
-    total = np.zeros(target.n_params)
-    for traj in trajs:
-        total += score_return_grad(traj, target, gamma)
-    return total / len(trajs)
+    p_drawn = p[slots]
+    if np.any(p_drawn <= 0.0):
+        raise ValueError(f"sampled slot {slots[p_drawn <= 0.0][0]} has zero probability")
+    lam = omega / (p_drawn * len(p))
+    return (lam[:, None] * g).sum(axis=0) / len(slots)
 
 
 def variance_objective(d: np.ndarray, p: np.ndarray) -> float:
@@ -134,19 +134,17 @@ def buffer_gradient_samples(
     store: WeightedStore, target, gamma: float, log_cap: float = 50.0
 ) -> list[GradientSample]:
     """One :class:`GradientSample` per filled slot, in slot order."""
-    samples = []
-    for slot, traj in enumerate(store.slots):
-        if traj is not None:
-            samples.append(gradient_sample(slot, traj, target, gamma, log_cap=log_cap))
-    return samples
+    slots = [slot for slot, traj in enumerate(store.slots) if traj is not None]
+    grads = trajectory_gradients([store.slots[i] for i in slots], target, gamma, log_cap=log_cap)
+    return [
+        GradientSample(slot, float(omega), g, float(d))
+        for slot, omega, g, d in zip(slots, grads.omega, grads.g, grads.d)
+    ]
 
 
 def full_buffer_mean(samples: Sequence[GradientSample]) -> np.ndarray:
     """The p-independent expectation of the replay gradient: ``(1/n) sum_i omega_i g_i``."""
-    total = np.zeros_like(samples[0].g)
-    for sample in samples:
-        total += sample.omega * sample.g
-    return total / len(samples)
+    return np.mean([sample.omega * sample.g for sample in samples], axis=0)
 
 
 def empirical_gradient_variance(
@@ -173,9 +171,9 @@ def empirical_gradient_variance(
     if p is None:
         p = sampler.distribution()
     p = np.asarray(p, dtype=np.float64)
-    samples = buffer_gradient_samples(store, target, gamma)
+    grads = trajectory_gradients(store.slots, target, gamma)
     n = store.capacity
-    weighted = np.stack([s.omega / (p[s.slot] * n) * s.g for s in samples])
+    weighted = (grads.omega / (p * n))[:, None] * grads.g
     indices = rng.choice(n, size=(repeats, batch), p=p)
     estimates = weighted[indices].mean(axis=1)
     return float(estimates.var(axis=0, ddof=1).sum())

@@ -121,6 +121,9 @@ class ExperimentSpec:
             raise ValueError("experiment.seeds must not be empty")
         self.sampler = {**_SAMPLER_DEFAULTS, **self.sampler}
         self.options = {**_FAMILY_DEFAULTS[self.family], **self.options}
+        if self.family == "rl_comparison":
+            for _, overrides in self.sweep:
+                _check_epoch_budget(_apply_sweep(self, overrides)[1])
 
     def echo(self) -> dict[str, str]:
         """Flat, sorted key=value view of the spec for manifests and comments."""
@@ -187,6 +190,19 @@ def _positive(value, key):
         raise ValueError(f"{key}={value} must be positive")
 
 
+def _non_negative(value, key):
+    if value < 0:
+        raise ValueError(f"{key}={value} must be >= 0")
+
+
+def _check_epoch_budget(options: dict) -> None:
+    """Only the epoch mode may run zero updates per collected episode."""
+    if options["updates_per_episode"] == 0 and set(options["modes"]) != {"adaptive_epoch"}:
+        raise ValueError(
+            "training.updates_per_episode=0 is allowed only when modes = adaptive_epoch"
+        )
+
+
 def _one_of(*allowed):
     def check(value, key):
         if value not in allowed:
@@ -228,9 +244,9 @@ _SCHEMA = {
         "learning_rate": (_parse_float, _positive),
         "eval_every": (_parse_int, _positive),
         "eval_episodes": (_parse_int, _positive),
-        "probe_every": (_parse_int, None),
+        "probe_every": (_parse_int, _non_negative),
         "probe_repeats": (_parse_int, _positive),
-        "updates_per_episode": (_parse_int, _positive),
+        "updates_per_episode": (_parse_int, _non_negative),
     },
     "variance": {
         "constructions": (_parse_int, _positive),

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradients import importance_ratio, trajectory_return, variance_objective
+from .gradients import trajectory_gradients, variance_objective
 from .sampler import SamplerConfig, SamplerState
 from .store import Trajectory
 
@@ -283,19 +283,11 @@ def check_loss_bound(
     return_bound = reward_cap * (1.0 - gamma**horizon) / (1.0 - gamma)
     bound = (return_bound / beta**horizon * horizon * score_norm_cap) ** 2
 
-    max_ratio = max_score = max_return = max_d = 0.0
-    for traj in trajs:
-        omega = importance_ratio(traj, target, log_cap=np.inf)
-        ret = trajectory_return(traj, gamma)
-        score = np.zeros(target.n_params)
-        for t in range(len(traj)):
-            score += target.grad_log_prob(int(traj.states[t]), int(traj.actions[t]))
-        score_norm = float(np.linalg.norm(score))
-        d = (omega * score_norm * abs(ret)) ** 2
-        max_ratio = max(max_ratio, omega)
-        max_score = max(max_score, score_norm)
-        max_return = max(max_return, abs(ret))
-        max_d = max(max_d, d)
+    grads = trajectory_gradients(trajs, target, gamma, log_cap=np.inf)
+    max_ratio = float(grads.omega.max())
+    max_score = float(np.linalg.norm(grads.score, axis=1).max())
+    max_return = float(np.abs(grads.returns).max())
+    max_d = float(grads.d.max())
 
     tol = 1.0 + 1e-12
     ratio_ok = max_ratio <= ratio_bound * tol

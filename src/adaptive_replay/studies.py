@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import buffer_gradient_samples, empirical_gradient_variance
+from .gradients import empirical_gradient_variance, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import Trajectory, WeightedStore
@@ -64,8 +64,7 @@ def learn_distribution(
     batch: int = 8,
 ) -> np.ndarray:
     """Run the bandit feedback loop at fixed parameters; returns the learned distribution."""
-    samples = buffer_gradient_samples(store, policy, gamma)
-    d = np.array([s.d for s in samples])
+    d = trajectory_gradients(store.slots, policy, gamma).d
     for _ in range(steps):
         p = sampler.distribution()
         drawn = np.unique(store.sample_indices(sampler, batch, rng))
@@ -109,7 +108,7 @@ def learned_vs_uniform_variance(
         store, sampler, policy, np.random.default_rng(learn_ss), gamma=gamma,
         steps=learn_steps,
     )
-    d = np.array([s.d for s in buffer_gradient_samples(store, policy, gamma)])
+    d = trajectory_gradients(store.slots, policy, gamma).d
     spread = float(np.log10(d.max() / d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     uniform_p = np.full(capacity, 1.0 / capacity)

@@ -32,12 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .envs import TabularEnv
-from .gradients import (
-    empirical_gradient_variance,
-    gradient_sample,
-    ratio_cap_activations,
-    replay_gradient,
-)
+from .gradients import empirical_gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import NotReadyError, Trajectory, WeightedStore
@@ -86,6 +81,8 @@ class TrainingConfig:
             raise ValueError("warmup must fill the buffer: warmup_episodes >= buffer_capacity")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.probe_every < 0:
+            raise ValueError("probe_every must be >= 0")
         if self.probe_every and self.probe_every % self.eval_every != 0:
             raise ValueError("probe_every must be a multiple of eval_every")
         if self.sampler is not None and self.sampler.capacity != self.buffer_capacity:
@@ -123,6 +120,7 @@ class TrainingTrace:
     probes_uniform: np.ndarray = field(default_factory=lambda: np.empty(0))
     entropies: np.ndarray = field(default_factory=lambda: np.empty(0))
     reset_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    # Importance ratios clamped at ``ratio_log_cap`` by this run's policy updates.
     ratio_cap_hits: int = 0
 
     @property
@@ -160,9 +158,9 @@ class _AccumulatorStrategy:
     def sample(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         return self.store.sample_indices(self.sampler, batch, rng)
 
-    def after_update(self, unique_slots, samples, p_used) -> bool:
-        d = {int(i): samples[int(i)].d for i in unique_slots}
-        self.sampler.record_feedback(unique_slots, d, p_used)
+    def after_update(self, unique_slots, d, p_used) -> bool:
+        feedback = {int(i): float(loss) for i, loss in zip(unique_slots, d)}
+        self.sampler.record_feedback(unique_slots, feedback, p_used)
         self.store.update_scores(self.sampler, unique_slots)
         if self.periodic_reset and self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
@@ -220,8 +218,8 @@ class _TDPriorityStrategy:
             total += abs(delta)
         return total
 
-    def after_update(self, unique_slots, samples, p_used) -> bool:
-        slots = np.asarray(list(unique_slots), dtype=np.int64)
+    def after_update(self, unique_slots, d, p_used) -> bool:
+        slots = np.asarray(unique_slots, dtype=np.int64)
         for i in slots:
             self.priorities[i] = self._sweep(self.store.slots[int(i)], learn=True)
         self.store.set_scores(slots, self._scores(slots))
@@ -271,13 +269,11 @@ def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
     if not store.warmed_up:
         raise NotReadyError("warm-up did not fill the buffer")
 
-    cap_hits_before = ratio_cap_activations()
     if config.selection_mode == "adaptive_epoch":
         _epoch_loop(state)
     else:
         _interleaved_loop(state)
     state.flush_rows()
-    trace.ratio_cap_hits = ratio_cap_activations() - cap_hits_before
     return _finalize(trace)
 
 
@@ -308,18 +304,15 @@ class _LoopState:
         cfg = self.config
         p = self.strategy.distribution()
         indices = self.strategy.sample(cfg.batch_size, self.rng)
-        unique = np.unique(indices)
-        samples = {
-            int(i): gradient_sample(
-                int(i), self.store.slots[int(i)], self.policy, self.env.gamma,
-                log_cap=cfg.ratio_log_cap,
-            )
-            for i in unique
-        }
-        batch = [samples[int(i)] for i in indices]
-        grad = replay_gradient(batch, p)
+        unique, drawn = np.unique(indices, return_inverse=True)
+        grads = trajectory_gradients(
+            [self.store.slots[i] for i in unique], self.policy, self.env.gamma,
+            log_cap=cfg.ratio_log_cap,
+        )
+        self.trace.ratio_cap_hits += grads.cap_hits
+        grad = replay_gradient(grads.omega[drawn], grads.g[drawn], indices, p)
         self.policy.set_params(self.policy.get_params() + cfg.learning_rate * grad)
-        if self.strategy.after_update(unique, samples, p):
+        if self.strategy.after_update(unique, grads.d, p):
             self.reset_count += 1
 
     def record_eval(self, update_index: int) -> None:

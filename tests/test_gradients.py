@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from adaptive_replay.gradients import (
-    GradientSample,
     buffer_gradient_samples,
     empirical_gradient_variance,
     full_buffer_mean,
-    gradient_sample,
-    importance_ratio,
-    onpolicy_gradient,
-    ratio_cap_activations,
     replay_gradient,
-    reset_ratio_cap_activations,
     score_return_grad,
+    trajectory_gradients,
     trajectory_return,
     variance_objective,
 )
-from adaptive_replay.policies import TabularSoftmaxPolicy
+from adaptive_replay.policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.simplex import minimize_on_simplex
 from adaptive_replay.store import Trajectory, WeightedStore
@@ -53,6 +48,10 @@ def random_traj(rng, policy, length):
     )
 
 
+def importance_ratio(traj, policy, log_cap=50.0):
+    return trajectory_gradients([traj], policy, 0.9, log_cap=log_cap).omega[0]
+
+
 class TestImportanceRatio:
     def test_identical_policies_give_one(self):
         rng = np.random.default_rng(0)
@@ -76,13 +75,11 @@ class TestImportanceRatio:
         assert importance_ratio(traj, policy) == pytest.approx(8.0)
 
     def test_cap_activates_and_counts(self):
-        reset_ratio_cap_activations()
         policy = TabularSoftmaxPolicy(1, 2)
         traj = traj_from([0], [0], [1e-8], [0.0])
-        value = importance_ratio(traj, policy, log_cap=5.0)
-        assert value == pytest.approx(np.exp(5.0))
-        assert ratio_cap_activations() == 1
-        reset_ratio_cap_activations()
+        grads = trajectory_gradients([traj], policy, 0.9, log_cap=5.0)
+        assert grads.omega[0] == pytest.approx(np.exp(5.0))
+        assert grads.cap_hits == 1
 
 
 class TestScoreReturnGrad:
@@ -139,25 +136,28 @@ class TestReplayGradient:
         rng = np.random.default_rng(3)
         policy = random_policy(rng)
         n = 6
-        samples = [gradient_sample(i, random_traj(rng, policy, 3), policy, 0.9) for i in range(n)]
+        grads = trajectory_gradients([random_traj(rng, policy, 3) for _ in range(n)], policy, 0.9)
         p = np.full(n, 1.0 / n)
-        estimate = replay_gradient(samples, p)
-        np.testing.assert_allclose(estimate, full_buffer_mean(samples), rtol=1e-12)
+        estimate = replay_gradient(grads.omega, grads.g, np.arange(n), p)
+        np.testing.assert_allclose(
+            estimate, (grads.omega[:, None] * grads.g).mean(axis=0), rtol=1e-12
+        )
 
     def test_single_slot_buffer_is_exact(self):
         rng = np.random.default_rng(4)
         policy = random_policy(rng)
-        sample = gradient_sample(0, random_traj(rng, policy, 3), policy, 0.9)
-        estimate = replay_gradient([sample, sample, sample], np.array([1.0]))
-        np.testing.assert_allclose(estimate, sample.omega * sample.g, rtol=1e-12)
+        grads = trajectory_gradients([random_traj(rng, policy, 3)], policy, 0.9)
+        drawn = np.zeros(3, dtype=np.int64)
+        estimate = replay_gradient(grads.omega[drawn], grads.g[drawn], drawn, np.array([1.0]))
+        np.testing.assert_allclose(estimate, grads.omega[0] * grads.g[0], rtol=1e-12)
 
     def test_monte_carlo_mean_is_p_free(self):
         rng = np.random.default_rng(5)
         policy = random_policy(rng)
         n, batch, repeats = 8, 4, 40_000
-        samples = [gradient_sample(i, random_traj(rng, policy, 3), policy, 0.9) for i in range(n)]
-        target = full_buffer_mean(samples)
-        weighted = np.stack([s.omega * s.g for s in samples])
+        grads = trajectory_gradients([random_traj(rng, policy, 3) for _ in range(n)], policy, 0.9)
+        weighted = grads.omega[:, None] * grads.g
+        target = weighted.mean(axis=0)
         for p in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n) + 1.0)):
             lam = 1.0 / (p * n)
             rows = weighted * lam[:, None]
@@ -168,7 +168,7 @@ class TestReplayGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            replay_gradient([], np.array([1.0]))
+            replay_gradient(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64), np.array([1.0]))
 
 
 def enumerate_exact_gradient(env, policy):
@@ -188,13 +188,18 @@ def enumerate_exact_gradient(env, policy):
                 int(np.argmax(env.transitions[s, a])),
                 depth + 1,
                 prob * pi,
-                score + policy.grad_log_prob(s, a),
+                score + policy.scores([s], [a])[0],
                 ret + discount * env.rewards[s, a],
                 discount * env.gamma,
             )
 
     recurse(env.start_state, 0, 1.0, np.zeros(policy.n_params), 0.0, 1.0)
     return total
+
+
+def onpolicy_gradient(trajs, policy, gamma):
+    """Monte Carlo policy gradient from on-policy rollouts: the mean score-return gradient."""
+    return trajectory_gradients(trajs, policy, gamma).g.mean(axis=0)
 
 
 class TestOnPolicyGradient:
@@ -216,7 +221,7 @@ class TestOnPolicyGradient:
         estimate = onpolicy_gradient(
             [env.rollout(policy, rng) for _ in range(episodes)], policy, env.gamma
         )
-        # Both the helper output and the per-trajectory mean must agree with
+        # Both the one-trajectory calls and the batched mean must agree with
         # the enumeration within Monte Carlo error.
         tol = 3.0 * np.maximum(sem, 1e-12)
         assert np.all(np.abs(per_traj.mean(axis=0) - exact) <= tol)
@@ -233,24 +238,25 @@ class TestOnPolicyGradient:
             env.n_states, env.n_actions, logits=rng.uniform(-1, 1, (env.n_states, env.n_actions))
         )
         trajs = [env.rollout(policy, rng) for _ in range(64)]
-        samples = [gradient_sample(i, t, policy, env.gamma) for i, t in enumerate(trajs)]
-        assert all(s.omega == pytest.approx(1.0) for s in samples)
+        grads = trajectory_gradients(trajs, policy, env.gamma)
+        assert np.allclose(grads.omega, 1.0)
         onpolicy = onpolicy_gradient(trajs, policy, env.gamma)
         p = np.full(64, 1.0 / 64)
         repeats, batch = 30_000, 8
-        rows = np.stack([s.omega / (p[s.slot] * 64) * s.g for s in samples])
+        rows = (grads.omega / (p * 64))[:, None] * grads.g
         idx = rng.choice(64, size=(repeats, batch), p=p)
         estimates = rows[idx].mean(axis=1)
         sem = estimates.std(axis=0, ddof=1) / np.sqrt(repeats)
         assert np.all(np.abs(estimates.mean(axis=0) - onpolicy) <= 3.5 * sem + 1e-12)
 
     def test_single_trajectory(self):
+        # A trajectory's row does not depend on the batch it is computed in.
         rng = np.random.default_rng(6)
         policy = random_policy(rng)
-        traj = random_traj(rng, policy, 3)
-        np.testing.assert_allclose(
-            onpolicy_gradient([traj], policy, 0.9), score_return_grad(traj, policy, 0.9)
-        )
+        trajs = [random_traj(rng, policy, int(rng.integers(1, 5))) for _ in range(4)]
+        batched = trajectory_gradients(trajs, policy, 0.9).g
+        for traj, row in zip(trajs, batched):
+            np.testing.assert_allclose(row, score_return_grad(traj, policy, 0.9))
 
     def test_zero_rewards(self):
         rng = np.random.default_rng(7)
@@ -263,7 +269,7 @@ class TestOnPolicyGradient:
     def test_empty_list_rejected(self):
         policy = TabularSoftmaxPolicy(2, 2)
         with pytest.raises(ValueError, match="zero trajectories"):
-            onpolicy_gradient([], policy, 0.9)
+            trajectory_gradients([], policy, 0.9)
 
 
 class TestVarianceObjective:
@@ -309,14 +315,82 @@ class TestVarianceObjective:
             )
 
 
-class TestGradientSampleInvariant:
-    def test_consistent_loss_accepted(self):
-        g = np.array([1.0, 2.0])
-        GradientSample(slot=0, omega=2.0, g=g, d=4.0 * 5.0)
+def reference_gradients(trajs, policy, gamma, log_cap):
+    """The per-step scalar loop: softmax rows and outer-product scores, one step at a time.
 
-    def test_inconsistent_loss_rejected(self):
-        with pytest.raises(ValueError, match="omega"):
-            GradientSample(slot=0, omega=2.0, g=np.array([1.0, 2.0]), d=3.0)
+    Written from the softmax-linear definition alone (features, weights), so
+    it shares no code with the package.  Returns omega, g, d and the number
+    of capped log ratios.
+    """
+    omegas, gs, hits = [], [], 0
+    for traj in trajs:
+        log_ratio = 0.0
+        score = np.zeros((policy.n_features, policy.n_actions))
+        ret = 0.0
+        for t in range(len(traj)):
+            s, a = int(traj.states[t]), int(traj.actions[t])
+            logits = policy.features[s] @ policy.weights
+            logits = logits - logits.max()
+            pi = np.exp(logits) / np.exp(logits).sum()
+            log_ratio += np.log(pi[a]) - np.log(traj.behavior_probs[t])
+            residual = -pi
+            residual[a] += 1.0
+            score += np.outer(policy.features[s], residual)
+            ret += gamma**t * traj.rewards[t]
+        if log_ratio > log_cap:
+            log_ratio = log_cap
+            hits += 1
+        omegas.append(np.exp(log_ratio))
+        gs.append(score.ravel() * ret)
+    omega, g = np.array(omegas), np.array(gs)
+    return omega, g, omega**2 * (g**2).sum(axis=1), hits
+
+
+def random_linear_policy(rng, n_states=5, n_features=3, n_actions=3):
+    return LinearSoftmaxPolicy(
+        features=rng.normal(size=(n_states, n_features)),
+        n_actions=n_actions,
+        weights=rng.uniform(-1, 1, (n_features, n_actions)),
+    )
+
+
+class TestBatchedAgainstScalarReference:
+    @pytest.mark.parametrize("factory", [random_policy, random_linear_policy])
+    def test_matches_per_step_loop(self, factory):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            policy = factory(rng)
+            trajs = [
+                random_traj(rng, policy, int(rng.integers(1, 13)))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            gamma = float(rng.uniform(0.5, 0.99))
+            grads = trajectory_gradients(trajs, policy, gamma)
+            omega, g, d, hits = reference_gradients(trajs, policy, gamma, 50.0)
+            np.testing.assert_allclose(grads.omega, omega, rtol=1e-12)
+            np.testing.assert_allclose(grads.g, g, rtol=1e-12)
+            np.testing.assert_allclose(grads.d, d, rtol=1e-12)
+            assert grads.cap_hits == hits == 0
+
+    def test_loss_is_squared_weighted_norm(self):
+        rng = np.random.default_rng(15)
+        policy = random_policy(rng)
+        trajs = [random_traj(rng, policy, int(rng.integers(1, 13))) for _ in range(50)]
+        grads = trajectory_gradients(trajs, policy, 0.9)
+        for omega, g, d in zip(grads.omega, grads.g, grads.d):
+            assert d == pytest.approx(omega**2 * float(g @ g), rel=1e-12)
+
+    def test_cap_hits_match_reference(self):
+        # A cap at the median log ratio clamps exactly half of the batch.
+        rng = np.random.default_rng(16)
+        policy = random_policy(rng)
+        trajs = [random_traj(rng, policy, int(rng.integers(1, 13))) for _ in range(40)]
+        log_cap = float(np.median(np.log(reference_gradients(trajs, policy, 0.9, np.inf)[0])))
+        grads = trajectory_gradients(trajs, policy, 0.9, log_cap=log_cap)
+        omega, g, d, hits = reference_gradients(trajs, policy, 0.9, log_cap)
+        assert grads.cap_hits == hits == 20
+        np.testing.assert_allclose(grads.omega, omega, rtol=1e-12)
+        np.testing.assert_allclose(grads.d, d, rtol=1e-12)
 
 
 class TestEmpiricalVariance:

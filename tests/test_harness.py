@@ -65,6 +65,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="sampler.kappa"):
             parse_config(write_spec(tmp_path, "[sampler]\nkappa = 1.5\n"))
 
+    def test_negative_probe_every_names_key(self, tmp_path):
+        text = "[experiment]\nfamily = rl_comparison\n[training]\nprobe_every = -50\n"
+        with pytest.raises(ValueError, match="training.probe_every"):
+            parse_config(write_spec(tmp_path, text))
+
+    def test_zero_updates_per_episode_needs_epoch_mode(self, tmp_path):
+        base = "[experiment]\nfamily = rl_comparison\n[training]\nupdates_per_episode = 0\n"
+        with pytest.raises(ValueError, match="training.updates_per_episode"):
+            parse_config(write_spec(tmp_path, base))
+        epoch = base + "modes = adaptive_epoch\n"
+        assert parse_config(write_spec(tmp_path, epoch)).options["updates_per_episode"] == 0
+        mixed = epoch + "[sweep:mixed]\ntraining.modes = uniform,adaptive_epoch\n"
+        with pytest.raises(ValueError, match="training.updates_per_episode"):
+            parse_config(write_spec(tmp_path, mixed))
+
     def test_unknown_key_names_key(self, tmp_path):
         with pytest.raises(ValueError, match="sampler.foo"):
             parse_config(write_spec(tmp_path, "[sampler]\nfoo = 1\n"))
@@ -349,12 +364,6 @@ class TestCli:
         assert status == 0
         out = capsys.readouterr().out
         assert METRICS_HEADER in out
-
-    def test_verify_reports_missing_tests_dir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        status = cli_main(["verify"])
-        assert status == 2
-        assert "tests directory" in capsys.readouterr().err
 
 
 class TestVarianceStudyUnit:

@@ -58,7 +58,7 @@ class TestBothFamilies:
             s = int(rng.integers(policy.n_states))
             a = int(rng.integers(policy.n_actions))
             np.testing.assert_allclose(
-                policy.grad_log_prob(s, a),
+                policy.scores([s], [a])[0],
                 finite_difference_log_prob_grad(policy, s, a),
                 atol=1e-6,
             )
@@ -77,7 +77,7 @@ class TestBothFamilies:
     def test_max_score_norm_is_global_maximum(self, factory):
         policy = factory(np.random.default_rng(5))
         norms = [
-            np.linalg.norm(policy.grad_log_prob(s, a))
+            np.linalg.norm(policy.scores([s], [a])[0])
             for s in range(policy.n_states)
             for a in range(policy.n_actions)
         ]
@@ -91,7 +91,7 @@ class TestTabularSpecifics:
 
     def test_score_is_onehot_minus_distribution(self):
         policy = TabularSoftmaxPolicy(1, 2)
-        np.testing.assert_allclose(policy.grad_log_prob(0, 0), [0.5, -0.5])
+        np.testing.assert_allclose(policy.scores([0], [0])[0], [0.5, -0.5])
 
     def test_greedy_action(self):
         policy = TabularSoftmaxPolicy(1, 3, logits=np.array([[0.0, 2.0, 1.0]]))

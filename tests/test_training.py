@@ -52,6 +52,21 @@ class TestConfigValidation:
                 sampler=SamplerConfig(capacity=4),
             )
 
+    def test_negative_probe_every_rejected(self):
+        # -250 is a multiple of 125, so only an explicit sign check catches it.
+        with pytest.raises(ValueError, match="probe_every"):
+            TrainingConfig(
+                total_steps=10, batch_size=2, buffer_capacity=8, eval_every=125, probe_every=-250
+            )
+
+    def test_zero_updates_per_episode_only_for_epoch_mode(self):
+        with pytest.raises(ValueError, match="updates_per_episode"):
+            TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, updates_per_episode=0)
+        TrainingConfig(
+            total_steps=10, batch_size=2, buffer_capacity=8,
+            selection_mode="adaptive_epoch", updates_per_episode=0,
+        )
+
     def test_uniform_mode_forces_full_mixing(self):
         config = TrainingConfig(
             total_steps=10, batch_size=2, buffer_capacity=8, selection_mode="uniform"
@@ -201,6 +216,20 @@ class TestProbes:
         without = run_training(env, bandit_config("adaptive", seed=7))
         np.testing.assert_array_equal(with_probe.returns, without.returns)
         np.testing.assert_array_equal(with_probe.steps, without.steps)
+
+
+class TestRatioCapHits:
+    def test_small_cap_is_hit_and_counted_per_run(self):
+        env = chain_env(4, horizon=6)
+        config = bandit_config("adaptive", seed=3, total_steps=100, ratio_log_cap=0.5)
+        first = run_training(env, config)
+        second = run_training(env, config)
+        assert first.ratio_cap_hits > 0
+        assert first.ratio_cap_hits == second.ratio_cap_hits
+
+    def test_default_cap_is_not_hit(self):
+        trace = run_training(two_state_bandit_env(), bandit_config("adaptive", seed=3))
+        assert trace.ratio_cap_hits == 0
 
 
 class TestDeterminism:
