@@ -91,11 +91,14 @@ class TabularEnv:
         for _ in range(self.horizon):
             if self.terminal[s]:
                 break
-            a = policy.greedy_action(s) if greedy else policy.sample_action(s, rng)
+            # One softmax per step: the same draw as ``sample_action`` and the
+            # same value as ``prob``.
+            pi = policy.action_probs(s)
+            a = policy.greedy_action(s) if greedy else int(rng.choice(len(pi), p=pi))
             s_next, r = self.step(s, a, rng)
             states.append(s)
             actions.append(a)
-            probs.append(policy.prob(s, a))
+            probs.append(pi[a])
             rewards.append(r)
             next_states.append(s_next)
             s = s_next

@@ -97,22 +97,21 @@ def score_return_grad(traj: Trajectory, target, gamma: float) -> np.ndarray:
 
 
 def replay_gradient(
-    omega: np.ndarray, g: np.ndarray, slots: np.ndarray, p: np.ndarray
+    omega: np.ndarray, g: np.ndarray, p_drawn: np.ndarray, n: int
 ) -> np.ndarray:
-    """Bias-corrected batch mean ``(1/|batch|) sum_k omega_k g_k / (p(slot_k) n)``.
+    """Bias-corrected batch mean ``(1/|batch|) sum_k omega_k g_k / (p_k n)``.
 
-    Row ``k`` of ``omega`` and ``g`` belongs to the trajectory drawn as
-    ``slots[k]``; a slot drawn twice appears twice.
+    Row ``k`` of ``omega``, ``g`` and ``p_drawn`` belongs to the ``k``-th
+    draw, ``p_k`` being the probability its slot was drawn with from a buffer
+    of ``n`` slots; a slot drawn twice appears twice.
     """
-    slots = np.asarray(slots, dtype=np.int64)
-    if len(slots) == 0:
+    if len(omega) == 0:
         raise ValueError("cannot estimate a gradient from an empty batch")
-    p = np.asarray(p, dtype=np.float64)
-    p_drawn = p[slots]
+    p_drawn = np.asarray(p_drawn, dtype=np.float64)
     if np.any(p_drawn <= 0.0):
-        raise ValueError(f"sampled slot {slots[p_drawn <= 0.0][0]} has zero probability")
-    lam = omega / (p_drawn * len(p))
-    return (lam[:, None] * g).sum(axis=0) / len(slots)
+        raise ValueError(f"draw {int(np.argmax(p_drawn <= 0.0))} has zero probability")
+    lam = omega / (p_drawn * n)
+    return (lam[:, None] * g).sum(axis=0) / len(omega)
 
 
 def variance_objective(d: np.ndarray, p: np.ndarray) -> float:
@@ -164,15 +163,21 @@ def empirical_gradient_variance(
     each, and returns the trace of the sample covariance.  Pure read: the
     store, sampler and policy are not modified.
     """
-    if repeats < 2:
-        raise ValueError("variance estimation requires at least 2 repeats")
     if not store.warmed_up:
         raise NotReadyError("variance probe requires a full buffer")
     if p is None:
         p = sampler.distribution()
-    p = np.asarray(p, dtype=np.float64)
     grads = trajectory_gradients(store.slots, target, gamma)
-    n = store.capacity
+    return gradient_variance(grads, p, batch, repeats, rng)
+
+
+def gradient_variance(grads: TrajectoryGradients, p, batch: int, repeats: int, rng) -> float:
+    """:func:`empirical_gradient_variance` from whole-buffer terms (one row per
+    slot), so one gradient pass serves several distributions on a frozen buffer."""
+    if repeats < 2:
+        raise ValueError("variance estimation requires at least 2 repeats")
+    p = np.asarray(p, dtype=np.float64)
+    n = len(p)
     weighted = (grads.omega / (p * n))[:, None] * grads.g
     indices = rng.choice(n, size=(repeats, batch), p=p)
     estimates = weighted[indices].mean(axis=1)

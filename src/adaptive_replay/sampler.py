@@ -12,6 +12,9 @@ probability simplex, blended with the uniform distribution.  The uniform
 mixture bounds the inverse-probability feedback terms and keeps every slot
 explored.  Periodic resets (hard zeroing or multiplicative forgetting) let
 the distribution track a buffer whose contents change over time.
+The dense O(n) :meth:`SamplerState.distribution` serves evaluations, oracles
+and analysis; a replay step reads its slots' probabilities from the store's
+index (``WeightedStore.probabilities``), and ``record_feedback`` only those.
 """
 
 from __future__ import annotations
@@ -132,20 +135,20 @@ class SamplerState:
         self,
         sampled: Iterable[int],
         d: Mapping[int, float],
-        p_used: np.ndarray,
+        p_used: np.ndarray | Mapping[int, float],
     ) -> None:
         """Accumulate inverse-probability-weighted losses and advance the step counter.
 
         ``w(i) += d[i] / p_used[i]`` for each sampled slot; untouched slots keep
         their value.  ``d`` must assign a finite non-negative loss to exactly
-        the sampled slots, and ``p_used`` is the distribution the slots were
-        drawn from (so the weighted contribution is an unbiased estimate of
-        the full loss vector).
+        the sampled slots, and ``p_used`` (a dense vector or a slot -> p mapping,
+        read only at the sampled slots) gives the probabilities they were drawn
+        with, so the weighted contribution is an unbiased estimate of the full
+        loss vector.
         """
         sampled = set(sampled)
         if set(d) != sampled:
             raise ValueError("d must be defined on exactly the sampled slots")
-        p_used = np.asarray(p_used, dtype=np.float64)
         clamp = self.config.feedback_clamp
         for i in sampled:
             if not 0 <= i < self.config.capacity:
@@ -153,9 +156,10 @@ class SamplerState:
             value = float(d[i])
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"loss for slot {i} must be finite and non-negative, got {value}")
-            if p_used[i] <= 0.0:
+            p_i = float(p_used[i])
+            if p_i <= 0.0:
                 raise ValueError(f"sampled slot {i} has zero probability in p_used")
-            contribution = value / p_used[i]
+            contribution = value / p_i
             if contribution > clamp:
                 contribution = clamp
                 self.clamp_count += 1

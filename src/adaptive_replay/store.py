@@ -2,11 +2,13 @@
 
 The store keeps one trajectory per slot and a sum-tree index over per-slot
 scores ``sqrt(w(i) + nu)``, so sampling under the mixed FTRL distribution and
-score maintenance both cost O(log capacity).  When the buffer is full, a new
-trajectory overwrites a victim slot drawn from the complement distribution
-``q(j) = (1 - p(j)) / (capacity - 1)``: slots the sampler values least are
-evicted first.  The evicted slot's accumulator is zeroed, since the fresh
-trajectory has no feedback history yet.
+score maintenance both cost O(log capacity), and ``p(i)`` is read from the
+index as ``(1 - kappa) * leaf(i) / total + kappa / n``.  When the buffer is
+full, a new trajectory overwrites a victim slot drawn from the complement
+``q(j) = (1 - p(j)) / (capacity - 1)``, by rejection under the ceiling
+``1 - kappa / n >= 1 - p(j)``, so each proposal reads only its own ``p(j)``:
+slots the sampler values least are evicted first.  The evicted slot's
+accumulator is zeroed, since the fresh trajectory has no feedback history.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ class WeightedStore:
             out[~uniform] = self.tree.sample(rng.random(n_prop) * self.tree.total)
         return out
 
+    def probabilities(self, slots: np.ndarray, kappa: float) -> np.ndarray:
+        """Mixture probabilities of ``slots`` from the index, in O(len(slots))."""
+        return (1.0 - kappa) * self.tree.get(slots) / self.tree.total + kappa / self.capacity
+
     def set_scores(self, slots: np.ndarray, values: np.ndarray) -> None:
         """Directly assign index scores for strategies that do not use the accumulators."""
         self.tree.set_many(np.asarray(slots, dtype=np.int64), values)
@@ -127,15 +133,15 @@ class WeightedStore:
         traj: Trajectory,
         sampler: SamplerState,
         rng: np.random.Generator,
-        p: np.ndarray | None = None,
+        kappa: float | None = None,
     ) -> int:
         """Store a trajectory, evicting by complement probability when full.
 
         During the fill phase slots are assigned sequentially.  Once full, the
         victim is drawn from ``q(j) = (1 - p(j)) / (capacity - 1)`` with ``p``
-        the sampler's current distribution (recomputed lazily when not
-        supplied).  The victim's accumulator is reset to zero and its index
-        score refreshed.  Returns the slot written.
+        the index's mixture with uniform weight ``kappa`` (the sampler's
+        ``kappa`` when not given).  The victim's accumulator is reset to zero
+        and its index score refreshed.  Returns the slot written.
         """
         if self.occupancy < self.capacity:
             slot = self.occupancy
@@ -143,27 +149,21 @@ class WeightedStore:
         elif self.capacity == 1:
             slot = 0
         else:
-            if p is None:
-                p = sampler.distribution()
-            slot = self._sample_victim(np.asarray(p, dtype=np.float64), rng)
+            slot = self._sample_victim(sampler.config.kappa if kappa is None else kappa, rng)
         self.slots[slot] = traj
         sampler.w[slot] = 0.0
         self.tree.set(slot, float(np.sqrt(sampler.config.nu)))
         return slot
 
-    def _sample_victim(self, p: np.ndarray, rng: np.random.Generator) -> int:
+    def _sample_victim(self, kappa: float, rng: np.random.Generator) -> int:
         # Rejection sampling from q ~ (1 - p): propose uniformly, accept with
-        # probability (1 - p(j)) / max_i (1 - p(i)).  Expected trials <= 2
-        # unless one slot carries almost all sampling mass.
-        ceiling = float(np.max(1.0 - p))
-        if ceiling <= 0.0:
-            return int(np.argmin(p))
-        for _ in range(10_000):
+        # probability (1 - p(j)) / (1 - kappa/n).  The mean acceptance is
+        # (1 - 1/n) / (1 - kappa/n) >= 1/2 for n >= 2, so the loop ends.
+        ceiling = 1.0 - kappa / self.capacity
+        while True:
             j = int(rng.integers(0, self.capacity))
-            if rng.random() * ceiling < 1.0 - p[j]:
+            if rng.random() * ceiling < 1.0 - self.probabilities(j, kappa):
                 return j
-        q = (1.0 - p) / (1.0 - p).sum()
-        return int(rng.choice(self.capacity, p=q))
 
     def trajectories(self) -> list[Trajectory]:
         """Filled slots in slot order."""

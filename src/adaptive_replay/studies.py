@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import empirical_gradient_variance, trajectory_gradients
+from .gradients import gradient_variance, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import Trajectory, WeightedStore
@@ -108,16 +108,12 @@ def learned_vs_uniform_variance(
         store, sampler, policy, np.random.default_rng(learn_ss), gamma=gamma,
         steps=learn_steps,
     )
-    d = trajectory_gradients(store.slots, policy, gamma).d
-    spread = float(np.log10(d.max() / d.min()))
+    grads = trajectory_gradients(store.slots, policy, gamma)
+    spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
-    uniform_p = np.full(capacity, 1.0 / capacity)
-    var_learned = empirical_gradient_variance(
-        store, sampler, policy, gamma, batch, repeats, np.random.default_rng(probe_seed)
-    )
-    var_uniform = empirical_gradient_variance(
-        store, sampler, policy, gamma, batch, repeats,
-        np.random.default_rng(probe_seed), p=uniform_p,
+    var_learned, var_uniform = (
+        gradient_variance(grads, p, batch, repeats, np.random.default_rng(probe_seed))
+        for p in (sampler.distribution(), np.full(capacity, 1.0 / capacity))
     )
     return VarianceComparison(
         seed=int(seed),

@@ -24,8 +24,9 @@ class SumTree:
     def total(self) -> float:
         return float(self._tree[1])
 
-    def get(self, index: int) -> float:
-        return float(self._tree[self._n + index])
+    def get(self, index):
+        """Leaf score at ``index``, an int or an integer array of leaf indices."""
+        return self._tree[self._n + np.asarray(index)]
 
     def leaves(self) -> np.ndarray:
         """Copy of the real leaf scores (padding excluded)."""
@@ -55,14 +56,17 @@ class SumTree:
             node >>= 1
 
     def rebuild(self, scores: np.ndarray) -> None:
-        """Recompute every node from scratch from a full score vector."""
+        """Recompute every node from a full score vector, one numpy pass per
+        level; the same pairwise additions as a per-node loop, so bit-identical."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (self.capacity,):
             raise ValueError(f"expected {self.capacity} scores, got {scores.shape}")
         self._tree[:] = 0.0
         self._tree[self._n : self._n + self.capacity] = scores
-        for node in range(self._n - 1, 0, -1):
-            self._tree[node] = self._tree[2 * node] + self._tree[2 * node + 1]
+        m = self._n >> 1
+        while m >= 1:
+            self._tree[m : 2 * m] = self._tree[2 * m : 4 * m : 2] + self._tree[2 * m + 1 : 4 * m : 2]
+            m >>= 1
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Map mass offsets ``u`` in [0, total) to leaf indices, vectorized."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .envs import TabularEnv
-from .gradients import empirical_gradient_variance, replay_gradient, trajectory_gradients
+from .gradients import gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import NotReadyError, Trajectory, WeightedStore
@@ -140,7 +140,8 @@ class TrainingTrace:
 
 class _AccumulatorStrategy:
     """FTRL accumulators drive both sampling scores and eviction; used by the
-    adaptive modes and (with full uniform mixing) the uniform baseline."""
+    adaptive modes and (with full uniform mixing) the uniform baseline.  A
+    strategy's ``kappa`` is the uniform weight of the store mixture it uses."""
 
     def __init__(
         self,
@@ -151,16 +152,12 @@ class _AccumulatorStrategy:
         self.sampler = sampler
         self.store = store
         self.periodic_reset = periodic_reset
-
-    def distribution(self) -> np.ndarray:
-        return self.sampler.distribution()
-
-    def sample(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        return self.store.sample_indices(self.sampler, batch, rng)
+        self.kappa = sampler.config.kappa
 
     def after_update(self, unique_slots, d, p_used) -> bool:
-        feedback = {int(i): float(loss) for i, loss in zip(unique_slots, d)}
-        self.sampler.record_feedback(unique_slots, feedback, p_used)
+        slots = unique_slots.tolist()
+        p = dict(zip(slots, p_used.tolist()))
+        self.sampler.record_feedback(slots, dict(zip(slots, d.tolist())), p)
         self.store.update_scores(self.sampler, unique_slots)
         if self.periodic_reset and self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
@@ -176,17 +173,18 @@ class _AccumulatorStrategy:
 
 
 class _TDPriorityStrategy:
-    """Proportional prioritization by summed |one-step TD error| per trajectory."""
+    """Proportional prioritization by summed |one-step TD error| per trajectory:
+    leaves hold ``(priority + eps) ** exponent``, sampled with no uniform mixing."""
+
+    kappa = 0.0
 
     def __init__(
         self,
-        sampler: SamplerState,
         store: WeightedStore,
         env: TabularEnv,
         learning_rate: float,
         exponent: float,
     ):
-        self.sampler = sampler
         self.store = store
         self.env = env
         self.values = np.zeros(env.n_states)
@@ -197,13 +195,6 @@ class _TDPriorityStrategy:
 
     def _scores(self, slots: np.ndarray) -> np.ndarray:
         return (self.priorities[slots] + self.eps) ** self.exponent
-
-    def distribution(self) -> np.ndarray:
-        scores = (self.priorities + self.eps) ** self.exponent
-        return scores / scores.sum()
-
-    def sample(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        return self.store.sample_mixture(0.0, batch, rng)
 
     def _sweep(self, traj: Trajectory, learn: bool) -> float:
         total = 0.0
@@ -236,9 +227,7 @@ class _TDPriorityStrategy:
 def _make_strategy(config: TrainingConfig, sampler, store, env):
     mode = config.selection_mode
     if mode == "td_priority":
-        return _TDPriorityStrategy(
-            sampler, store, env, config.learning_rate, config.td_priority_exponent
-        )
+        return _TDPriorityStrategy(store, env, config.learning_rate, config.td_priority_exponent)
     return _AccumulatorStrategy(sampler, store, periodic_reset=(mode != "adaptive_epoch"))
 
 
@@ -274,7 +263,7 @@ def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
     else:
         _interleaved_loop(state)
     state.flush_rows()
-    return _finalize(trace)
+    return trace
 
 
 class _LoopState:
@@ -296,48 +285,45 @@ class _LoopState:
     def collect_episode(self, policy_tag: int) -> None:
         traj = self.env.rollout(self.policy, self.rng, policy_tag=policy_tag)
         self.env_steps += len(traj)
-        p = self.strategy.distribution() if self.store.warmed_up else None
-        slot = self.store.insert(traj, self.sampler, self.rng, p=p)
+        slot = self.store.insert(traj, self.sampler, self.rng, kappa=self.strategy.kappa)
         self.strategy.on_insert(slot, traj)
 
     def update_policy(self) -> None:
         cfg = self.config
-        p = self.strategy.distribution()
-        indices = self.strategy.sample(cfg.batch_size, self.rng)
+        kappa = self.strategy.kappa
+        indices = self.store.sample_mixture(kappa, cfg.batch_size, self.rng)
         unique, drawn = np.unique(indices, return_inverse=True)
+        p_unique = self.store.probabilities(unique, kappa)
         grads = trajectory_gradients(
             [self.store.slots[i] for i in unique], self.policy, self.env.gamma,
             log_cap=cfg.ratio_log_cap,
         )
         self.trace.ratio_cap_hits += grads.cap_hits
-        grad = replay_gradient(grads.omega[drawn], grads.g[drawn], indices, p)
+        grad = replay_gradient(
+            grads.omega[drawn], grads.g[drawn], p_unique[drawn], self.store.capacity
+        )
         self.policy.set_params(self.policy.get_params() + cfg.learning_rate * grad)
-        if self.strategy.after_update(unique, grads.d, p):
+        if self.strategy.after_update(unique, grads.d, p_unique):
             self.reset_count += 1
 
     def record_eval(self, update_index: int) -> None:
         cfg = self.config
         test_return = self.env.evaluate(self.policy, cfg.eval_episodes, self.eval_rng)
+        n = self.store.capacity
+        p = self.store.probabilities(np.arange(n), self.strategy.kappa)
         probe = probe_uniform = np.nan
         if cfg.probe_every and update_index % cfg.probe_every == 0:
-            # Paired probe: identical frozen state and probe stream, only the
-            # sampling distribution differs.
+            # Paired probe: identical frozen state, gradient terms and probe
+            # stream, only the sampling distribution differs.
             seed = self.probe_rng.integers(2**63)
-            uniform_p = np.full(self.store.capacity, 1.0 / self.store.capacity)
+            grads = trajectory_gradients(self.store.slots, self.policy, self.env.gamma)
             probe, probe_uniform = (
-                empirical_gradient_variance(
-                    self.store,
-                    self.sampler,
-                    self.policy,
-                    self.env.gamma,
-                    cfg.batch_size,
-                    cfg.probe_repeats,
+                gradient_variance(
+                    grads, p_choice, cfg.batch_size, cfg.probe_repeats,
                     np.random.default_rng(seed),
-                    p=p_choice,
                 )
-                for p_choice in (self.strategy.distribution(), uniform_p)
+                for p_choice in (p, np.full(n, 1.0 / n))
             )
-        p = self.strategy.distribution()
         entropy = float(-(p * np.log(p)).sum())
         self._rows.append(
             (self.env_steps, test_return, probe, probe_uniform, entropy, self.reset_count)
@@ -384,12 +370,6 @@ def _epoch_loop(state: _LoopState) -> None:
             t += 1
             state.update_policy()
             state.maybe_eval(t)
-
-
-def _finalize(trace: TrainingTrace) -> TrainingTrace:
-    if len(trace.steps) == 0:
-        raise RuntimeError("training produced no evaluation rows")
-    return trace
 
 
 def run_group(

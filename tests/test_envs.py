@@ -14,6 +14,25 @@ from adaptive_replay.envs import (
 from adaptive_replay.policies import TabularSoftmaxPolicy
 
 
+def reference_rollout(env, policy, rng, greedy=False):
+    """Per-step ``sample_action`` (or ``greedy_action``) then ``prob``: two
+    softmax evaluations per step, the path ``rollout`` must reproduce."""
+    states, actions, probs, rewards, next_states = [], [], [], [], []
+    s = env.draw_start(rng)
+    for _ in range(env.horizon):
+        if env.terminal[s]:
+            break
+        a = policy.greedy_action(s) if greedy else policy.sample_action(s, rng)
+        s_next, r = env.step(s, a, rng)
+        states.append(s)
+        actions.append(a)
+        probs.append(policy.prob(s, a))
+        rewards.append(r)
+        next_states.append(s_next)
+        s = s_next
+    return states, actions, probs, rewards, next_states
+
+
 def mc_value(env, policy, episodes, rng):
     total = 0.0
     for _ in range(episodes):
@@ -56,6 +75,41 @@ class TestChain:
         assert len(traj) == 4
         assert traj.rewards[-1] == 1.0
         assert env.terminal[traj.next_states[-1]]
+
+
+class TestRollout:
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_matches_sample_action_and_prob_reference(self, greedy):
+        transitions = np.zeros((3, 2, 3))
+        transitions[0, 0] = [0.1, 0.6, 0.3]
+        transitions[0, 1] = [0.5, 0.0, 0.5]
+        transitions[1, :] = [0.3, 0.3, 0.4]
+        transitions[2, :, 2] = 1.0
+        coin = TabularEnv(
+            name="coin3",
+            transitions=transitions,
+            rewards=np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 0.0]]),
+            terminal=np.array([False, False, True]),
+            start_state=0,
+            horizon=7,
+        )
+        for env in (gridworld_env(4, 4), chain_env(5), two_state_bandit_env(), coin):
+            rng = np.random.default_rng(21)
+            policy = TabularSoftmaxPolicy(
+                env.n_states, env.n_actions,
+                logits=rng.normal(scale=2.0, size=(env.n_states, env.n_actions)),
+            )
+            fast, slow = np.random.default_rng(22), np.random.default_rng(22)
+            for _ in range(200):
+                traj = env.rollout(policy, fast, greedy=greedy)
+                expected = reference_rollout(env, policy, slow, greedy=greedy)
+                for got, want in zip(
+                    (traj.states, traj.actions, traj.behavior_probs, traj.rewards,
+                     traj.next_states),
+                    expected,
+                ):
+                    np.testing.assert_array_equal(got, np.array(want))
+            assert fast.random() == slow.random(), env.name
 
 
 class TestGridworld:

@@ -138,7 +138,7 @@ class TestReplayGradient:
         n = 6
         grads = trajectory_gradients([random_traj(rng, policy, 3) for _ in range(n)], policy, 0.9)
         p = np.full(n, 1.0 / n)
-        estimate = replay_gradient(grads.omega, grads.g, np.arange(n), p)
+        estimate = replay_gradient(grads.omega, grads.g, p, n)
         np.testing.assert_allclose(
             estimate, (grads.omega[:, None] * grads.g).mean(axis=0), rtol=1e-12
         )
@@ -148,7 +148,7 @@ class TestReplayGradient:
         policy = random_policy(rng)
         grads = trajectory_gradients([random_traj(rng, policy, 3)], policy, 0.9)
         drawn = np.zeros(3, dtype=np.int64)
-        estimate = replay_gradient(grads.omega[drawn], grads.g[drawn], drawn, np.array([1.0]))
+        estimate = replay_gradient(grads.omega[drawn], grads.g[drawn], np.ones(3), 1)
         np.testing.assert_allclose(estimate, grads.omega[0] * grads.g[0], rtol=1e-12)
 
     def test_monte_carlo_mean_is_p_free(self):
@@ -168,7 +168,7 @@ class TestReplayGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            replay_gradient(np.empty(0), np.empty((0, 2)), np.empty(0, dtype=np.int64), np.array([1.0]))
+            replay_gradient(np.empty(0), np.empty((0, 2)), np.empty(0), 1)
 
 
 def enumerate_exact_gradient(env, policy):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptive_replay.bench import run_bench
 from adaptive_replay.cli import main as cli_main
 from adaptive_replay.harness import (
     ExperimentSpec,
@@ -355,6 +356,13 @@ class TestCli:
         status = cli_main(["bench", "--capacity", "256", "--batch", "16", "--rounds", "2"])
         assert status == 0
         assert "sample+update" in capsys.readouterr().out
+
+    def test_bench_adds_training_batch_rows_after_requested_batch(self):
+        operations = ["sample", "update", "sample+update"]
+        rows = run_bench(capacity=256, batch=16, rounds=2)
+        assert [(r[1], r[2]) for r in rows] == [(op, b) for b in (16, 8) for op in operations]
+        rows = run_bench(capacity=256, batch=8, rounds=2)
+        assert [(r[1], r[2]) for r in rows] == [(op, 8) for op in operations]
 
     def test_metrics_subcommand(self, tmp_path, capsys):
         spec = rl_spec(seeds=(1,), modes=("uniform",))

@@ -34,6 +34,24 @@ def filled_store(rng, capacity, nu=1.0, kappa=0.0, **kwargs):
     return store, sampler
 
 
+def per_node_rebuild(capacity, scores):
+    """Node array of a tree over ``scores``, summed one node at a time from the
+    last internal node up: the reference for the level-by-level rebuild."""
+    padded = 1 << (capacity - 1).bit_length()
+    nodes = np.zeros(2 * padded)
+    nodes[padded : padded + capacity] = scores
+    for node in range(padded - 1, 0, -1):
+        nodes[node] = nodes[2 * node] + nodes[2 * node + 1]
+    return nodes
+
+
+TD_EPS, TD_EXPONENT = 1e-6, 0.6
+
+
+def td_scores(priorities):
+    return (priorities + TD_EPS) ** TD_EXPONENT
+
+
 class TestSumTree:
     def test_single_leaf(self):
         tree = SumTree(1)
@@ -67,6 +85,16 @@ class TestSumTree:
         expected = scores / scores.sum() * draws
         chi2 = stats.chisquare(counts, expected)
         assert chi2.pvalue > 0.01
+
+    @pytest.mark.parametrize("capacity", [1, 3, 5, 48, 65_000])
+    def test_rebuild_equals_per_node_loop_bitwise(self, capacity):
+        rng = np.random.default_rng(capacity)
+        # Scores over six decades, so a different summation order would show.
+        scores = 10.0 ** rng.uniform(-3, 3, capacity)
+        tree = SumTree(capacity)
+        tree.set(0, 123.0)  # stale state the rebuild must overwrite
+        tree.rebuild(scores)
+        np.testing.assert_array_equal(tree._tree, per_node_rebuild(capacity, scores))
 
     def test_rejects_wrong_score_count(self):
         with pytest.raises(ValueError, match="scores"):
@@ -144,22 +172,21 @@ class TestInsertOverwrite:
     def test_victim_follows_complement_distribution(self):
         rng = np.random.default_rng(10)
         store, sampler = filled_store(rng, 2)
-        p = np.array([0.9, 0.1])
+        store.set_scores(np.arange(2), np.array([0.9, 0.1]))  # p = [0.9, 0.1] at kappa 0
         counts = np.zeros(2)
         draws = 100_000
         for _ in range(draws):
-            counts[store._sample_victim(p, rng)] += 1
+            counts[store._sample_victim(0.0, rng)] += 1
         expected = np.array([0.1, 0.9]) * draws
         chi2 = stats.chisquare(counts, expected)
         assert chi2.pvalue > 0.01
 
     def test_uniform_distribution_evicts_uniformly(self):
         rng = np.random.default_rng(11)
-        store, sampler = filled_store(rng, 8)
-        p = np.full(8, 0.125)
+        store, sampler = filled_store(rng, 8)  # equal leaves: p = 1/8 at kappa 0
         counts = np.zeros(8)
         for _ in range(80_000):
-            counts[store._sample_victim(p, rng)] += 1
+            counts[store._sample_victim(0.0, rng)] += 1
         chi2 = stats.chisquare(counts)
         assert chi2.pvalue > 0.01
 
@@ -216,6 +243,121 @@ class TestIndexMaintenance:
         rng = np.random.default_rng(16)
         store, sampler = filled_store(rng, 1, nu=4.0)
         assert store.tree.total == pytest.approx(2.0)
+
+
+class TestStoreProbabilities:
+    """``WeightedStore.probabilities`` reads p from the index in place of the dense vector."""
+
+    def test_accumulator_probabilities_equal_sampler_distribution(self):
+        rng = np.random.default_rng(19)
+        capacity = 37  # not a power of two: the tree carries padding leaves
+        store, sampler = filled_store(
+            rng, capacity, nu=2.0, kappa=0.15, reset_period=7, reset_mode="soft", rho=0.5
+        )
+        kappa = sampler.config.kappa
+        for _ in range(3_000):
+            op = rng.integers(0, 3)
+            if op == 0:
+                slots = np.unique(store.sample_mixture(kappa, 4, rng))
+                p_used = store.probabilities(slots, kappa)
+                np.testing.assert_allclose(p_used, sampler.distribution()[slots], rtol=1e-12)
+                losses = {int(i): float(rng.uniform(0, 50)) for i in slots}
+                sampler.record_feedback(slots, losses, dict(zip(slots.tolist(), p_used)))
+                store.update_scores(sampler, slots)
+            elif op == 1:
+                store.insert(make_traj(rng), sampler, rng)
+            elif sampler.maybe_reset():
+                store.rebuild_index(sampler)
+        np.testing.assert_allclose(
+            store.probabilities(np.arange(capacity), kappa), sampler.distribution(), rtol=1e-12
+        )
+
+    def test_td_probabilities_equal_dense_priority_formula(self):
+        rng = np.random.default_rng(20)
+        capacity = 37
+        store, sampler = filled_store(rng, capacity)
+        priorities = rng.uniform(0, 10, capacity)
+        store.set_scores(np.arange(capacity), td_scores(priorities))
+        for _ in range(3_000):
+            if rng.random() < 0.7:
+                slots = np.unique(store.sample_mixture(0.0, 4, rng))
+            else:
+                slots = np.array([store.insert(make_traj(rng), sampler, rng, kappa=0.0)])
+            priorities[slots] = rng.uniform(0, 10, len(slots))
+            store.set_scores(slots, td_scores(priorities[slots]))
+            dense = td_scores(priorities) / td_scores(priorities).sum()
+            np.testing.assert_allclose(
+                store.probabilities(np.arange(capacity), 0.0), dense, rtol=1e-12
+            )
+
+    def test_full_mixing_is_exactly_uniform(self):
+        rng = np.random.default_rng(21)
+        store, sampler = filled_store(rng, 5, kappa=1.0)
+        sampler.w[:] = rng.uniform(0, 100, 5)
+        store.rebuild_index(sampler)
+        np.testing.assert_array_equal(store.probabilities(np.arange(5), 1.0), np.full(5, 1 / 5))
+
+
+class TestLongRunInvariants:
+    """Every p the estimator uses comes from the tree, so index drift would
+    reach the gradient directly: check the index over long operation runs."""
+
+    OPERATIONS = 50_000
+    CHECK_EVERY = 2_500
+
+    @staticmethod
+    def check_index(store, expected_leaves, kappa):
+        leaves = store.tree.leaves()
+        error = np.max(np.abs(leaves - expected_leaves) / np.maximum(expected_leaves, 1.0))
+        assert error <= 1e-9
+        assert store.tree.consistency_error() < 1e-9
+        p = store.probabilities(np.arange(store.capacity), kappa)
+        assert p.min() >= kappa / store.capacity
+        assert abs(p.sum() - 1.0) <= 1e-9
+
+    def test_accumulator_index(self):
+        rng = np.random.default_rng(22)
+        capacity = 37
+        store, sampler = filled_store(
+            rng, capacity, nu=2.0, kappa=0.1, reset_period=50, reset_mode="soft", rho=0.9
+        )
+        kappa, nu = sampler.config.kappa, sampler.config.nu
+        pool = [make_traj(rng) for _ in range(16)]
+        for step in range(1, self.OPERATIONS + 1):
+            op = rng.random()
+            if op < 0.6:  # one replay update: sample, feedback, index update, reset
+                slots = np.unique(store.sample_mixture(kappa, 8, rng))
+                p_used = store.probabilities(slots, kappa)
+                keys = slots.tolist()
+                losses = dict(zip(keys, (10.0 ** rng.uniform(-2, 3, len(keys))).tolist()))
+                sampler.record_feedback(keys, losses, dict(zip(keys, p_used.tolist())))
+                store.update_scores(sampler, slots)
+                if sampler.maybe_reset():
+                    store.rebuild_index(sampler)
+            elif op < 0.99:
+                store.insert(pool[step % len(pool)], sampler, rng)
+            else:
+                store.rebuild_index(sampler)
+            if step % self.CHECK_EVERY == 0:
+                self.check_index(store, np.sqrt(sampler.w + nu), kappa)
+
+    def test_td_priority_index_never_rebuilt(self):
+        rng = np.random.default_rng(23)
+        capacity = 37
+        store, sampler = filled_store(rng, capacity)
+        priorities = 10.0 ** rng.uniform(-2, 2, capacity)
+        store.set_scores(np.arange(capacity), td_scores(priorities))
+        pool = [make_traj(rng) for _ in range(16)]
+        for step in range(1, self.OPERATIONS + 1):
+            if rng.random() < 0.6:
+                slots = np.unique(store.sample_mixture(0.0, 8, rng))
+                store.probabilities(slots, 0.0)
+            else:
+                slots = np.array([store.insert(pool[step % len(pool)], sampler, rng, kappa=0.0)])
+            priorities[slots] = 10.0 ** rng.uniform(-2, 2, len(slots))
+            store.set_scores(slots, td_scores(priorities[slots]))
+            if step % self.CHECK_EVERY == 0:
+                self.check_index(store, td_scores(priorities), 0.0)
 
 
 class TestSnapshot:

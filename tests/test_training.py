@@ -1,10 +1,14 @@
 """Training loops: schema, mode semantics, equivalences, and sanity directions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from adaptive_replay import gradients, training
 from adaptive_replay.envs import chain_env, optimal_value, two_state_bandit_env
-from adaptive_replay.sampler import SamplerConfig
+from adaptive_replay.sampler import SamplerConfig, SamplerState
+from adaptive_replay.sumtree import SumTree
 from adaptive_replay.training import MODES, TrainingConfig, run_training
 
 
@@ -216,6 +220,49 @@ class TestProbes:
         without = run_training(env, bandit_config("adaptive", seed=7))
         np.testing.assert_array_equal(with_probe.returns, without.returns)
         np.testing.assert_array_equal(with_probe.steps, without.steps)
+
+
+def count_calls(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestReplayStepCost:
+    def test_one_gradient_pass_per_probe_row(self, monkeypatch):
+        sizes = []
+        original = gradients.trajectory_gradients
+
+        def counted(trajs, *args, **kwargs):
+            sizes.append(len(trajs))
+            return original(trajs, *args, **kwargs)
+
+        monkeypatch.setattr(gradients, "trajectory_gradients", counted)
+        monkeypatch.setattr(training, "trajectory_gradients", counted)
+        config = bandit_config("adaptive", seed=2, probe_every=100, probe_repeats=50)
+        trace = run_training(two_state_bandit_env(), config)
+        probe_rows = len(trace.probe_pairs()[0])
+        assert probe_rows == 3
+        # One pass per update over its (at most batch_size) drawn slots, plus
+        # one whole-buffer pass per probe row shared by both sides of the pair.
+        assert sizes.count(config.buffer_capacity) == probe_rows
+        assert len(sizes) == config.total_steps + probe_rows
+
+    def test_dense_distribution_and_rebuild_only_at_evals_and_resets(self, monkeypatch):
+        counts = Counter()
+        count_calls(monkeypatch, counts, SamplerState, "distribution")
+        count_calls(monkeypatch, counts, SumTree, "rebuild")
+        sampler = SamplerConfig(capacity=16, reset_period=25, reset_mode="soft", kappa=0.1)
+        config = bandit_config("adaptive", seed=4, sampler=sampler, probe_every=100,
+                               probe_repeats=50)
+        trace = run_training(two_state_bandit_env(), config)
+        assert trace.reset_counts[-1] == 300 // 25
+        assert counts["distribution"] <= len(trace.steps)
+        assert counts["rebuild"] == trace.reset_counts[-1]
 
 
 class TestRatioCapHits:
