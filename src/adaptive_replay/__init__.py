@@ -45,9 +45,9 @@ from .regret import (
     static_competitor,
     stationary_sequence,
 )
-from .sampler import SamplerConfig, SamplerState, lambda_ratio
+from .sampler import SamplerConfig, SamplerState
 from .simplex import OracleFailure, minimize_on_simplex, project_to_simplex
-from .store import NotReadyError, Trajectory, WeightedStore, load_snapshot, save_snapshot
+from .store import NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
 from .sumtree import SumTree
 from .training import MODES, TrainingConfig, TrainingTrace, run_group, run_training
 
@@ -69,6 +69,7 @@ __all__ = [
     "TrainingConfig",
     "TrainingTrace",
     "Trajectory",
+    "TrajectoryBatch",
     "TrajectoryGradients",
     "WeightedStore",
     "best_static_cost",
@@ -80,8 +81,6 @@ __all__ = [
     "empirical_gradient_variance",
     "exact_policy_value",
     "gridworld_env",
-    "lambda_ratio",
-    "load_snapshot",
     "min_step_cost",
     "minimize_on_simplex",
     "moving_average",
@@ -91,7 +90,6 @@ __all__ = [
     "run_group",
     "run_regret_experiment",
     "run_training",
-    "save_snapshot",
     "scaled_noise_sequence",
     "score_return_grad",
     "static_competitor",

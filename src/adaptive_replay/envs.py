@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gradients import trajectory_return
 from .store import Trajectory
 
 _EXACT_SIZE_CAP = 100
@@ -82,7 +83,6 @@ class TabularEnv:
         self,
         policy,
         rng: np.random.Generator,
-        policy_tag: int = 0,
         greedy: bool = False,
     ) -> Trajectory:
         """Run one episode; stops at a terminal state or at the horizon."""
@@ -108,17 +108,13 @@ class TabularEnv:
             behavior_probs=np.array(probs),
             rewards=np.array(rewards),
             next_states=np.array(next_states, dtype=np.int64),
-            policy_tag=policy_tag,
         )
-
-    def episode_return(self, traj: Trajectory) -> float:
-        return float(traj.rewards @ self.gamma ** np.arange(len(traj)))
 
     def evaluate(self, policy, episodes: int, rng: np.random.Generator) -> float:
         """Mean discounted return over greedy-action evaluation episodes."""
         total = 0.0
         for _ in range(episodes):
-            total += self.episode_return(self.rollout(policy, rng, greedy=True))
+            total += trajectory_return(self.rollout(policy, rng, greedy=True), self.gamma)
         return total / episodes
 
 

@@ -10,10 +10,11 @@ variance depends on ``p``, through ``f(p) = sum_i d(i) / p(i)`` with
 ``d(i) = ||omega_i g_i||^2``.
 
 :func:`trajectory_gradients` is the one place that computes ``omega``, ``g``
-and ``d``: it concatenates a batch of trajectories, gathers the per-step log
-probabilities from one log-softmax table, and segment-sums them with the
-policy's batched score functions.  Every estimator in the package consumes
-its output.
+and ``d``: it flattens the rows of a padded :class:`TrajectoryBatch` (a
+gather of store rows, or ``TrajectoryBatch.of`` a list), gathers the
+per-step log probabilities from one log-softmax table, and segment-sums them
+with the policy's batched score functions.  Every estimator in the package
+consumes its output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import NotReadyError, Trajectory, WeightedStore
+from .store import NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
 from .sampler import SamplerState
 
 
@@ -56,7 +57,7 @@ class TrajectoryGradients:
 
 
 def trajectory_gradients(
-    trajs: Sequence[Trajectory], target, gamma: float, log_cap: float = 50.0
+    batch: TrajectoryBatch, target, gamma: float, log_cap: float = 50.0
 ) -> TrajectoryGradients:
     """Importance ratios, score-return gradients and losses of a batch of trajectories.
 
@@ -65,15 +66,19 @@ def trajectory_gradients(
     probabilities cannot overflow; transition terms do not depend on the
     policy parameters, so the trajectory score is the sum of per-step scores.
     """
-    if len(trajs) == 0:
+    if len(batch) == 0:
         raise ValueError("cannot compute gradients of zero trajectories")
-    lengths = np.array([len(traj) for traj in trajs])
+    lengths = batch.lengths
+    if lengths.min() < 1:
+        raise ValueError("batch holds an empty row")
+    # Row-major masking keeps each row's steps in order, row after row.
+    mask = np.arange(batch.width) < lengths[:, None]
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    states = np.concatenate([traj.states for traj in trajs]).astype(np.int64)
-    actions = np.concatenate([traj.actions for traj in trajs]).astype(np.int64)
-    behavior = np.concatenate([traj.behavior_probs for traj in trajs])
-    rewards = np.concatenate([traj.rewards for traj in trajs])
-    step = np.arange(len(states)) - np.repeat(starts, lengths)
+    states = batch.states[mask]
+    actions = batch.actions[mask]
+    behavior = batch.behavior_probs[mask]
+    rewards = batch.rewards[mask]
+    step = np.nonzero(mask)[1]
 
     log_ratio = target.log_prob_table()[states, actions] - np.log(behavior)
     log_omega = np.add.reduceat(log_ratio, starts)
@@ -93,7 +98,7 @@ def trajectory_return(traj: Trajectory, gamma: float) -> float:
 
 def score_return_grad(traj: Trajectory, target, gamma: float) -> np.ndarray:
     """Gradient of the trajectory log-probability times the discounted return."""
-    return trajectory_gradients([traj], target, gamma).g[0]
+    return trajectory_gradients(TrajectoryBatch.of([traj]), target, gamma).g[0]
 
 
 def replay_gradient(
@@ -133,11 +138,11 @@ def buffer_gradient_samples(
     store: WeightedStore, target, gamma: float, log_cap: float = 50.0
 ) -> list[GradientSample]:
     """One :class:`GradientSample` per filled slot, in slot order."""
-    slots = [slot for slot, traj in enumerate(store.slots) if traj is not None]
-    grads = trajectory_gradients([store.slots[i] for i in slots], target, gamma, log_cap=log_cap)
+    slots = np.arange(store.occupancy)
+    grads = trajectory_gradients(store.take(slots), target, gamma, log_cap=log_cap)
     return [
         GradientSample(slot, float(omega), g, float(d))
-        for slot, omega, g, d in zip(slots, grads.omega, grads.g, grads.d)
+        for slot, omega, g, d in zip(slots.tolist(), grads.omega, grads.g, grads.d)
     ]
 
 
@@ -167,7 +172,7 @@ def empirical_gradient_variance(
         raise NotReadyError("variance probe requires a full buffer")
     if p is None:
         p = sampler.distribution()
-    grads = trajectory_gradients(store.slots, target, gamma)
+    grads = trajectory_gradients(store, target, gamma)
     return gradient_variance(grads, p, batch, repeats, rng)
 
 

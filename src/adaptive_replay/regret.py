@@ -18,7 +18,7 @@ import numpy as np
 
 from .gradients import trajectory_gradients, variance_objective
 from .sampler import SamplerConfig, SamplerState
-from .store import Trajectory
+from .store import Trajectory, TrajectoryBatch
 
 SequenceGenerator = Callable[[np.random.Generator, int, int], np.ndarray]
 
@@ -283,7 +283,7 @@ def check_loss_bound(
     return_bound = reward_cap * (1.0 - gamma**horizon) / (1.0 - gamma)
     bound = (return_bound / beta**horizon * horizon * score_norm_cap) ** 2
 
-    grads = trajectory_gradients(trajs, target, gamma, log_cap=np.inf)
+    grads = trajectory_gradients(TrajectoryBatch.of(trajs), target, gamma, log_cap=np.inf)
     max_ratio = float(grads.omega.max())
     max_score = float(np.linalg.norm(grads.score, axis=1).max())
     max_return = float(np.abs(grads.returns).max())

@@ -53,12 +53,6 @@ class SamplerConfig:
         forgetting factor ``rho``, ``"annealed_soft"`` interpolates the
         forgetting factor linearly from ``rho_start`` to ``rho_end`` over
         ``anneal_steps`` feedback steps (clamped afterwards).
-    loss_bound:
-        Optional cap on the raw per-slot loss.  When set together with
-        ``kappa > 0``, feedback contributions are clamped at
-        ``capacity / kappa * loss_bound``, the analytic ceiling for
-        inverse-probability-weighted losses under the uniform floor.  The
-        clamp only activates on numerical error; activations are counted.
     """
 
     capacity: int
@@ -70,7 +64,6 @@ class SamplerConfig:
     rho_start: float = 0.8
     rho_end: float = 0.2
     anneal_steps: int | None = None
-    loss_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -92,13 +85,6 @@ class SamplerConfig:
         ):
             raise ValueError("annealed_soft reset requires anneal_steps >= 1")
 
-    @property
-    def feedback_clamp(self) -> float:
-        """Largest admissible single-step feedback contribution, ``inf`` if uncapped."""
-        if self.loss_bound is None or self.kappa <= 0.0:
-            return np.inf
-        return self.capacity / self.kappa * self.loss_bound
-
 
 class SamplerState:
     """Mutable accumulator state.  Single-writer; reads are side-effect free."""
@@ -115,7 +101,6 @@ class SamplerState:
                 raise ValueError("w entries must be non-negative and finite")
         self.w = w
         self.step = 0
-        self.clamp_count = 0
 
     def distribution(self) -> np.ndarray:
         """Current sampling distribution over slots.
@@ -149,7 +134,6 @@ class SamplerState:
         sampled = set(sampled)
         if set(d) != sampled:
             raise ValueError("d must be defined on exactly the sampled slots")
-        clamp = self.config.feedback_clamp
         for i in sampled:
             if not 0 <= i < self.config.capacity:
                 raise ValueError(f"slot index {i} out of range")
@@ -159,11 +143,7 @@ class SamplerState:
             p_i = float(p_used[i])
             if p_i <= 0.0:
                 raise ValueError(f"sampled slot {i} has zero probability in p_used")
-            contribution = value / p_i
-            if contribution > clamp:
-                contribution = clamp
-                self.clamp_count += 1
-            self.w[i] += contribution
+            self.w[i] += value / p_i
         self.step += 1
 
     def record_full(self, d: np.ndarray) -> None:
@@ -202,13 +182,3 @@ class SamplerState:
             self.w *= self.current_rho()
         return True
 
-
-def lambda_ratio(p: np.ndarray, k: int) -> float:
-    """Importance weight correcting non-uniform slot sampling: ``1 / (p(k) * n)``.
-
-    Equals 1 under the uniform distribution; larger for under-sampled slots.
-    """
-    p = np.asarray(p)
-    if p[k] <= 0.0:
-        raise ValueError(f"slot {k} has zero sampling probability")
-    return 1.0 / (p[k] * len(p))

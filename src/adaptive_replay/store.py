@@ -1,7 +1,8 @@
 """Replay buffer of whole trajectories with weighted sampling and complement eviction.
 
-The store keeps one trajectory per slot and a sum-tree index over per-slot
-scores ``sqrt(w(i) + nu)``, so sampling under the mixed FTRL distribution and
+The store keeps its trajectories as padded ``(capacity, width)`` columns
+(see :class:`TrajectoryBatch`) and a sum-tree index over per-slot scores
+``sqrt(w(i) + nu)``, so sampling under the mixed FTRL distribution and
 score maintenance both cost O(log capacity), and ``p(i)`` is read from the
 index as ``(1 - kappa) * leaf(i) / total + kappa / n``.  When the buffer is
 full, a new trajectory overwrites a victim slot drawn from the complement
@@ -13,15 +14,13 @@ accumulator is zeroed, since the fresh trajectory has no feedback history.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .sampler import SamplerConfig, SamplerState
+from .sampler import SamplerState
 from .sumtree import SumTree
-
-SNAPSHOT_VERSION = 1
 
 
 class NotReadyError(RuntimeError):
@@ -30,12 +29,11 @@ class NotReadyError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Fixed-horizon rollout: parallel per-step arrays plus the generating policy tag.
+    """Fixed-horizon rollout: parallel per-step arrays.
 
     ``behavior_probs[t]`` is the probability the generating policy assigned to
     ``actions[t]`` in ``states[t]``; it is what importance ratios divide by,
-    so it must be positive.  ``policy_tag`` identifies the policy-update step
-    that produced the rollout.
+    so it must be positive.
     """
 
     states: np.ndarray
@@ -43,7 +41,6 @@ class Trajectory:
     behavior_probs: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
-    policy_tag: int = 0
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states)
@@ -64,14 +61,78 @@ class Trajectory:
         return len(self.states)
 
 
-class WeightedStore:
-    """Slot array plus sum-tree score index; single-writer."""
+# Column name -> (dtype, padding value).  Behavior probabilities pad with 1.0,
+# so a log over a whole column never sees a zero.
+_COLUMNS = {
+    "states": (np.int64, 0),
+    "actions": (np.int64, 0),
+    "behavior_probs": (np.float64, 1.0),
+    "rewards": (np.float64, 0.0),
+    "next_states": (np.int64, 0),
+}
+
+
+class TrajectoryBatch:
+    """Trajectories as padded ``(rows, width)`` columns plus ``lengths``.
+
+    Row ``i`` holds one trajectory in its first ``lengths[i]`` cells; the
+    cells after it are padding and may hold stale steps of an overwritten,
+    longer trajectory, so readers mask by ``lengths``.  ``width`` is the
+    longest trajectory written so far and grows on :meth:`write`.
+    """
+
+    def __init__(self, rows: int):
+        self.lengths = np.zeros(rows, dtype=np.int64)
+        for name, (dtype, fill) in _COLUMNS.items():
+            setattr(self, name, np.full((rows, 0), fill, dtype=dtype))
+
+    @classmethod
+    def of(cls, trajs: Sequence[Trajectory]) -> TrajectoryBatch:
+        """A batch holding ``trajs`` in order, one row each."""
+        batch = cls(len(trajs))
+        for row, traj in enumerate(trajs):
+            batch.write(row, traj)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def width(self) -> int:
+        return self.states.shape[1]
+
+    def write(self, row: int, traj: Trajectory) -> None:
+        """Store ``traj`` in ``row``, widening every column if it is the longest yet."""
+        n = len(traj)
+        if n > self.width:
+            pad = ((0, 0), (0, n - self.width))
+            for name, (_, fill) in _COLUMNS.items():
+                setattr(self, name, np.pad(getattr(self, name), pad, constant_values=fill))
+        for name in _COLUMNS:
+            getattr(self, name)[row, :n] = getattr(traj, name)
+        self.lengths[row] = n
+
+    def take(self, rows: np.ndarray) -> TrajectoryBatch:
+        """The given rows, gathered into a batch of their own."""
+        # Skip __init__: every column it would allocate is replaced below.
+        batch = TrajectoryBatch.__new__(TrajectoryBatch)
+        batch.lengths = self.lengths[rows]
+        for name in _COLUMNS:
+            setattr(batch, name, getattr(self, name)[rows])
+        return batch
+
+
+class WeightedStore(TrajectoryBatch):
+    """One trajectory row per slot plus a sum-tree score index; single-writer.
+
+    Slots fill in order, so the filled rows are ``range(occupancy)``.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__(capacity)
         self.capacity = int(capacity)
-        self.slots: list[Trajectory | None] = [None] * self.capacity
         self.tree = SumTree(self.capacity)
         self.occupancy = 0
 
@@ -91,19 +152,13 @@ class WeightedStore:
         """Recompute the whole index from the accumulators; exact, O(capacity)."""
         self.tree.rebuild(np.sqrt(sampler.w + sampler.config.nu))
 
-    def sample_indices(
-        self, sampler: SamplerState, batch: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def sample_mixture(self, kappa: float, batch: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``batch`` slot indices i.i.d. (with replacement) from the mixture.
 
         Each draw is uniform with probability ``kappa`` and proportional to
         the index scores otherwise, which is exactly the sampler's current
-        distribution as long as the scores are in sync.
+        distribution when ``kappa`` is the sampler's and the scores are in sync.
         """
-        return self.sample_mixture(sampler.config.kappa, batch, rng)
-
-    def sample_mixture(self, kappa: float, batch: int, rng: np.random.Generator) -> np.ndarray:
-        """Mixture sampling from the current index scores with uniform weight ``kappa``."""
         if batch == 0:
             return np.empty(0, dtype=np.int64)
         if not self.warmed_up:
@@ -125,8 +180,16 @@ class WeightedStore:
         return (1.0 - kappa) * self.tree.get(slots) / self.tree.total + kappa / self.capacity
 
     def set_scores(self, slots: np.ndarray, values: np.ndarray) -> None:
-        """Directly assign index scores for strategies that do not use the accumulators."""
-        self.tree.set_many(np.asarray(slots, dtype=np.int64), values)
+        """Directly assign index scores for strategies that do not use the accumulators.
+
+        A single slot takes the scalar ``SumTree.set`` path, several times
+        cheaper than a one-leaf ``set_many`` and bit-identical to it.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        if len(slots) == 1:
+            self.tree.set(int(slots[0]), float(np.asarray(values)[0]))
+        else:
+            self.tree.set_many(slots, values)
 
     def insert(
         self,
@@ -150,7 +213,7 @@ class WeightedStore:
             slot = 0
         else:
             slot = self._sample_victim(sampler.config.kappa if kappa is None else kappa, rng)
-        self.slots[slot] = traj
+        self.write(slot, traj)
         sampler.w[slot] = 0.0
         self.tree.set(slot, float(np.sqrt(sampler.config.nu)))
         return slot
@@ -164,72 +227,3 @@ class WeightedStore:
             j = int(rng.integers(0, self.capacity))
             if rng.random() * ceiling < 1.0 - self.probabilities(j, kappa):
                 return j
-
-    def trajectories(self) -> list[Trajectory]:
-        """Filled slots in slot order."""
-        return [t for t in self.slots if t is not None]
-
-
-def save_snapshot(path, store: WeightedStore, sampler: SamplerState) -> None:
-    """Write a self-describing buffer snapshot for experiment resume.
-
-    Compressed npz with a ``format_version`` field.  Per-slot trajectory
-    arrays are concatenated in slot order with ``lengths`` giving the split
-    points; field order is states, actions, behavior_probs, rewards,
-    next_states, policy_tags.  Sampler accumulators, step counter and config
-    ride along so the pair can be restored exactly.
-    """
-    trajs = store.trajectories()
-    if len(trajs) != store.occupancy:
-        raise ValueError("snapshot requires contiguously filled slots")
-    lengths = np.array([len(t) for t in trajs], dtype=np.int64)
-    config = dict(sampler.config.__dict__)
-    np.savez_compressed(
-        path,
-        format_version=np.int64(SNAPSHOT_VERSION),
-        capacity=np.int64(store.capacity),
-        occupancy=np.int64(store.occupancy),
-        w=sampler.w,
-        step=np.int64(sampler.step),
-        config_json=np.bytes_(json.dumps(config).encode()),
-        lengths=lengths,
-        states=_concat([t.states for t in trajs]),
-        actions=_concat([t.actions for t in trajs]),
-        behavior_probs=_concat([t.behavior_probs for t in trajs]),
-        rewards=_concat([t.rewards for t in trajs]),
-        next_states=_concat([t.next_states for t in trajs]),
-        policy_tags=np.array([t.policy_tag for t in trajs], dtype=np.int64),
-    )
-
-
-def load_snapshot(path) -> tuple[WeightedStore, SamplerState]:
-    """Restore a (store, sampler) pair written by :func:`save_snapshot`."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        config = SamplerConfig(**json.loads(bytes(data["config_json"]).decode()))
-        sampler = SamplerState(config, w=data["w"])
-        sampler.step = int(data["step"])
-        store = WeightedStore(int(data["capacity"]))
-        offsets = np.concatenate([[0], np.cumsum(data["lengths"])])
-        for i in range(int(data["occupancy"])):
-            lo, hi = offsets[i], offsets[i + 1]
-            traj = Trajectory(
-                states=data["states"][lo:hi],
-                actions=data["actions"][lo:hi],
-                behavior_probs=data["behavior_probs"][lo:hi],
-                rewards=data["rewards"][lo:hi],
-                next_states=data["next_states"][lo:hi],
-                policy_tag=int(data["policy_tags"][i]),
-            )
-            store.insert(traj, sampler, rng=np.random.default_rng(0))
-        sampler.w = np.asarray(data["w"], dtype=np.float64).copy()
-        store.rebuild_index(sampler)
-    return store, sampler
-
-
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        return np.empty(0)
-    return np.concatenate([np.asarray(a) for a in arrays])

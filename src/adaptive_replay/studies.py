@@ -47,7 +47,6 @@ def heteroscedastic_buffer(
             behavior_probs=rng.uniform(0.2, 1.0, horizon),
             rewards=scale * rng.uniform(0.5, 1.0, horizon),
             next_states=rng.integers(0, n_states, horizon),
-            policy_tag=i,
         )
         store.insert(traj, sampler, rng)
     store.rebuild_index(sampler)
@@ -64,10 +63,10 @@ def learn_distribution(
     batch: int = 8,
 ) -> np.ndarray:
     """Run the bandit feedback loop at fixed parameters; returns the learned distribution."""
-    d = trajectory_gradients(store.slots, policy, gamma).d
+    d = trajectory_gradients(store, policy, gamma).d
     for _ in range(steps):
         p = sampler.distribution()
-        drawn = np.unique(store.sample_indices(sampler, batch, rng))
+        drawn = np.unique(store.sample_mixture(sampler.config.kappa, batch, rng))
         sampler.record_feedback(drawn, {int(i): float(d[i]) for i in drawn}, p)
         store.update_scores(sampler, drawn)
     return sampler.distribution()
@@ -108,7 +107,7 @@ def learned_vs_uniform_variance(
         store, sampler, policy, np.random.default_rng(learn_ss), gamma=gamma,
         steps=learn_steps,
     )
-    grads = trajectory_gradients(store.slots, policy, gamma)
+    grads = trajectory_gradients(store, policy, gamma)
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (

@@ -35,7 +35,7 @@ from .envs import TabularEnv
 from .gradients import gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
-from .store import NotReadyError, Trajectory, WeightedStore
+from .store import NotReadyError, WeightedStore
 
 MODES = ("uniform", "td_priority", "adaptive", "adaptive_epoch")
 
@@ -164,7 +164,7 @@ class _AccumulatorStrategy:
             return True
         return False
 
-    def on_insert(self, slot: int, traj: Trajectory) -> None:
+    def on_insert(self, slot: int) -> None:
         pass
 
     def epoch_reset(self) -> None:
@@ -196,14 +196,18 @@ class _TDPriorityStrategy:
     def _scores(self, slots: np.ndarray) -> np.ndarray:
         return (self.priorities[slots] + self.eps) ** self.exponent
 
-    def _sweep(self, traj: Trajectory, learn: bool) -> float:
+    def _sweep(self, slot: int, learn: bool) -> float:
+        store = self.store
+        n = store.lengths[slot]
         total = 0.0
         gamma = self.env.gamma
-        for t in range(len(traj)):
-            s = int(traj.states[t])
-            s_next = int(traj.next_states[t])
+        for s, r, s_next in zip(
+            store.states[slot, :n].tolist(),
+            store.rewards[slot, :n].tolist(),
+            store.next_states[slot, :n].tolist(),
+        ):
             bootstrap = 0.0 if self.env.terminal[s_next] else self.values[s_next]
-            delta = traj.rewards[t] + gamma * bootstrap - self.values[s]
+            delta = r + gamma * bootstrap - self.values[s]
             if learn:
                 self.values[s] += self.learning_rate * delta
             total += abs(delta)
@@ -211,13 +215,13 @@ class _TDPriorityStrategy:
 
     def after_update(self, unique_slots, d, p_used) -> bool:
         slots = np.asarray(unique_slots, dtype=np.int64)
-        for i in slots:
-            self.priorities[i] = self._sweep(self.store.slots[int(i)], learn=True)
+        for i in slots.tolist():
+            self.priorities[i] = self._sweep(i, learn=True)
         self.store.set_scores(slots, self._scores(slots))
         return False
 
-    def on_insert(self, slot: int, traj: Trajectory) -> None:
-        self.priorities[slot] = self._sweep(traj, learn=False)
+    def on_insert(self, slot: int) -> None:
+        self.priorities[slot] = self._sweep(slot, learn=False)
         self.store.set_scores(np.array([slot]), self._scores(np.array([slot])))
 
     def epoch_reset(self) -> None:
@@ -254,7 +258,7 @@ def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
 
     warmup = config.warmup_episodes or config.buffer_capacity
     for _ in range(warmup):
-        state.collect_episode(policy_tag=0)
+        state.collect_episode()
     if not store.warmed_up:
         raise NotReadyError("warm-up did not fill the buffer")
 
@@ -282,11 +286,11 @@ class _LoopState:
         self.reset_count = 0
         self._rows: list[tuple] = []
 
-    def collect_episode(self, policy_tag: int) -> None:
-        traj = self.env.rollout(self.policy, self.rng, policy_tag=policy_tag)
+    def collect_episode(self) -> None:
+        traj = self.env.rollout(self.policy, self.rng)
         self.env_steps += len(traj)
         slot = self.store.insert(traj, self.sampler, self.rng, kappa=self.strategy.kappa)
-        self.strategy.on_insert(slot, traj)
+        self.strategy.on_insert(slot)
 
     def update_policy(self) -> None:
         cfg = self.config
@@ -295,8 +299,7 @@ class _LoopState:
         unique, drawn = np.unique(indices, return_inverse=True)
         p_unique = self.store.probabilities(unique, kappa)
         grads = trajectory_gradients(
-            [self.store.slots[i] for i in unique], self.policy, self.env.gamma,
-            log_cap=cfg.ratio_log_cap,
+            self.store.take(unique), self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
         )
         self.trace.ratio_cap_hits += grads.cap_hits
         grad = replay_gradient(
@@ -316,7 +319,7 @@ class _LoopState:
             # Paired probe: identical frozen state, gradient terms and probe
             # stream, only the sampling distribution differs.
             seed = self.probe_rng.integers(2**63)
-            grads = trajectory_gradients(self.store.slots, self.policy, self.env.gamma)
+            grads = trajectory_gradients(self.store, self.policy, self.env.gamma)
             probe, probe_uniform = (
                 gradient_variance(
                     grads, p_choice, cfg.batch_size, cfg.probe_repeats,
@@ -348,7 +351,7 @@ def _interleaved_loop(state: _LoopState) -> None:
     for t in range(1, cfg.total_steps + 1):
         state.update_policy()
         if t % cfg.updates_per_episode == 0:
-            state.collect_episode(policy_tag=t)
+            state.collect_episode()
         state.maybe_eval(t)
 
 
@@ -357,12 +360,12 @@ def _epoch_loop(state: _LoopState) -> None:
     if cfg.updates_per_episode == 0:
         # Degenerate epoch budget: pure data collection, the policy never moves.
         for t in range(1, cfg.total_steps + 1):
-            state.collect_episode(policy_tag=t)
+            state.collect_episode()
             state.maybe_eval(t)
         return
     t = 0
     while t < cfg.total_steps:
-        state.collect_episode(policy_tag=t)
+        state.collect_episode()
         state.strategy.epoch_reset()
         for _ in range(cfg.updates_per_episode):
             if t >= cfg.total_steps:

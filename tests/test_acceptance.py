@@ -366,7 +366,9 @@ def test_criterion_11_store_correctness_and_speed():
         sampler.w[:] = rng.uniform(0, 50, capacity)
         store.rebuild_index(sampler)
         p = sampler.distribution()
-        counts = np.bincount(store.sample_indices(sampler, 100_000, rng), minlength=capacity)
+        counts = np.bincount(
+            store.sample_mixture(sampler.config.kappa, 100_000, rng), minlength=capacity
+        )
         chi_ok &= stats.chisquare(counts, p * 100_000).pvalue > 0.01
 
     # Incremental index equals a full recomputation after 1e4 mixed operations.
@@ -447,7 +449,7 @@ def test_criterion_12_gradient_and_value_checks():
     episodes = 100_000
     returns = np.empty(episodes)
     for i in range(episodes):
-        returns[i] = env.episode_return(env.rollout(policy, rng))
+        returns[i] = trajectory_return(env.rollout(policy, rng), env.gamma)
     z = abs(returns.mean() - exact) / (returns.std(ddof=1) / np.sqrt(episodes))
     report(
         12,

@@ -11,6 +11,7 @@ from adaptive_replay.envs import (
     optimal_value,
     two_state_bandit_env,
 )
+from adaptive_replay.gradients import trajectory_return
 from adaptive_replay.policies import TabularSoftmaxPolicy
 
 
@@ -37,7 +38,7 @@ def mc_value(env, policy, episodes, rng):
     total = 0.0
     for _ in range(episodes):
         traj = env.rollout(policy, rng)
-        total += env.episode_return(traj)
+        total += trajectory_return(traj, env.gamma)
     return total / episodes
 
 
@@ -147,7 +148,7 @@ class TestExactAgainstMonteCarlo:
         episodes = 100_000
         returns = np.empty(episodes)
         for i in range(episodes):
-            returns[i] = env.episode_return(env.rollout(policy, rng))
+            returns[i] = trajectory_return(env.rollout(policy, rng), env.gamma)
         sem = returns.std(ddof=1) / np.sqrt(episodes)
         assert abs(returns.mean() - exact) <= 3.0 * sem
 
@@ -172,7 +173,7 @@ class TestExactAgainstMonteCarlo:
         episodes = 200_000
         returns = np.empty(episodes)
         for i in range(episodes):
-            returns[i] = env.episode_return(env.rollout(policy, rng))
+            returns[i] = trajectory_return(env.rollout(policy, rng), env.gamma)
         sem = returns.std(ddof=1) / np.sqrt(episodes)
         assert abs(returns.mean() - exact) <= 3.0 * sem
 

@@ -16,7 +16,7 @@ from adaptive_replay.gradients import (
 from adaptive_replay.policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.simplex import minimize_on_simplex
-from adaptive_replay.store import Trajectory, WeightedStore
+from adaptive_replay.store import Trajectory, TrajectoryBatch, WeightedStore
 
 
 def traj_from(states, actions, probs, rewards):
@@ -49,7 +49,7 @@ def random_traj(rng, policy, length):
 
 
 def importance_ratio(traj, policy, log_cap=50.0):
-    return trajectory_gradients([traj], policy, 0.9, log_cap=log_cap).omega[0]
+    return trajectory_gradients(TrajectoryBatch.of([traj]), policy, 0.9, log_cap=log_cap).omega[0]
 
 
 class TestImportanceRatio:
@@ -77,7 +77,7 @@ class TestImportanceRatio:
     def test_cap_activates_and_counts(self):
         policy = TabularSoftmaxPolicy(1, 2)
         traj = traj_from([0], [0], [1e-8], [0.0])
-        grads = trajectory_gradients([traj], policy, 0.9, log_cap=5.0)
+        grads = trajectory_gradients(TrajectoryBatch.of([traj]), policy, 0.9, log_cap=5.0)
         assert grads.omega[0] == pytest.approx(np.exp(5.0))
         assert grads.cap_hits == 1
 
@@ -136,7 +136,8 @@ class TestReplayGradient:
         rng = np.random.default_rng(3)
         policy = random_policy(rng)
         n = 6
-        grads = trajectory_gradients([random_traj(rng, policy, 3) for _ in range(n)], policy, 0.9)
+        trajs = [random_traj(rng, policy, 3) for _ in range(n)]
+        grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9)
         p = np.full(n, 1.0 / n)
         estimate = replay_gradient(grads.omega, grads.g, p, n)
         np.testing.assert_allclose(
@@ -146,7 +147,7 @@ class TestReplayGradient:
     def test_single_slot_buffer_is_exact(self):
         rng = np.random.default_rng(4)
         policy = random_policy(rng)
-        grads = trajectory_gradients([random_traj(rng, policy, 3)], policy, 0.9)
+        grads = trajectory_gradients(TrajectoryBatch.of([random_traj(rng, policy, 3)]), policy, 0.9)
         drawn = np.zeros(3, dtype=np.int64)
         estimate = replay_gradient(grads.omega[drawn], grads.g[drawn], np.ones(3), 1)
         np.testing.assert_allclose(estimate, grads.omega[0] * grads.g[0], rtol=1e-12)
@@ -155,7 +156,8 @@ class TestReplayGradient:
         rng = np.random.default_rng(5)
         policy = random_policy(rng)
         n, batch, repeats = 8, 4, 40_000
-        grads = trajectory_gradients([random_traj(rng, policy, 3) for _ in range(n)], policy, 0.9)
+        trajs = [random_traj(rng, policy, 3) for _ in range(n)]
+        grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9)
         weighted = grads.omega[:, None] * grads.g
         target = weighted.mean(axis=0)
         for p in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n) + 1.0)):
@@ -199,7 +201,7 @@ def enumerate_exact_gradient(env, policy):
 
 def onpolicy_gradient(trajs, policy, gamma):
     """Monte Carlo policy gradient from on-policy rollouts: the mean score-return gradient."""
-    return trajectory_gradients(trajs, policy, gamma).g.mean(axis=0)
+    return trajectory_gradients(TrajectoryBatch.of(trajs), policy, gamma).g.mean(axis=0)
 
 
 class TestOnPolicyGradient:
@@ -238,7 +240,7 @@ class TestOnPolicyGradient:
             env.n_states, env.n_actions, logits=rng.uniform(-1, 1, (env.n_states, env.n_actions))
         )
         trajs = [env.rollout(policy, rng) for _ in range(64)]
-        grads = trajectory_gradients(trajs, policy, env.gamma)
+        grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, env.gamma)
         assert np.allclose(grads.omega, 1.0)
         onpolicy = onpolicy_gradient(trajs, policy, env.gamma)
         p = np.full(64, 1.0 / 64)
@@ -254,7 +256,7 @@ class TestOnPolicyGradient:
         rng = np.random.default_rng(6)
         policy = random_policy(rng)
         trajs = [random_traj(rng, policy, int(rng.integers(1, 5))) for _ in range(4)]
-        batched = trajectory_gradients(trajs, policy, 0.9).g
+        batched = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9).g
         for traj, row in zip(trajs, batched):
             np.testing.assert_allclose(row, score_return_grad(traj, policy, 0.9))
 
@@ -269,7 +271,7 @@ class TestOnPolicyGradient:
     def test_empty_list_rejected(self):
         policy = TabularSoftmaxPolicy(2, 2)
         with pytest.raises(ValueError, match="zero trajectories"):
-            trajectory_gradients([], policy, 0.9)
+            trajectory_gradients(TrajectoryBatch.of([]), policy, 0.9)
 
 
 class TestVarianceObjective:
@@ -365,7 +367,7 @@ class TestBatchedAgainstScalarReference:
                 for _ in range(int(rng.integers(1, 9)))
             ]
             gamma = float(rng.uniform(0.5, 0.99))
-            grads = trajectory_gradients(trajs, policy, gamma)
+            grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, gamma)
             omega, g, d, hits = reference_gradients(trajs, policy, gamma, 50.0)
             np.testing.assert_allclose(grads.omega, omega, rtol=1e-12)
             np.testing.assert_allclose(grads.g, g, rtol=1e-12)
@@ -376,7 +378,7 @@ class TestBatchedAgainstScalarReference:
         rng = np.random.default_rng(15)
         policy = random_policy(rng)
         trajs = [random_traj(rng, policy, int(rng.integers(1, 13))) for _ in range(50)]
-        grads = trajectory_gradients(trajs, policy, 0.9)
+        grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9)
         for omega, g, d in zip(grads.omega, grads.g, grads.d):
             assert d == pytest.approx(omega**2 * float(g @ g), rel=1e-12)
 
@@ -386,11 +388,59 @@ class TestBatchedAgainstScalarReference:
         policy = random_policy(rng)
         trajs = [random_traj(rng, policy, int(rng.integers(1, 13))) for _ in range(40)]
         log_cap = float(np.median(np.log(reference_gradients(trajs, policy, 0.9, np.inf)[0])))
-        grads = trajectory_gradients(trajs, policy, 0.9, log_cap=log_cap)
+        grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9, log_cap=log_cap)
         omega, g, d, hits = reference_gradients(trajs, policy, 0.9, log_cap)
         assert grads.cap_hits == hits == 20
         np.testing.assert_allclose(grads.omega, omega, rtol=1e-12)
         np.testing.assert_allclose(grads.d, d, rtol=1e-12)
+
+    def test_store_rows_match_reference_as_width_grows(self):
+        # Short trajectories go in first, so every later, longer insert widens
+        # the columns the earlier rows sit in.
+        rng = np.random.default_rng(17)
+        policy = random_policy(rng)
+        trajs = [random_traj(rng, policy, length) for length in (1, 1, 2, 3, 3, 5, 8, 12)]
+        store = WeightedStore(len(trajs))
+        sampler = SamplerState(SamplerConfig(capacity=len(trajs)))
+        widths = []
+        for traj in trajs:
+            store.insert(traj, sampler, rng)
+            widths.append(store.width)
+        assert widths == [1, 1, 2, 3, 3, 5, 8, 12]
+        omega, g, d, _ = reference_gradients(trajs, policy, 0.9, 50.0)
+        backwards = np.arange(len(trajs))[::-1]
+        for batch, order in ((store, np.arange(len(trajs))), (store.take(backwards), backwards)):
+            grads = trajectory_gradients(batch, policy, 0.9)
+            np.testing.assert_allclose(grads.omega, omega[order], rtol=1e-12)
+            np.testing.assert_allclose(grads.g, g[order], rtol=1e-12)
+            np.testing.assert_allclose(grads.d, d[order], rtol=1e-12)
+
+    def test_overwritten_slot_reads_no_stale_padding(self):
+        # A shorter trajectory overwrites a longer one: the cells past its
+        # length still hold the old steps and must not reach the gradient.
+        rng = np.random.default_rng(18)
+        policy = random_policy(rng)
+        store = WeightedStore(4)
+        sampler = SamplerState(SamplerConfig(capacity=4))
+        for _ in range(4):
+            store.insert(random_traj(rng, policy, 12), sampler, rng)
+        for length in (1, 2, 5, 11):
+            short = random_traj(rng, policy, length)
+            slot = store.insert(short, sampler, rng)
+            fresh = trajectory_gradients(TrajectoryBatch.of([short]), policy, 0.9)
+            for row, batch in ((0, store.take(np.array([slot]))), (slot, store)):
+                grads = trajectory_gradients(batch, policy, 0.9)
+                assert grads.omega[row] == fresh.omega[0]
+                np.testing.assert_array_equal(grads.g[row], fresh.g[0])
+                assert grads.d[row] == fresh.d[0]
+
+    def test_unfilled_slot_rejected(self):
+        rng = np.random.default_rng(19)
+        policy = random_policy(rng)
+        store = WeightedStore(2)
+        store.insert(random_traj(rng, policy, 3), SamplerState(SamplerConfig(capacity=2)), rng)
+        with pytest.raises(ValueError, match="empty row"):
+            trajectory_gradients(store, policy, 0.9)
 
 
 class TestEmpiricalVariance:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_replay.sampler import SamplerConfig, SamplerState, lambda_ratio
+from adaptive_replay.gradients import replay_gradient
+from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.simplex import minimize_on_simplex
 
 
@@ -149,14 +150,6 @@ class TestFeedback:
             state.record_feedback({int(i)}, {int(i): float(d[i])}, p)
         assert state.step == 1000
 
-    def test_clamp_counts_activations(self):
-        config = SamplerConfig(capacity=2, nu=1.0, kappa=0.5, loss_bound=1.0)
-        state = SamplerState(config)
-        assert config.feedback_clamp == pytest.approx(4.0)
-        state.record_feedback({0}, {0: 100.0}, np.array([0.5, 0.5]))
-        assert state.w[0] == pytest.approx(4.0)
-        assert state.clamp_count == 1
-
     def test_full_information_feedback(self):
         state = make_state([1.0, 2.0])
         state.record_full(np.array([0.5, 1.5]))
@@ -207,6 +200,12 @@ class TestResets:
     def test_annealed_mode_requires_schedule_length(self):
         with pytest.raises(ValueError, match="anneal_steps"):
             SamplerConfig(capacity=2, reset_mode="annealed_soft")
+
+
+def lambda_ratio(p, k):
+    """The weight ``1 / (p(k) n)`` that the replay gradient gives one draw of
+    slot ``k`` (unit ratio and gradient) to undo non-uniform slot sampling."""
+    return replay_gradient(np.ones(1), np.ones((1, 1)), np.array([p[k]]), len(p))[0]
 
 
 class TestLambdaRatio:

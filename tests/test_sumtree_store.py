@@ -1,36 +1,29 @@
-"""Sum-tree index, mixture sampling, eviction, and snapshot serialization."""
+"""Sum-tree index, mixture sampling, eviction, and the columnar trajectory rows."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from adaptive_replay.sampler import SamplerConfig, SamplerState
-from adaptive_replay.store import (
-    NotReadyError,
-    Trajectory,
-    WeightedStore,
-    load_snapshot,
-    save_snapshot,
-)
+from adaptive_replay.store import NotReadyError, Trajectory, WeightedStore
 from adaptive_replay.sumtree import SumTree
 
 
-def make_traj(rng, length=3, policy_tag=0):
+def make_traj(rng, length=3):
     return Trajectory(
         states=rng.integers(0, 5, length),
         actions=rng.integers(0, 3, length),
         behavior_probs=rng.uniform(0.1, 1.0, length),
         rewards=rng.normal(size=length),
         next_states=rng.integers(0, 5, length),
-        policy_tag=policy_tag,
     )
 
 
 def filled_store(rng, capacity, nu=1.0, kappa=0.0, **kwargs):
     store = WeightedStore(capacity)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=nu, kappa=kappa, **kwargs))
-    for i in range(capacity):
-        store.insert(make_traj(rng, policy_tag=i), sampler, rng)
+    for _ in range(capacity):
+        store.insert(make_traj(rng), sampler, rng)
     return store, sampler
 
 
@@ -43,6 +36,13 @@ def per_node_rebuild(capacity, scores):
     for node in range(padded - 1, 0, -1):
         nodes[node] = nodes[2 * node] + nodes[2 * node + 1]
     return nodes
+
+
+def assert_row_holds(store, slot, traj):
+    n = len(traj)
+    assert store.lengths[slot] == n
+    for name in ("states", "actions", "behavior_probs", "rewards", "next_states"):
+        np.testing.assert_array_equal(getattr(store, name)[slot, :n], getattr(traj, name))
 
 
 TD_EPS, TD_EXPONENT = 1e-6, 0.6
@@ -108,18 +108,18 @@ class TestMixtureSampling:
         sampler = SamplerState(SamplerConfig(capacity=4))
         store.insert(make_traj(rng), sampler, rng)
         with pytest.raises(NotReadyError):
-            store.sample_indices(sampler, 8, rng)
+            store.sample_mixture(sampler.config.kappa, 8, rng)
 
     def test_zero_batch_gives_empty(self):
         rng = np.random.default_rng(0)
         store, sampler = filled_store(rng, 3)
-        assert len(store.sample_indices(sampler, 0, rng)) == 0
+        assert len(store.sample_mixture(sampler.config.kappa, 0, rng)) == 0
 
     def test_equal_weights_sample_uniformly(self):
         rng = np.random.default_rng(5)
         store, sampler = filled_store(rng, 16, nu=2.0, kappa=0.3)
         draws = 100_000
-        counts = np.bincount(store.sample_indices(sampler, draws, rng), minlength=16)
+        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=16)
         chi2 = stats.chisquare(counts)  # uniform expectation
         assert chi2.pvalue > 0.01
 
@@ -133,7 +133,7 @@ class TestMixtureSampling:
             p, np.array([2.0, 1.0, np.sqrt(2.0)]) / (3.0 + np.sqrt(2.0)), rtol=1e-12
         )
         draws = 100_000
-        counts = np.bincount(store.sample_indices(sampler, draws, rng), minlength=3)
+        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=3)
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3.0 * sigma)
 
@@ -143,7 +143,7 @@ class TestMixtureSampling:
         sampler.w = np.arange(8.0) * 100.0
         store.rebuild_index(sampler)
         draws = 100_000
-        counts = np.bincount(store.sample_indices(sampler, draws, rng), minlength=8)
+        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=8)
         chi2 = stats.chisquare(counts)
         assert chi2.pvalue > 0.01
 
@@ -155,7 +155,7 @@ class TestMixtureSampling:
             store.rebuild_index(sampler)
             p = sampler.distribution()
             draws = 100_000
-            counts = np.bincount(store.sample_indices(sampler, draws, rng), minlength=capacity)
+            counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=capacity)
             chi2 = stats.chisquare(counts, p * draws)
             assert chi2.pvalue > 0.01, f"capacity {capacity}"
 
@@ -165,7 +165,7 @@ class TestInsertOverwrite:
         rng = np.random.default_rng(9)
         store = WeightedStore(4)
         sampler = SamplerState(SamplerConfig(capacity=4))
-        slots = [store.insert(make_traj(rng, policy_tag=i), sampler, rng) for i in range(4)]
+        slots = [store.insert(make_traj(rng), sampler, rng) for _ in range(4)]
         assert slots == [0, 1, 2, 3]
         assert store.occupancy == 4
 
@@ -195,16 +195,33 @@ class TestInsertOverwrite:
         store, sampler = filled_store(rng, 4, nu=1.0)
         sampler.w[:] = [5.0, 6.0, 7.0, 8.0]
         store.rebuild_index(sampler)
-        victim = store.insert(make_traj(rng, policy_tag=99), sampler, rng)
+        traj = make_traj(rng)
+        victim = store.insert(traj, sampler, rng)
         assert sampler.w[victim] == 0.0
         assert store.tree.get(victim) == pytest.approx(1.0)  # sqrt(0 + nu)
-        assert store.slots[victim].policy_tag == 99
+        assert_row_holds(store, victim, traj)
 
     def test_single_slot_buffer_always_evicts_slot_zero(self):
         rng = np.random.default_rng(13)
         store, sampler = filled_store(rng, 1)
-        assert store.insert(make_traj(rng, policy_tag=1), sampler, rng) == 0
-        assert store.slots[0].policy_tag == 1
+        traj = make_traj(rng)
+        assert store.insert(traj, sampler, rng) == 0
+        assert_row_holds(store, 0, traj)
+
+    def test_longer_insert_widens_columns_and_pads(self):
+        rng = np.random.default_rng(24)
+        store = WeightedStore(3)
+        sampler = SamplerState(SamplerConfig(capacity=3))
+        short, long = make_traj(rng, length=2), make_traj(rng, length=5)
+        store.insert(short, sampler, rng)
+        assert store.width == 2
+        store.insert(long, sampler, rng)
+        assert store.width == 5
+        assert_row_holds(store, 0, short)
+        assert_row_holds(store, 1, long)
+        np.testing.assert_array_equal(store.behavior_probs[0, 2:], 1.0)
+        np.testing.assert_array_equal(store.behavior_probs[2], 1.0)  # never written
+        np.testing.assert_array_equal(store.lengths, [2, 5, 0])
 
 
 class TestIndexMaintenance:
@@ -358,44 +375,6 @@ class TestLongRunInvariants:
             store.set_scores(slots, td_scores(priorities[slots]))
             if step % self.CHECK_EVERY == 0:
                 self.check_index(store, td_scores(priorities), 0.0)
-
-
-class TestSnapshot:
-    def test_roundtrip_preserves_everything(self, tmp_path):
-        rng = np.random.default_rng(17)
-        store, sampler = filled_store(rng, 6, nu=3.0, kappa=0.2)
-        sampler.w[:] = rng.uniform(0, 10, 6)
-        sampler.step = 42
-        store.rebuild_index(sampler)
-        path = tmp_path / "buffer.npz"
-        save_snapshot(path, store, sampler)
-        restored_store, restored_sampler = load_snapshot(path)
-        assert restored_store.capacity == 6
-        assert restored_store.occupancy == 6
-        assert restored_sampler.step == 42
-        assert restored_sampler.config == sampler.config
-        np.testing.assert_array_equal(restored_sampler.w, sampler.w)
-        np.testing.assert_allclose(
-            restored_store.tree.leaves(), store.tree.leaves(), rtol=1e-12
-        )
-        for original, restored in zip(store.slots, restored_store.slots):
-            np.testing.assert_array_equal(original.states, restored.states)
-            np.testing.assert_array_equal(original.actions, restored.actions)
-            np.testing.assert_array_equal(original.behavior_probs, restored.behavior_probs)
-            np.testing.assert_array_equal(original.rewards, restored.rewards)
-            np.testing.assert_array_equal(original.next_states, restored.next_states)
-            assert original.policy_tag == restored.policy_tag
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(18)
-        store, sampler = filled_store(rng, 2)
-        path = tmp_path / "buffer.npz"
-        save_snapshot(path, store, sampler)
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.int64(99)
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="version"):
-            load_snapshot(path)
 
 
 class TestTrajectoryValidation:

@@ -252,6 +252,25 @@ class TestReplayStepCost:
         assert sizes.count(config.buffer_capacity) == probe_rows
         assert len(sizes) == config.total_steps + probe_rows
 
+    def test_td_priority_writes_single_leaves_through_set(self, monkeypatch):
+        # Every insert writes one td score; a one-leaf set_many costs several
+        # times a SumTree.set, so no one-leaf write may take it.
+        leaves = []
+        original = SumTree.set_many
+
+        def recorded(tree, indices, values):
+            leaves.append(len(indices))
+            return original(tree, indices, values)
+
+        monkeypatch.setattr(SumTree, "set_many", recorded)
+        counts = Counter()
+        count_calls(monkeypatch, counts, SumTree, "set")
+        config = bandit_config("td_priority", seed=5)
+        run_training(two_state_bandit_env(), config)
+        assert leaves and 1 not in leaves
+        # Each insert sets the fresh slot's sqrt(nu) score, then its td score.
+        assert counts["set"] >= 2 * (config.buffer_capacity + config.total_steps)
+
     def test_dense_distribution_and_rebuild_only_at_evals_and_resets(self, monkeypatch):
         counts = Counter()
         count_calls(monkeypatch, counts, SamplerState, "distribution")
