@@ -8,11 +8,13 @@ whichever comes first, so trajectories have between 1 and ``horizon`` steps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gradients import trajectory_return
+from .policies import cdf_rows
 from .store import Trajectory
 
 _EXACT_SIZE_CAP = 100
@@ -30,22 +32,33 @@ class TabularEnv:
     gamma: float = 0.99
     start_dist: np.ndarray | None = None  # defaults to a point mass on start_state
     deterministic: bool = field(init=False, default=False)
-    _next_table: np.ndarray | None = field(init=False, default=None, repr=False)
+    # Per-step lookups as Python lists, built once from the fields above,
+    # which stay fixed after construction.
+    _terminal: list = field(init=False, repr=False)
+    _reward_rows: list = field(init=False, repr=False)
+    _next_table: list | None = field(init=False, default=None, repr=False)
+    _transition_cdfs: list = field(init=False, repr=False)
+    _start_cdf: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.terminal = np.asarray(self.terminal, dtype=bool)
+        if np.any(self.transitions < 0):
+            raise ValueError("transition probabilities must be non-negative")
         if not np.allclose(self.transitions.sum(axis=2), 1.0, atol=1e-12):
             raise ValueError("transition rows must sum to 1")
         if self.terminal[self.start_state]:
             raise ValueError("start state cannot be terminal")
         if self.start_dist is not None:
             self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
+            if np.any(self.start_dist < 0):
+                raise ValueError("start distribution must be non-negative")
             if not np.isclose(self.start_dist.sum(), 1.0, atol=1e-12):
                 raise ValueError("start distribution must sum to 1")
             if np.any(self.start_dist[self.terminal] > 0):
                 raise ValueError("start distribution must not touch terminal states")
+            self._start_cdf = cdf_rows(self.start_dist)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.horizon < 1:
@@ -53,12 +66,15 @@ class TabularEnv:
         one_hot = self.transitions == 1.0
         self.deterministic = bool(np.all(one_hot.sum(axis=2) == 1))
         if self.deterministic:
-            self._next_table = np.argmax(self.transitions, axis=2)
+            self._next_table = np.argmax(self.transitions, axis=2).tolist()
+        self._transition_cdfs = cdf_rows(self.transitions)
+        self._terminal = self.terminal.tolist()
+        self._reward_rows = self.rewards.tolist()
 
     def draw_start(self, rng: np.random.Generator) -> int:
-        if self.start_dist is None:
+        if self._start_cdf is None:
             return self.start_state
-        return int(rng.choice(self.n_states, p=self.start_dist))
+        return bisect_right(self._start_cdf, rng.random())
 
     @property
     def n_states(self) -> int:
@@ -74,10 +90,10 @@ class TabularEnv:
         return float(np.max(np.abs(self.rewards)))
 
     def step(self, state: int, action: int, rng: np.random.Generator) -> tuple[int, float]:
-        reward = float(self.rewards[state, action])
+        reward = self._reward_rows[state][action]
         if self.deterministic:
-            return int(self._next_table[state, action]), reward
-        return int(rng.choice(self.n_states, p=self.transitions[state, action])), reward
+            return self._next_table[state][action], reward
+        return bisect_right(self._transition_cdfs[state][action], rng.random()), reward
 
     def rollout(
         self,
@@ -85,20 +101,26 @@ class TabularEnv:
         rng: np.random.Generator,
         greedy: bool = False,
     ) -> Trajectory:
-        """Run one episode; stops at a terminal state or at the horizon."""
+        """Run one episode; stops at a terminal state or at the horizon.
+
+        Actions come from the policy's cached tables: the greedy action, or
+        ``bisect_right(cdfs[s], rng.random())``.  Start states and
+        stochastic transitions are drawn the same way, by inverse CDF; each
+        such draw takes one ``rng.random()`` and picks the index
+        ``rng.choice(n, p=row)`` would pick from it.
+        """
+        table = policy.tables()
+        terminal, random = self._terminal, rng.random
         states, actions, probs, rewards, next_states = [], [], [], [], []
         s = self.draw_start(rng)
         for _ in range(self.horizon):
-            if self.terminal[s]:
+            if terminal[s]:
                 break
-            # One softmax per step: the same draw as ``sample_action`` and the
-            # same value as ``prob``.
-            pi = policy.action_probs(s)
-            a = policy.greedy_action(s) if greedy else int(rng.choice(len(pi), p=pi))
+            a = table.greedy[s] if greedy else bisect_right(table.cdfs[s], random())
             s_next, r = self.step(s, a, rng)
             states.append(s)
             actions.append(a)
-            probs.append(pi[a])
+            probs.append(table.prob_rows[s][a])
             rewards.append(r)
             next_states.append(s_next)
             s = s_next
@@ -137,14 +159,14 @@ def _start_average(env: TabularEnv, value: np.ndarray) -> float:
 def exact_policy_value(env: TabularEnv, policy) -> float:
     """Expected discounted return of a stochastic policy, by backward induction."""
     _check_exact_size(env)
+    probs = policy.prob_table()
     value = np.zeros(env.n_states)
     for _ in range(env.horizon):
         step_value = np.zeros(env.n_states)
         for s in range(env.n_states):
             if env.terminal[s]:
                 continue
-            pi = policy.action_probs(s)
-            step_value[s] = pi @ (env.rewards[s] + env.gamma * env.transitions[s] @ value)
+            step_value[s] = probs[s] @ (env.rewards[s] + env.gamma * env.transitions[s] @ value)
         value = step_value
     return _start_average(env, value)
 

@@ -12,8 +12,9 @@ variance depends on ``p``, through ``f(p) = sum_i d(i) / p(i)`` with
 :func:`trajectory_gradients` is the one place that computes ``omega``, ``g``
 and ``d``: it flattens the rows of a padded :class:`TrajectoryBatch` (a
 gather of store rows, or ``TrajectoryBatch.of`` a list), gathers the
-per-step log probabilities from one log-softmax table, and segment-sums them
-with the policy's batched score functions.  Every estimator in the package
+per-step log probabilities from the policy's log-probability table, and
+segment-sums them with the policy's batched score functions, whose residuals
+come from rows of the same cached table.  Every estimator in the package
 consumes its output.
 """
 

@@ -12,25 +12,46 @@ parameter coordinates, so trajectory-level gradients are segment sums.
 from __future__ import annotations
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax of one state's logits; the per-step path of every rollout."""
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+def cdf_rows(probs: np.ndarray) -> list:
+    """Running sums along the last axis divided by their last entry, as lists.
+
+    Entry for entry the CDF ``Generator.choice(n, p=row)`` builds, so
+    ``bisect_right(cdf, rng.random())`` draws the index ``choice`` would
+    draw from the same random number.
+    """
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf.tolist()
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+class PolicyTables(NamedTuple):
+    """Everything derived from one parameter setting.
+
+    ``probs`` and ``log_probs`` are read-only ``(n_states, n_actions)``
+    arrays.  The rest are Python lists for per-step rollouts:
+    ``prob_rows[s][a] = pi(a|s)``, ``cdfs[s]`` is the :func:`cdf_rows` row
+    of ``probs[s]`` and ``greedy[s]`` the index of the largest logit of ``s``.
+    """
+
+    probs: np.ndarray
+    log_probs: np.ndarray
+    prob_rows: list[list[float]]
+    cdfs: list[list[float]]
+    greedy: list[int]
 
 
 class LinearSoftmaxPolicy:
-    """Logits are linear in fixed state features: ``logits(s) = features[s] @ weights``."""
+    """Logits are linear in fixed state features: ``logits(s) = features[s] @ weights``.
+
+    The :class:`PolicyTables` are computed once per parameter setting and
+    kept until :meth:`set_params` or :meth:`copy`; change ``weights``
+    through ``set_params`` only.
+    """
 
     def __init__(
         self,
@@ -48,6 +69,7 @@ class LinearSoftmaxPolicy:
         self.weights = np.asarray(weights, dtype=np.float64).copy()
         if self.weights.shape != (self.n_features, self.n_actions):
             raise ValueError("weights shape must be (n_features, n_actions)")
+        self._cache: PolicyTables | None = None
 
     @property
     def n_params(self) -> int:
@@ -57,34 +79,58 @@ class LinearSoftmaxPolicy:
         return self.weights.ravel().copy()
 
     def set_params(self, params: np.ndarray) -> None:
-        self.weights = np.asarray(params, dtype=np.float64).reshape(self.weights.shape)
+        # A copy, so a later write into the caller's array cannot leave the
+        # cached tables describing other weights.
+        self.weights = np.array(params, dtype=np.float64).reshape(self.weights.shape)
+        self._cache = None
 
-    def action_probs(self, state: int) -> np.ndarray:
-        return _softmax(self.features[state].dot(self.weights))
+    def tables(self) -> PolicyTables:
+        """Every table derived from the weights, built on first use after a change."""
+        if self._cache is None:
+            logits = self.features @ self.weights
+            z = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            total = e.sum(axis=1, keepdims=True)
+            probs = e / total
+            if not np.isfinite(probs).all():
+                raise ValueError("policy probabilities are not finite: the weights hold NaN or inf")
+            log_probs = z - np.log(total)
+            probs.flags.writeable = log_probs.flags.writeable = False
+            self._cache = PolicyTables(
+                probs, log_probs, probs.tolist(), cdf_rows(probs), logits.argmax(axis=1).tolist()
+            )
+        return self._cache
 
-    def prob(self, state: int, action: int) -> float:
-        return float(self.action_probs(state)[action])
-
-    def log_prob(self, state: int, action: int) -> float:
-        return float(_log_softmax(self.features[state].dot(self.weights))[action])
+    def prob_table(self) -> np.ndarray:
+        """``pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
+        return self.tables().probs
 
     def log_prob_table(self) -> np.ndarray:
         """``log pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
-        return _log_softmax(self.features @ self.weights)
+        return self.tables().log_probs
+
+    def action_probs(self, state: int) -> np.ndarray:
+        return self.prob_table()[state]
+
+    def prob(self, state: int, action: int) -> float:
+        return float(self.prob_table()[state, action])
+
+    def log_prob(self, state: int, action: int) -> float:
+        return float(self.log_prob_table()[state, action])
 
     def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step score functions ``grad log pi(a_t|s_t)``, one flat row per step."""
         states = np.asarray(states, dtype=np.int64)
-        phi = self.features[states]
-        residual = -np.exp(_log_softmax(phi @ self.weights))
+        residual = -np.exp(self.log_prob_table()[states])
         residual[np.arange(len(states)), actions] += 1.0
+        phi = self.features[states]
         return (phi[:, :, None] * residual[:, None, :]).reshape(len(states), -1)
 
     def sample_action(self, state: int, rng: np.random.Generator) -> int:
         return int(rng.choice(self.n_actions, p=self.action_probs(state)))
 
     def greedy_action(self, state: int) -> int:
-        return int(np.argmax(self.features[state].dot(self.weights)))
+        return self.tables().greedy[state]
 
     def min_action_prob(self) -> float:
         """Smallest probability over all (state, action) pairs."""
@@ -105,6 +151,7 @@ class LinearSoftmaxPolicy:
     def copy(self) -> "LinearSoftmaxPolicy":
         clone = copy.copy(self)
         clone.weights = self.weights.copy()
+        clone._cache = None
         return clone
 
 

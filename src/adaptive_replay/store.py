@@ -54,8 +54,12 @@ class Trajectory:
         for name in ("actions", "behavior_probs", "rewards", "next_states"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length does not match states length {n}")
-        if np.any(self.behavior_probs <= 0) or np.any(self.behavior_probs > 1):
+        bp = self.behavior_probs
+        # One pass, and a NaN fails both comparisons, so it is rejected too.
+        if not ((bp > 0) & (bp <= 1)).all():
             raise ValueError("behavior probabilities must lie in (0, 1]")
+        if not np.isfinite(self.rewards).all():
+            raise ValueError("rewards must be finite")
 
     def __len__(self) -> int:
         return len(self.states)

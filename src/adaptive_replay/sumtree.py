@@ -19,6 +19,8 @@ class SumTree:
         self._n = 1 << (self.capacity - 1).bit_length()
         self._tree = np.zeros(2 * self._n)
         self._depth = self._n.bit_length() - 1
+        # Shift that takes a leaf's node number to its ancestor at each level.
+        self._shifts = np.arange(1, self._depth + 1)
 
     @property
     def total(self) -> float:
@@ -41,19 +43,17 @@ class SumTree:
         nodes = self._n + indices
         delta = values - self._tree[nodes]
         self._tree[nodes] = values
-        nodes = nodes >> 1
-        while nodes[0] >= 1:
-            np.add.at(self._tree, nodes, delta)
-            nodes = nodes >> 1
+        # Level by level, leaf order within a level: each ancestor receives
+        # the same deltas in the same order as a per-level loop would add them.
+        ancestors = (nodes >> self._shifts[:, None]).ravel()
+        np.add.at(self._tree, ancestors, np.tile(delta, self._depth))
 
     def set(self, index: int, value: float) -> None:
         node = self._n + index
         delta = value - self._tree[node]
         self._tree[node] = value
-        node >>= 1
-        while node >= 1:
-            self._tree[node] += delta
-            node >>= 1
+        # The ancestors are distinct nodes, so one fancy-index add is exact.
+        self._tree[node >> self._shifts] += delta
 
     def rebuild(self, scores: np.ndarray) -> None:
         """Recompute every node from a full score vector, one numpy pass per

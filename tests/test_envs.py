@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_replay.envs import (
+    ENVIRONMENTS,
     TabularEnv,
     chain_env,
     exact_policy_value,
@@ -13,21 +14,28 @@ from adaptive_replay.envs import (
 )
 from adaptive_replay.gradients import trajectory_return
 from adaptive_replay.policies import TabularSoftmaxPolicy
+from adaptive_replay.store import Trajectory
+from adaptive_replay.training import MODES, TrainingConfig, run_training
 
 
 def reference_rollout(env, policy, rng, greedy=False):
-    """Per-step ``sample_action`` (or ``greedy_action``) then ``prob``: two
-    softmax evaluations per step, the path ``rollout`` must reproduce."""
+    """Per step, a fresh softmax of ``features[s] @ weights`` computed here,
+    then ``rng.choice`` over it (or its argmax) and its value at the action:
+    what ``sample_action`` and ``prob`` compute, sharing nothing with the
+    policy's cached table, the path ``rollout`` must reproduce."""
     states, actions, probs, rewards, next_states = [], [], [], [], []
     s = env.draw_start(rng)
     for _ in range(env.horizon):
         if env.terminal[s]:
             break
-        a = policy.greedy_action(s) if greedy else policy.sample_action(s, rng)
+        logits = policy.features[s] @ policy.weights
+        e = np.exp(logits - logits.max())
+        pi = e / e.sum()
+        a = int(np.argmax(logits)) if greedy else int(rng.choice(len(pi), p=pi))
         s_next, r = env.step(s, a, rng)
         states.append(s)
         actions.append(a)
-        probs.append(policy.prob(s, a))
+        probs.append(pi[a])
         rewards.append(r)
         next_states.append(s_next)
         s = s_next
@@ -111,6 +119,66 @@ class TestRollout:
                 ):
                     np.testing.assert_array_equal(got, np.array(want))
             assert fast.random() == slow.random(), env.name
+
+
+class TestCachedPolicyTables:
+    """``rollout`` reads a table the policy caches per parameter setting; it
+    must never outlive the weights it was built from."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("env_name", sorted(ENVIRONMENTS))
+    def test_training_traces_equal_reference_rollout_traces(self, monkeypatch, env_name, mode):
+        config = TrainingConfig(
+            total_steps=120, batch_size=4, buffer_capacity=16, learning_rate=0.5,
+            selection_mode=mode, seed=3, eval_every=30, eval_episodes=5,
+            probe_every=60, probe_repeats=20,
+            updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+        )
+        fast = run_training(ENVIRONMENTS[env_name](), config)
+
+        def rollout(env, policy, rng, greedy=False):
+            columns = reference_rollout(env, policy, rng, greedy=greedy)
+            return Trajectory(*(np.array(column) for column in columns))
+
+        monkeypatch.setattr(TabularEnv, "rollout", rollout)
+        slow = run_training(ENVIRONMENTS[env_name](), config)
+        for name in ("steps", "returns", "probes", "probes_uniform", "entropies", "reset_counts"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name), err_msg=name)
+        assert fast.ratio_cap_hits == slow.ratio_cap_hits
+
+    def test_write_into_set_params_argument_leaves_rollouts_unchanged(self):
+        env = gridworld_env(4, 4)
+        params = np.random.default_rng(4).normal(scale=2.0, size=env.n_states * env.n_actions)
+        original = params.copy()
+        policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
+        policy.set_params(params)
+        params[:] = 0.0
+        fresh = TabularSoftmaxPolicy(
+            env.n_states, env.n_actions, logits=original.reshape(env.n_states, env.n_actions)
+        )
+        np.testing.assert_array_equal(policy.get_params(), original)
+        for greedy in (False, True):
+            rng, fresh_rng = np.random.default_rng(9), np.random.default_rng(9)
+            for _ in range(50):
+                got = env.rollout(policy, rng, greedy=greedy)
+                want = env.rollout(fresh, fresh_rng, greedy=greedy)
+                np.testing.assert_array_equal(got.actions, want.actions)
+                np.testing.assert_array_equal(got.behavior_probs, want.behavior_probs)
+
+    def test_cached_arrays_are_read_only(self):
+        policy = TabularSoftmaxPolicy(3, 2)
+        for table in (policy.prob_table(), policy.log_prob_table(), policy.action_probs(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_nan_weights_rejected_by_name(self):
+        env = chain_env(5)
+        policy = TabularSoftmaxPolicy(5, 2)
+        params = policy.get_params()
+        params[3] = np.nan  # state 1; episodes start in state 0
+        policy.set_params(params)
+        with pytest.raises(ValueError, match="probabilities are not finite"):
+            env.rollout(policy, np.random.default_rng(0))
 
 
 class TestGridworld:
@@ -202,6 +270,35 @@ class TestValidation:
                 terminal=np.array([False, True]),
                 start_state=0,
                 horizon=2,
+            )
+
+    def test_negative_transition_entry_rejected(self):
+        transitions = np.zeros((2, 2, 2))
+        transitions[0, 0] = [1.5, -0.5]
+        transitions[0, 1, 1] = 1.0
+        transitions[1, :, 1] = 1.0
+        with pytest.raises(ValueError, match="transition probabilities must be non-negative"):
+            TabularEnv(
+                name="bad",
+                transitions=transitions,
+                rewards=np.zeros((2, 2)),
+                terminal=np.array([False, True]),
+                start_state=0,
+                horizon=2,
+            )
+
+    def test_negative_start_entry_rejected(self):
+        transitions = np.zeros((3, 1, 3))
+        transitions[:, :, 2] = 1.0
+        with pytest.raises(ValueError, match="start distribution must be non-negative"):
+            TabularEnv(
+                name="bad",
+                transitions=transitions,
+                rewards=np.zeros((3, 1)),
+                terminal=np.array([False, False, True]),
+                start_state=0,
+                horizon=2,
+                start_dist=np.array([1.5, -0.5, 0.0]),
             )
 
     def test_start_cannot_be_terminal(self):

@@ -38,6 +38,29 @@ def per_node_rebuild(capacity, scores):
     return nodes
 
 
+def per_level_set_many(nodes, padded, indices, values):
+    """``SumTree.set_many`` on a node array as a loop over the levels, one
+    ``np.add.at`` each: the reference for the single flattened add."""
+    leaves = padded + np.asarray(indices)
+    delta = values - nodes[leaves]
+    nodes[leaves] = values
+    ancestors = leaves >> 1
+    while ancestors[0] >= 1:
+        np.add.at(nodes, ancestors, delta)
+        ancestors = ancestors >> 1
+
+
+def per_node_set(nodes, padded, index, value):
+    """``SumTree.set`` on a node array, one ancestor at a time."""
+    node = padded + index
+    delta = value - nodes[node]
+    nodes[node] = value
+    node >>= 1
+    while node >= 1:
+        nodes[node] += delta
+        node >>= 1
+
+
 def assert_row_holds(store, slot, traj):
     n = len(traj)
     assert store.lengths[slot] == n
@@ -95,6 +118,26 @@ class TestSumTree:
         tree.set(0, 123.0)  # stale state the rebuild must overwrite
         tree.rebuild(scores)
         np.testing.assert_array_equal(tree._tree, per_node_rebuild(capacity, scores))
+
+    @pytest.mark.parametrize("capacity", [1, 5, 65_000])
+    def test_writes_equal_per_level_loops_bitwise(self, capacity):
+        rng = np.random.default_rng(capacity + 1)
+        padded = 1 << (capacity - 1).bit_length()
+        tree, expected = SumTree(capacity), np.zeros(2 * padded)
+        for _ in range(400):
+            # Leaves near one base share most of their ancestors; shuffled,
+            # so a level's deltas do not arrive in leaf order.
+            base = int(rng.integers(capacity))
+            indices = np.unique(np.minimum(base + rng.integers(0, 12, rng.integers(1, 9)), capacity - 1))
+            rng.shuffle(indices)
+            # Scores over six decades, so a different summation order would show.
+            values = 10.0 ** rng.uniform(-3, 3, len(indices))
+            tree.set_many(indices, values)
+            per_level_set_many(expected, padded, indices, values)
+            index, value = int(rng.integers(capacity)), 10.0 ** rng.uniform(-3, 3)
+            tree.set(index, value)
+            per_node_set(expected, padded, index, value)
+        np.testing.assert_array_equal(tree._tree, expected)
 
     def test_rejects_wrong_score_count(self):
         with pytest.raises(ValueError, match="scores"):
@@ -397,6 +440,15 @@ class TestTrajectoryValidation:
                 rewards=np.array([0.0]),
                 next_states=np.array([1]),
             )
+
+    def test_rejects_nan_behavior_probability(self):
+        with pytest.raises(ValueError, match="behavior"):
+            Trajectory([0], [0], [np.nan], [0.0], [1])
+
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_reward(self, reward):
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            Trajectory([0], [0], [0.5], [reward], [1])
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="length"):
