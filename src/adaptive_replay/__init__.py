@@ -20,11 +20,9 @@ from .envs import (
     two_state_bandit_env,
 )
 from .gradients import (
-    GradientSample,
     TrajectoryGradients,
-    empirical_gradient_variance,
+    gradient_variance,
     replay_gradient,
-    score_return_grad,
     trajectory_gradients,
     trajectory_return,
     variance_objective,
@@ -47,13 +45,13 @@ from .regret import (
 )
 from .sampler import SamplerConfig, SamplerState
 from .simplex import OracleFailure, minimize_on_simplex, project_to_simplex
-from .store import NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
+from .store import Episode, NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
 from .sumtree import SumTree
 from .training import MODES, TrainingConfig, TrainingTrace, run_group, run_training
 
 __all__ = [
     "CompetitorResult",
-    "GradientSample",
+    "Episode",
     "LossBoundCheck",
     "LinearSoftmaxPolicy",
     "MODES",
@@ -78,8 +76,8 @@ __all__ = [
     "compute_metrics",
     "drifting_sequence",
     "dynamic_competitor",
-    "empirical_gradient_variance",
     "exact_policy_value",
+    "gradient_variance",
     "gridworld_env",
     "min_step_cost",
     "minimize_on_simplex",
@@ -91,7 +89,6 @@ __all__ = [
     "run_regret_experiment",
     "run_training",
     "scaled_noise_sequence",
-    "score_return_grad",
     "static_competitor",
     "stationary_sequence",
     "trajectory_gradients",

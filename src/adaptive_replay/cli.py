@@ -24,7 +24,7 @@ from .harness import (
     resolve_output_dir,
     run_suite,
 )
-from .reporting import METRICS_HEADER, METRICS_SCHEMA, write_bench
+from .reporting import metrics_text, write_bench
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,12 +76,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_metrics(args) -> int:
     row = metrics_from_traces(args.traces, window=args.window)
-    print(f"# schema={METRICS_SCHEMA}")
-    print(METRICS_HEADER)
-    print(
-        f"-,-,-,-,{len(args.traces)},{row.learning_speed!r},{row.max_score!r},"
-        f"{row.learning_stability!r},{row.robustness!r},{row.final_performance!r}"
-    )
+    sys.stdout.write(metrics_text([("-", "-", "-", "-", len(args.traces), row)]))
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gradients import trajectory_return
 from .policies import cdf_rows
-from .store import Trajectory
+from .store import Episode
 
 _EXACT_SIZE_CAP = 100
 _EXACT_HORIZON_CAP = 16
@@ -44,6 +44,8 @@ class TabularEnv:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.terminal = np.asarray(self.terminal, dtype=bool)
+        if not np.isfinite(self.rewards).all():
+            raise ValueError("rewards must be finite")
         if np.any(self.transitions < 0):
             raise ValueError("transition probabilities must be non-negative")
         if not np.allclose(self.transitions.sum(axis=2), 1.0, atol=1e-12):
@@ -100,8 +102,11 @@ class TabularEnv:
         policy,
         rng: np.random.Generator,
         greedy: bool = False,
-    ) -> Trajectory:
+    ) -> Episode:
         """Run one episode; stops at a terminal state or at the horizon.
+
+        The steps come back as the five lists they were collected in, which
+        ``TrajectoryBatch.write`` assigns into a store row as they are.
 
         Actions come from the policy's cached tables: the greedy action, or
         ``bisect_right(cdfs[s], rng.random())``.  Start states and
@@ -124,13 +129,7 @@ class TabularEnv:
             rewards.append(r)
             next_states.append(s_next)
             s = s_next
-        return Trajectory(
-            states=np.array(states, dtype=np.int64),
-            actions=np.array(actions, dtype=np.int64),
-            behavior_probs=np.array(probs),
-            rewards=np.array(rewards),
-            next_states=np.array(next_states, dtype=np.int64),
-        )
+        return Episode(states, actions, probs, rewards, next_states)
 
     def evaluate(self, policy, episodes: int, rng: np.random.Generator) -> float:
         """Mean discounted return over greedy-action evaluation episodes."""

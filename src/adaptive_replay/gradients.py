@@ -21,22 +21,10 @@ consumes its output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .store import NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
-from .sampler import SamplerState
-
-
-@dataclass
-class GradientSample:
-    """Per-trajectory quantities entering the replay estimator and the sampler feedback."""
-
-    slot: int
-    omega: float
-    g: np.ndarray
-    d: float
+from .store import Episode, Trajectory, TrajectoryBatch
 
 
 @dataclass
@@ -92,14 +80,9 @@ def trajectory_gradients(
     return TrajectoryGradients(omega, score, returns, g, d, int(capped.sum()))
 
 
-def trajectory_return(traj: Trajectory, gamma: float) -> float:
-    """Discounted return ``sum_t gamma^t r_t``."""
+def trajectory_return(traj: Trajectory | Episode, gamma: float) -> float:
+    """Discounted return ``sum_t gamma^t r_t``; ``traj.rewards`` may be a list."""
     return float(traj.rewards @ gamma ** np.arange(len(traj)))
-
-
-def score_return_grad(traj: Trajectory, target, gamma: float) -> np.ndarray:
-    """Gradient of the trajectory log-probability times the discounted return."""
-    return trajectory_gradients(TrajectoryBatch.of([traj]), target, gamma).g[0]
 
 
 def replay_gradient(
@@ -135,50 +118,9 @@ def variance_objective(d: np.ndarray, p: np.ndarray) -> float:
     return float((d[active] / p[active]).sum())
 
 
-def buffer_gradient_samples(
-    store: WeightedStore, target, gamma: float, log_cap: float = 50.0
-) -> list[GradientSample]:
-    """One :class:`GradientSample` per filled slot, in slot order."""
-    slots = np.arange(store.occupancy)
-    grads = trajectory_gradients(store.take(slots), target, gamma, log_cap=log_cap)
-    return [
-        GradientSample(slot, float(omega), g, float(d))
-        for slot, omega, g, d in zip(slots.tolist(), grads.omega, grads.g, grads.d)
-    ]
-
-
-def full_buffer_mean(samples: Sequence[GradientSample]) -> np.ndarray:
-    """The p-independent expectation of the replay gradient: ``(1/n) sum_i omega_i g_i``."""
-    return np.mean([sample.omega * sample.g for sample in samples], axis=0)
-
-
-def empirical_gradient_variance(
-    store: WeightedStore,
-    sampler: SamplerState,
-    target,
-    gamma: float,
-    batch: int,
-    repeats: int,
-    rng: np.random.Generator,
-    p: np.ndarray | None = None,
-) -> float:
-    """Summed per-coordinate sample variance of the replay gradient at fixed parameters.
-
-    Draws ``repeats`` independent batches under ``p`` (the sampler's current
-    distribution unless given), computes the bias-corrected gradient for
-    each, and returns the trace of the sample covariance.  Pure read: the
-    store, sampler and policy are not modified.
-    """
-    if not store.warmed_up:
-        raise NotReadyError("variance probe requires a full buffer")
-    if p is None:
-        p = sampler.distribution()
-    grads = trajectory_gradients(store, target, gamma)
-    return gradient_variance(grads, p, batch, repeats, rng)
-
-
 def gradient_variance(grads: TrajectoryGradients, p, batch: int, repeats: int, rng) -> float:
-    """:func:`empirical_gradient_variance` from whole-buffer terms (one row per
+    """Trace of the sample covariance of ``repeats`` replay gradients, each from
+    ``batch`` draws under ``p``.  ``grads`` holds whole-buffer terms (one row per
     slot), so one gradient pass serves several distributions on a frozen buffer."""
     if repeats < 2:
         raise ValueError("variance estimation requires at least 2 repeats")

@@ -30,7 +30,7 @@ def cdf_rows(probs: np.ndarray) -> list:
 
 
 class PolicyTables(NamedTuple):
-    """Everything derived from one parameter setting.
+    """Everything derived from one parameter setting; every probability in ``(0, 1]``.
 
     ``probs`` and ``log_probs`` are read-only ``(n_states, n_actions)``
     arrays.  The rest are Python lists for per-step rollouts:
@@ -94,6 +94,10 @@ class LinearSoftmaxPolicy:
             probs = e / total
             if not np.isfinite(probs).all():
                 raise ValueError("policy probabilities are not finite: the weights hold NaN or inf")
+            # Rollouts record these as behavior probabilities, which importance
+            # ratios divide by; a logit gap past ~745 underflows one to 0.
+            if not (probs > 0).all():
+                raise ValueError("policy probabilities must lie in (0, 1]: one underflowed to 0")
             log_probs = z - np.log(total)
             probs.flags.writeable = log_probs.flags.writeable = False
             self._cache = PolicyTables(

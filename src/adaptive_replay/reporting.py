@@ -49,6 +49,21 @@ def fmt(value) -> str:
     return repr(value)
 
 
+def csv_text(
+    schema: str,
+    header: str,
+    rows: Iterable[Sequence],
+    metadata: Mapping[str, str] | None = None,
+) -> str:
+    lines = [f"# schema={schema}"]
+    for key in sorted(metadata or {}):
+        lines.append(f"# {key}={metadata[key]}")
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(fmt(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(
     path: Path,
     schema: str,
@@ -56,13 +71,7 @@ def write_csv(
     rows: Iterable[Sequence],
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    lines = [f"# schema={schema}"]
-    for key in sorted(metadata or {}):
-        lines.append(f"# {key}={metadata[key]}")
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(schema, header, rows, metadata))
 
 
 def write_trace(path: Path, trace: TrainingTrace, config_echo: Mapping[str, str] | None = None) -> None:
@@ -139,7 +148,8 @@ def write_regret(path: Path, seed: int, ledger: RegretLedger, metadata: Mapping[
     write_csv(path, REGRET_SCHEMA, REGRET_HEADER, rows, metadata)
 
 
-def write_metrics(path: Path, rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> None:
+def metrics_text(rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> str:
+    """The ``metrics.v1`` file of ``(family, cell, env, mode, n_seeds, row)`` tuples."""
     flat = [
         (
             family,
@@ -155,7 +165,11 @@ def write_metrics(path: Path, rows: Iterable[tuple[str, str, str, str, int, Metr
         )
         for family, cell, env, mode, n_seeds, m in rows
     ]
-    write_csv(path, METRICS_SCHEMA, METRICS_HEADER, flat)
+    return csv_text(METRICS_SCHEMA, METRICS_HEADER, flat)
+
+
+def write_metrics(path: Path, rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> None:
+    path.write_text(metrics_text(rows))
 
 
 def write_variance(path: Path, comparisons, metadata=None) -> None:

@@ -27,9 +27,20 @@ class NotReadyError(RuntimeError):
     """Operation requires a warmed-up (full) buffer."""
 
 
+# Column name -> (dtype, padding value).  Behavior probabilities pad with 1.0,
+# so a log over a whole column never sees a zero.
+_COLUMNS = {
+    "states": (np.int64, 0),
+    "actions": (np.int64, 0),
+    "behavior_probs": (np.float64, 1.0),
+    "rewards": (np.float64, 0.0),
+    "next_states": (np.int64, 0),
+}
+
+
 @dataclass
 class Trajectory:
-    """Fixed-horizon rollout: parallel per-step arrays.
+    """A hand-built rollout as parallel per-step arrays, validated on construction.
 
     ``behavior_probs[t]`` is the probability the generating policy assigned to
     ``actions[t]`` in ``states[t]``; it is what importance ratios divide by,
@@ -65,15 +76,25 @@ class Trajectory:
         return len(self.states)
 
 
-# Column name -> (dtype, padding value).  Behavior probabilities pad with 1.0,
-# so a log over a whole column never sees a zero.
-_COLUMNS = {
-    "states": (np.int64, 0),
-    "actions": (np.int64, 0),
-    "behavior_probs": (np.float64, 1.0),
-    "rewards": (np.float64, 0.0),
-    "next_states": (np.int64, 0),
-}
+class Episode:
+    """One rollout as the per-step lists it was collected in; not validated.
+
+    What :class:`Trajectory` checks holds by construction here: the policy
+    tables reject a probability outside ``(0, 1]`` and the env rejects a
+    non-finite reward, each once, when it is built.
+    """
+
+    __slots__ = tuple(_COLUMNS)
+
+    def __init__(self, states, actions, behavior_probs, rewards, next_states):
+        self.states = states
+        self.actions = actions
+        self.behavior_probs = behavior_probs
+        self.rewards = rewards
+        self.next_states = next_states
+
+    def __len__(self) -> int:
+        return len(self.states)
 
 
 class TrajectoryBatch:
@@ -91,7 +112,7 @@ class TrajectoryBatch:
             setattr(self, name, np.full((rows, 0), fill, dtype=dtype))
 
     @classmethod
-    def of(cls, trajs: Sequence[Trajectory]) -> TrajectoryBatch:
+    def of(cls, trajs: Sequence[Trajectory | Episode]) -> TrajectoryBatch:
         """A batch holding ``trajs`` in order, one row each."""
         batch = cls(len(trajs))
         for row, traj in enumerate(trajs):
@@ -105,8 +126,12 @@ class TrajectoryBatch:
     def width(self) -> int:
         return self.states.shape[1]
 
-    def write(self, row: int, traj: Trajectory) -> None:
-        """Store ``traj`` in ``row``, widening every column if it is the longest yet."""
+    def write(self, row: int, traj: Trajectory | Episode) -> None:
+        """Store ``traj`` in ``row``, widening every column if it is the longest yet.
+
+        Each column of ``traj`` (an array or a list) is assigned into
+        ``column[row, :len(traj)]`` as it is, with no further checks.
+        """
         n = len(traj)
         if n > self.width:
             pad = ((0, 0), (0, n - self.width))
@@ -197,18 +222,21 @@ class WeightedStore(TrajectoryBatch):
 
     def insert(
         self,
-        traj: Trajectory,
+        traj: Trajectory | Episode,
         sampler: SamplerState,
         rng: np.random.Generator,
         kappa: float | None = None,
+        score: float | None = None,
     ) -> int:
         """Store a trajectory, evicting by complement probability when full.
 
         During the fill phase slots are assigned sequentially.  Once full, the
         victim is drawn from ``q(j) = (1 - p(j)) / (capacity - 1)`` with ``p``
         the index's mixture with uniform weight ``kappa`` (the sampler's
-        ``kappa`` when not given).  The victim's accumulator is reset to zero
-        and its index score refreshed.  Returns the slot written.
+        ``kappa`` when not given).  The slot's accumulator is reset to zero
+        and its index score set, in one leaf write, to ``score``, or to a
+        fresh accumulator's ``sqrt(nu)`` when not given.  Returns the slot
+        written.
         """
         if self.occupancy < self.capacity:
             slot = self.occupancy
@@ -219,7 +247,7 @@ class WeightedStore(TrajectoryBatch):
             slot = self._sample_victim(sampler.config.kappa if kappa is None else kappa, rng)
         self.write(slot, traj)
         sampler.w[slot] = 0.0
-        self.tree.set(slot, float(np.sqrt(sampler.config.nu)))
+        self.tree.set(slot, float(np.sqrt(sampler.config.nu)) if score is None else score)
         return slot
 
     def _sample_victim(self, kappa: float, rng: np.random.Generator) -> int:

@@ -164,8 +164,8 @@ class _AccumulatorStrategy:
             return True
         return False
 
-    def on_insert(self, slot: int) -> None:
-        pass
+    def insert(self, episode, rng) -> None:
+        self.store.insert(episode, self.sampler, rng, kappa=self.kappa)
 
     def epoch_reset(self) -> None:
         self.sampler.w[:] = 0.0
@@ -180,11 +180,13 @@ class _TDPriorityStrategy:
 
     def __init__(
         self,
+        sampler: SamplerState,
         store: WeightedStore,
         env: TabularEnv,
         learning_rate: float,
         exponent: float,
     ):
+        self.sampler = sampler
         self.store = store
         self.env = env
         self.values = np.zeros(env.n_states)
@@ -193,19 +195,13 @@ class _TDPriorityStrategy:
         self.exponent = exponent
         self.eps = 1e-6
 
-    def _scores(self, slots: np.ndarray) -> np.ndarray:
-        return (self.priorities[slots] + self.eps) ** self.exponent
+    def _scores(self, priorities: np.ndarray) -> np.ndarray:
+        return (priorities + self.eps) ** self.exponent
 
-    def _sweep(self, slot: int, learn: bool) -> float:
-        store = self.store
-        n = store.lengths[slot]
+    def _sweep(self, states, rewards, next_states, learn: bool) -> float:
         total = 0.0
         gamma = self.env.gamma
-        for s, r, s_next in zip(
-            store.states[slot, :n].tolist(),
-            store.rewards[slot, :n].tolist(),
-            store.next_states[slot, :n].tolist(),
-        ):
+        for s, r, s_next in zip(states, rewards, next_states):
             bootstrap = 0.0 if self.env.terminal[s_next] else self.values[s_next]
             delta = r + gamma * bootstrap - self.values[s]
             if learn:
@@ -214,15 +210,27 @@ class _TDPriorityStrategy:
         return total
 
     def after_update(self, unique_slots, d, p_used) -> bool:
+        store = self.store
         slots = np.asarray(unique_slots, dtype=np.int64)
         for i in slots.tolist():
-            self.priorities[i] = self._sweep(i, learn=True)
-        self.store.set_scores(slots, self._scores(slots))
+            n = store.lengths[i]
+            self.priorities[i] = self._sweep(
+                store.states[i, :n].tolist(),
+                store.rewards[i, :n].tolist(),
+                store.next_states[i, :n].tolist(),
+                learn=True,
+            )
+        store.set_scores(slots, self._scores(self.priorities[slots]))
         return False
 
-    def on_insert(self, slot: int) -> None:
-        self.priorities[slot] = self._sweep(slot, learn=False)
-        self.store.set_scores(np.array([slot]), self._scores(np.array([slot])))
+    def insert(self, episode, rng) -> None:
+        # A sweep without learning does not depend on the slot, so the score
+        # is known before the insert and becomes the slot's only leaf write.
+        # It goes through numpy's array power, as the rescoring above does.
+        priority = self._sweep(episode.states, episode.rewards, episode.next_states, learn=False)
+        score = float(self._scores(np.array([priority]))[0])
+        slot = self.store.insert(episode, self.sampler, rng, kappa=self.kappa, score=score)
+        self.priorities[slot] = priority
 
     def epoch_reset(self) -> None:
         raise NotImplementedError("td_priority has no epoch variant")
@@ -231,7 +239,9 @@ class _TDPriorityStrategy:
 def _make_strategy(config: TrainingConfig, sampler, store, env):
     mode = config.selection_mode
     if mode == "td_priority":
-        return _TDPriorityStrategy(store, env, config.learning_rate, config.td_priority_exponent)
+        return _TDPriorityStrategy(
+            sampler, store, env, config.learning_rate, config.td_priority_exponent
+        )
     return _AccumulatorStrategy(sampler, store, periodic_reset=(mode != "adaptive_epoch"))
 
 
@@ -287,10 +297,9 @@ class _LoopState:
         self._rows: list[tuple] = []
 
     def collect_episode(self) -> None:
-        traj = self.env.rollout(self.policy, self.rng)
-        self.env_steps += len(traj)
-        slot = self.store.insert(traj, self.sampler, self.rng, kappa=self.strategy.kappa)
-        self.strategy.on_insert(slot)
+        episode = self.env.rollout(self.policy, self.rng)
+        self.env_steps += len(episode)
+        self.strategy.insert(episode, self.rng)
 
     def update_policy(self) -> None:
         cfg = self.config

@@ -13,12 +13,7 @@ from scipy import stats
 
 from adaptive_replay.bench import run_bench
 from adaptive_replay.envs import chain_env, exact_policy_value, gridworld_env
-from adaptive_replay.gradients import (
-    buffer_gradient_samples,
-    full_buffer_mean,
-    score_return_grad,
-    trajectory_return,
-)
+from adaptive_replay.gradients import trajectory_gradients, trajectory_return
 from adaptive_replay.harness import ExperimentSpec, run_suite
 from adaptive_replay.policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
 from adaptive_replay.regret import (
@@ -33,7 +28,7 @@ from adaptive_replay.regret import (
 )
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.simplex import minimize_on_simplex
-from adaptive_replay.store import Trajectory, WeightedStore
+from adaptive_replay.store import Trajectory, TrajectoryBatch, WeightedStore
 from adaptive_replay.studies import learned_vs_uniform_variance
 from adaptive_replay.training import TrainingConfig, run_training
 
@@ -151,15 +146,15 @@ def test_criterion_04_replay_gradient_unbiasedness():
     for i in range(n):
         store.insert(random_traj(rng, policy, 4, reward_scale=10.0 ** rng.uniform(0, 1.5)),
                      sampler, rng)
-    samples = buffer_gradient_samples(store, policy, 0.99)
-    target = full_buffer_mean(samples)
-    d = np.array([s.d for s in samples])
+    grads = trajectory_gradients(store, policy, 0.99)
+    target = np.mean(grads.omega[:, None] * grads.g, axis=0)
+    d = grads.d
     sampler.w[:] = d * 20.0  # a learned, strongly non-uniform state
     learned = sampler.distribution()
     uniform = np.full(n, 1.0 / n)
     worst_z = 0.0
     for p in (uniform, learned):
-        lam_rows = np.stack([s.omega / (p[s.slot] * n) * s.g for s in samples])
+        lam_rows = (grads.omega / (p * n))[:, None] * grads.g
         idx = rng.choice(n, size=(repeats, batch), p=p)
         estimates = lam_rows[idx].mean(axis=1)
         sem = estimates.std(axis=0, ddof=1) / np.sqrt(repeats)
@@ -419,7 +414,7 @@ def test_criterion_12_gradient_and_value_checks():
             )
         traj = random_traj(rng, policy, int(rng.integers(1, 6)))
         gamma = float(rng.uniform(0.5, 0.99))
-        analytic = score_return_grad(traj, policy, gamma)
+        analytic = trajectory_gradients(TrajectoryBatch.of([traj]), policy, gamma).g[0]
         ret = trajectory_return(traj, gamma)
         params = policy.get_params()
         probe = policy.copy()

@@ -14,7 +14,8 @@ from adaptive_replay.envs import (
 )
 from adaptive_replay.gradients import trajectory_return
 from adaptive_replay.policies import TabularSoftmaxPolicy
-from adaptive_replay.store import Trajectory
+from adaptive_replay.sampler import SamplerConfig, SamplerState
+from adaptive_replay.store import Trajectory, TrajectoryBatch, WeightedStore
 from adaptive_replay.training import MODES, TrainingConfig, run_training
 
 
@@ -40,6 +41,39 @@ def reference_rollout(env, policy, rng, greedy=False):
         next_states.append(s_next)
         s = s_next
     return states, actions, probs, rewards, next_states
+
+
+def reference_trajectory(env, policy, rng, greedy=False):
+    columns = reference_rollout(env, policy, rng, greedy=greedy)
+    return Trajectory(*(np.array(column) for column in columns))
+
+
+def coin_env():
+    """Stochastic transitions, one of them with a zero-probability entry."""
+    transitions = np.zeros((3, 2, 3))
+    transitions[0, 0] = [0.1, 0.6, 0.3]
+    transitions[0, 1] = [0.5, 0.0, 0.5]
+    transitions[1, :] = [0.3, 0.3, 0.4]
+    transitions[2, :, 2] = 1.0
+    return TabularEnv(
+        name="coin3",
+        transitions=transitions,
+        rewards=np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 0.0]]),
+        terminal=np.array([False, False, True]),
+        start_state=0,
+        horizon=7,
+    )
+
+
+def rollout_envs():
+    return (gridworld_env(4, 4), chain_env(5), two_state_bandit_env(), coin_env())
+
+
+def random_logits_policy(env, rng):
+    return TabularSoftmaxPolicy(
+        env.n_states, env.n_actions,
+        logits=rng.normal(scale=2.0, size=(env.n_states, env.n_actions)),
+    )
 
 
 def mc_value(env, policy, episodes, rng):
@@ -89,25 +123,9 @@ class TestChain:
 class TestRollout:
     @pytest.mark.parametrize("greedy", [False, True])
     def test_matches_sample_action_and_prob_reference(self, greedy):
-        transitions = np.zeros((3, 2, 3))
-        transitions[0, 0] = [0.1, 0.6, 0.3]
-        transitions[0, 1] = [0.5, 0.0, 0.5]
-        transitions[1, :] = [0.3, 0.3, 0.4]
-        transitions[2, :, 2] = 1.0
-        coin = TabularEnv(
-            name="coin3",
-            transitions=transitions,
-            rewards=np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 0.0]]),
-            terminal=np.array([False, False, True]),
-            start_state=0,
-            horizon=7,
-        )
-        for env in (gridworld_env(4, 4), chain_env(5), two_state_bandit_env(), coin):
+        for env in rollout_envs():
             rng = np.random.default_rng(21)
-            policy = TabularSoftmaxPolicy(
-                env.n_states, env.n_actions,
-                logits=rng.normal(scale=2.0, size=(env.n_states, env.n_actions)),
-            )
+            policy = random_logits_policy(env, rng)
             fast, slow = np.random.default_rng(22), np.random.default_rng(22)
             for _ in range(200):
                 traj = env.rollout(policy, fast, greedy=greedy)
@@ -119,6 +137,46 @@ class TestRollout:
                 ):
                     np.testing.assert_array_equal(got, np.array(want))
             assert fast.random() == slow.random(), env.name
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_store_rows_equal_rows_of_reference_trajectories(self, greedy):
+        # The rollout's lists go into store rows unconverted; the rows must
+        # equal those TrajectoryBatch.of builds from validated arrays.
+        shorter = 0
+        for env in rollout_envs():
+            policy = random_logits_policy(env, np.random.default_rng(31))
+            fast, slow = np.random.default_rng(32), np.random.default_rng(32)
+            insert_rng = np.random.default_rng(33)
+            n = 40
+            store = WeightedStore(n)
+            sampler = SamplerState(SamplerConfig(capacity=n))
+            expected = []
+            for _ in range(n):
+                store.insert(env.rollout(policy, fast, greedy=greedy), sampler, insert_rng)
+                expected.append(reference_trajectory(env, policy, slow, greedy=greedy))
+            want = TrajectoryBatch.of(expected)
+            np.testing.assert_array_equal(store.lengths, want.lengths, err_msg=env.name)
+            for name in ("states", "actions", "behavior_probs", "rewards", "next_states"):
+                got, ref = getattr(store, name), getattr(want, name)
+                assert got.dtype == ref.dtype, (env.name, name)
+                np.testing.assert_array_equal(got, ref, err_msg=f"{env.name} {name}")
+
+            # One slot rewritten in turn: a shorter episode leaves the longer
+            # one's steps as padding past its length, which readers mask.
+            single = WeightedStore(1)
+            for _ in range(n):
+                previous = single.lengths[0]
+                single.insert(env.rollout(policy, fast, greedy=greedy), sampler, insert_rng)
+                ref = TrajectoryBatch.of([reference_trajectory(env, policy, slow, greedy=greedy)])
+                length = ref.lengths[0]
+                shorter += length < previous
+                assert single.lengths[0] == length
+                for name in ("states", "actions", "behavior_probs", "rewards", "next_states"):
+                    np.testing.assert_array_equal(
+                        getattr(single, name)[0, :length], getattr(ref, name)[0],
+                        err_msg=f"{env.name} {name}",
+                    )
+        assert shorter > 0
 
 
 class TestCachedPolicyTables:
@@ -136,11 +194,7 @@ class TestCachedPolicyTables:
         )
         fast = run_training(ENVIRONMENTS[env_name](), config)
 
-        def rollout(env, policy, rng, greedy=False):
-            columns = reference_rollout(env, policy, rng, greedy=greedy)
-            return Trajectory(*(np.array(column) for column in columns))
-
-        monkeypatch.setattr(TabularEnv, "rollout", rollout)
+        monkeypatch.setattr(TabularEnv, "rollout", reference_trajectory)
         slow = run_training(ENVIRONMENTS[env_name](), config)
         for name in ("steps", "returns", "probes", "probes_uniform", "entropies", "reset_counts"):
             np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name), err_msg=name)
@@ -179,6 +233,15 @@ class TestCachedPolicyTables:
         policy.set_params(params)
         with pytest.raises(ValueError, match="probabilities are not finite"):
             env.rollout(policy, np.random.default_rng(0))
+
+    def test_underflowed_probability_rejected_by_name(self):
+        # A logit gap past ~745 makes exp underflow, so a probability is 0.
+        env = chain_env(5)
+        policy = TabularSoftmaxPolicy(5, 2, logits=np.tile([0.0, 800.0], (5, 1)))
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            policy.tables()
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            env.rollout(policy, np.random.default_rng(0), greedy=True)
 
 
 class TestGridworld:
@@ -299,6 +362,22 @@ class TestValidation:
                 start_state=0,
                 horizon=2,
                 start_dist=np.array([1.5, -0.5, 0.0]),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, bad):
+        transitions = np.zeros((2, 2, 2))
+        transitions[:, :, 1] = 1.0
+        rewards = np.zeros((2, 2))
+        rewards[0, 1] = bad
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            TabularEnv(
+                name="bad",
+                transitions=transitions,
+                rewards=rewards,
+                terminal=np.array([False, True]),
+                start_state=0,
+                horizon=2,
             )
 
     def test_start_cannot_be_terminal(self):

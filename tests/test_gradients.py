@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from adaptive_replay.gradients import (
-    buffer_gradient_samples,
-    empirical_gradient_variance,
-    full_buffer_mean,
+    gradient_variance,
     replay_gradient,
-    score_return_grad,
     trajectory_gradients,
     trajectory_return,
     variance_objective,
@@ -50,6 +47,10 @@ def random_traj(rng, policy, length):
 
 def importance_ratio(traj, policy, log_cap=50.0):
     return trajectory_gradients(TrajectoryBatch.of([traj]), policy, 0.9, log_cap=log_cap).omega[0]
+
+
+def score_return_grad(traj, policy, gamma):
+    return trajectory_gradients(TrajectoryBatch.of([traj]), policy, gamma).g[0]
 
 
 class TestImportanceRatio:
@@ -458,7 +459,8 @@ class TestEmpiricalVariance:
         rng = np.random.default_rng(10)
         policy = random_policy(rng)
         store, sampler = self._filled_store(rng, 1, policy)
-        value = empirical_gradient_variance(store, sampler, policy, 0.9, 3, 50, rng)
+        grads = trajectory_gradients(store, policy, 0.9)
+        value = gradient_variance(grads, sampler.distribution(), 3, 50, rng)
         assert value == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_analytic_single_sample_variance(self):
@@ -469,16 +471,14 @@ class TestEmpiricalVariance:
         store, sampler = self._filled_store(rng, n, policy)
         sampler.w[:] = rng.uniform(0, 20, n)
         p = sampler.distribution()
-        samples = buffer_gradient_samples(store, policy, 0.9)
-        d = np.array([s.d for s in samples])
-        mean = full_buffer_mean(samples)
+        grads = trajectory_gradients(store, policy, 0.9)
+        d = grads.d
+        mean = np.mean(grads.omega[:, None] * grads.g, axis=0)
         analytic = float(np.sum(d / (p * n**2)) - mean @ mean)
         repeats = 200_000
-        estimate = empirical_gradient_variance(
-            store, sampler, policy, 0.9, 1, repeats, np.random.default_rng(0), p=p
-        )
+        estimate = gradient_variance(grads, p, 1, repeats, np.random.default_rng(0))
         # 3 sigma via the variance of the per-repeat squared deviations.
-        rows = np.stack([s.omega / (p[s.slot] * n) * s.g for s in samples])
+        rows = (grads.omega / (p * n))[:, None] * grads.g
         idx = np.random.default_rng(1).choice(n, size=repeats, p=p)
         sq = ((rows[idx] - mean) ** 2).sum(axis=1)
         sem = sq.std(ddof=1) / np.sqrt(repeats)
@@ -489,7 +489,9 @@ class TestEmpiricalVariance:
         policy = random_policy(rng)
         store, sampler = self._filled_store(rng, 2, policy)
         with pytest.raises(ValueError, match="repeats"):
-            empirical_gradient_variance(store, sampler, policy, 0.9, 2, 1, rng)
+            gradient_variance(
+                trajectory_gradients(store, policy, 0.9), sampler.distribution(), 2, 1, rng
+            )
 
     def test_learned_distribution_beats_uniform_on_spread_losses(self):
         rng = np.random.default_rng(13)
@@ -497,16 +499,12 @@ class TestEmpiricalVariance:
         n = 12
         scales = 10.0 ** np.linspace(0, 1.5, n)
         store, sampler = self._filled_store(rng, n, policy, reward_scale=scales)
-        samples = buffer_gradient_samples(store, policy, 0.9)
-        d = np.array([s.d for s in samples])
+        grads = trajectory_gradients(store, policy, 0.9)
+        d = grads.d
         sampler.w[:] = d * 50.0
         learned = sampler.distribution()
         uniform = np.full(n, 1.0 / n)
         seed = 99
-        var_learned = empirical_gradient_variance(
-            store, sampler, policy, 0.9, 2, 4000, np.random.default_rng(seed), p=learned
-        )
-        var_uniform = empirical_gradient_variance(
-            store, sampler, policy, 0.9, 2, 4000, np.random.default_rng(seed), p=uniform
-        )
+        var_learned = gradient_variance(grads, learned, 2, 4000, np.random.default_rng(seed))
+        var_uniform = gradient_variance(grads, uniform, 2, 4000, np.random.default_rng(seed))
         assert var_learned < var_uniform

@@ -1,11 +1,13 @@
 """Config parsing, suite execution, CSV schemas, determinism, and the CLI."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adaptive_replay import cli
 from adaptive_replay.bench import run_bench
 from adaptive_replay.cli import main as cli_main
 from adaptive_replay.harness import (
@@ -22,6 +24,7 @@ from adaptive_replay.reporting import (
     REGRET_HEADER,
     TRACE_HEADER,
     read_trace,
+    write_metrics,
 )
 from adaptive_replay.studies import learned_vs_uniform_variance
 
@@ -372,6 +375,20 @@ class TestCli:
         assert status == 0
         out = capsys.readouterr().out
         assert METRICS_HEADER in out
+
+    def test_metrics_subcommand_prints_what_write_metrics_writes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = rl_spec(seeds=(1,), modes=("uniform",))
+        run_suite(spec, out=str(tmp_path))
+        trace = next(tmp_path.glob("rl_*.csv"))
+        row = metrics_from_traces([trace], window=3)
+        # A NaN metric is an empty cell in every metrics.v1 file, never "nan".
+        for printed in (row, replace(row, learning_stability=float("nan"))):
+            monkeypatch.setattr(cli, "metrics_from_traces", lambda paths, window: printed)
+            assert cli_main(["metrics", str(trace), "--window", "3"]) == 0
+            write_metrics(tmp_path / "metrics.csv", [("-", "-", "-", "-", 1, printed)])
+            assert capsys.readouterr().out == (tmp_path / "metrics.csv").read_text()
 
 
 class TestVarianceStudyUnit:

@@ -8,6 +8,7 @@ import pytest
 from adaptive_replay import gradients, training
 from adaptive_replay.envs import chain_env, optimal_value, two_state_bandit_env
 from adaptive_replay.sampler import SamplerConfig, SamplerState
+from adaptive_replay.store import Trajectory
 from adaptive_replay.sumtree import SumTree
 from adaptive_replay.training import MODES, TrainingConfig, run_training
 
@@ -252,9 +253,12 @@ class TestReplayStepCost:
         assert sizes.count(config.buffer_capacity) == probe_rows
         assert len(sizes) == config.total_steps + probe_rows
 
-    def test_td_priority_writes_single_leaves_through_set(self, monkeypatch):
-        # Every insert writes one td score; a one-leaf set_many costs several
-        # times a SumTree.set, so no one-leaf write may take it.
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_insert_writes_one_leaf_through_set(self, monkeypatch, mode):
+        # Collecting an episode writes the fresh slot's first score, the td
+        # score in td_priority mode, in exactly one SumTree.set; and a
+        # one-leaf set_many costs several times a set, so no td rescoring
+        # of one slot may take it.
         leaves = []
         original = SumTree.set_many
 
@@ -265,11 +269,23 @@ class TestReplayStepCost:
         monkeypatch.setattr(SumTree, "set_many", recorded)
         counts = Counter()
         count_calls(monkeypatch, counts, SumTree, "set")
-        config = bandit_config("td_priority", seed=5)
+        sets_per_episode = []
+        collect = training._LoopState.collect_episode
+
+        def counted_collect(state):
+            before = counts["set"]
+            collect(state)
+            sets_per_episode.append(counts["set"] - before)
+
+        monkeypatch.setattr(training._LoopState, "collect_episode", counted_collect)
+        config = bandit_config(
+            mode, seed=5, updates_per_episode=2 if mode == "adaptive_epoch" else 1
+        )
         run_training(two_state_bandit_env(), config)
-        assert leaves and 1 not in leaves
-        # Each insert sets the fresh slot's sqrt(nu) score, then its td score.
-        assert counts["set"] >= 2 * (config.buffer_capacity + config.total_steps)
+        assert len(sets_per_episode) > config.buffer_capacity
+        assert set(sets_per_episode) == {1}
+        if mode == "td_priority":
+            assert leaves and 1 not in leaves
 
     def test_dense_distribution_and_rebuild_only_at_evals_and_resets(self, monkeypatch):
         counts = Counter()
@@ -282,6 +298,22 @@ class TestReplayStepCost:
         assert trace.reset_counts[-1] == 300 // 25
         assert counts["distribution"] <= len(trace.steps)
         assert counts["rebuild"] == trace.reset_counts[-1]
+
+
+class TestCollectionPath:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_trajectory_is_validated_per_episode(self, monkeypatch, mode):
+        # Episodes go from the rollout's lists into store rows; their checks
+        # ran once, when the policy tables and the env were built.
+        counts = Counter()
+        count_calls(monkeypatch, counts, Trajectory, "__post_init__")
+        config = bandit_config(
+            mode, seed=6, total_steps=100, probe_every=50, probe_repeats=20,
+            updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+        )
+        trace = run_training(chain_env(4, horizon=6), config)
+        assert trace.steps[-1] > config.buffer_capacity
+        assert counts["__post_init__"] == 0
 
 
 class TestRatioCapHits:
