@@ -23,7 +23,7 @@ print(f"{'step':>6} {'objective':>12} {'optimal':>12} {'excess':>8}")
 for step in range(1, 601):
     p = state.distribution()
     sampled = np.unique(rng.choice(n, size=4, p=p))
-    state.record_feedback(sampled, {int(i): float(d[i]) for i in sampled}, p)
+    state.record_feedback(sampled, d[sampled], p[sampled])
     if step in (1, 10, 50, 100, 300, 600):
         cost = variance_objective(d, state.distribution())
         print(f"{step:>6} {cost:>12.1f} {best_cost:>12.1f} {cost / best_cost:>7.2f}x")

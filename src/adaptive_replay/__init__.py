@@ -47,7 +47,7 @@ from .sampler import SamplerConfig, SamplerState
 from .simplex import OracleFailure, minimize_on_simplex, project_to_simplex
 from .store import Episode, NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
 from .sumtree import SumTree
-from .training import MODES, TrainingConfig, TrainingTrace, run_group, run_training
+from .training import MODES, TrainingConfig, TrainingTrace, run_training
 
 __all__ = [
     "CompetitorResult",
@@ -85,7 +85,6 @@ __all__ = [
     "optimal_value",
     "project_to_simplex",
     "replay_gradient",
-    "run_group",
     "run_regret_experiment",
     "run_training",
     "scaled_noise_sequence",

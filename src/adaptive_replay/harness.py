@@ -45,6 +45,7 @@ from .regret import (
 )
 from .reporting import (
     read_trace,
+    write_atomic,
     write_bench,
     write_metrics,
     write_regret,
@@ -346,10 +347,6 @@ def cell_seed(seed: int, cell_id: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def cell_rng(seed: int, cell_id: str) -> np.random.Generator:
-    return np.random.default_rng(cell_seed(seed, cell_id))
-
-
 # --- suite execution --------------------------------------------------------------
 
 def resolve_output_dir(output_dir: str, override: str | None = None) -> Path:
@@ -380,8 +377,10 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
         results = [_execute_cell((spec, outdir, cell)) for cell in cells]
 
     status = 0 if all(r["status"] == "ok" for r in results) else 1
+    artifacts = [name for r in results for name in r["artifacts"]]
     if spec.family == "rl_comparison" and status == 0:
         _aggregate_rl_metrics(spec, outdir, results)
+        artifacts.append("metrics.csv")
     manifest = {
         "package_version": __version__,
         "generator": GENERATOR_ID,
@@ -391,8 +390,9 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
             {"id": r["id"], "status": r["status"], "artifacts": r["artifacts"]}
             for r in results
         ],
+        "sha256": {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in artifacts},
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return status
 
 
@@ -481,7 +481,7 @@ def _execute_cell(args) -> dict:
         return {"id": cell.id, "status": "ok", "artifacts": artifacts}
     except Exception:
         marker = outdir / f"{cell.id}.FAILED"
-        marker.write_text(traceback.format_exc())
+        write_atomic(marker, traceback.format_exc())
         return {"id": cell.id, "status": "failed", "artifacts": [marker.name]}
 
 

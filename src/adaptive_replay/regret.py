@@ -189,7 +189,7 @@ def _run_single(
             state.record_full(row)
         else:
             sampled = np.unique(rng.choice(capacity, size=batch, p=p))
-            state.record_feedback(sampled, {int(i): float(row[i]) for i in sampled}, p)
+            state.record_feedback(sampled, row[sampled], p[sampled])
         state.maybe_reset()
     return RegretLedger.from_sequence(d_matrix, realized)
 

@@ -3,10 +3,13 @@
 Every file starts with ``# schema=<name>.v<N>`` followed by optional comment
 metadata lines, then an exact, versioned header row.  Floats are written with
 shortest-roundtrip formatting so identical runs produce identical bytes.
+Every file goes through :func:`write_atomic`, so a run killed midway leaves
+either no file or a whole one.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -64,6 +67,19 @@ def csv_text(
     return "\n".join(lines) + "\n"
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file next to ``path`` and ``os.replace`` it there:
+    ``path`` is the old file or the whole new one, and a failed write leaves no temp."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(
     path: Path,
     schema: str,
@@ -71,7 +87,7 @@ def write_csv(
     rows: Iterable[Sequence],
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    path.write_text(csv_text(schema, header, rows, metadata))
+    write_atomic(path, csv_text(schema, header, rows, metadata))
 
 
 def write_trace(path: Path, trace: TrainingTrace, config_echo: Mapping[str, str] | None = None) -> None:
@@ -169,7 +185,7 @@ def metrics_text(rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> 
 
 
 def write_metrics(path: Path, rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> None:
-    path.write_text(metrics_text(rows))
+    write_atomic(path, metrics_text(rows))
 
 
 def write_variance(path: Path, comparisons, metadata=None) -> None:

@@ -20,7 +20,6 @@ index (``WeightedStore.probabilities``), and ``record_feedback`` only those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -116,34 +115,34 @@ class SamplerState:
         p = (1.0 - cfg.kappa) * scores / scores.sum() + cfg.kappa / cfg.capacity
         return p
 
-    def record_feedback(
-        self,
-        sampled: Iterable[int],
-        d: Mapping[int, float],
-        p_used: np.ndarray | Mapping[int, float],
-    ) -> None:
-        """Accumulate inverse-probability-weighted losses and advance the step counter.
+    def record_feedback(self, slots, d, p_used) -> None:
+        """Add ``d / p_used`` to the accumulators of ``slots``; advance the step counter.
 
-        ``w(i) += d[i] / p_used[i]`` for each sampled slot; untouched slots keep
-        their value.  ``d`` must assign a finite non-negative loss to exactly
-        the sampled slots, and ``p_used`` (a dense vector or a slot -> p mapping,
-        read only at the sampled slots) gives the probabilities they were drawn
-        with, so the weighted contribution is an unbiased estimate of the full
-        loss vector.
+        Aligned 1-d arrays: distinct in-range slots, their finite non-negative
+        losses, and the probabilities they were drawn with, which makes the
+        update an unbiased estimate of the full loss vector.
         """
-        sampled = set(sampled)
-        if set(d) != sampled:
-            raise ValueError("d must be defined on exactly the sampled slots")
-        for i in sampled:
-            if not 0 <= i < self.config.capacity:
-                raise ValueError(f"slot index {i} out of range")
-            value = float(d[i])
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"loss for slot {i} must be finite and non-negative, got {value}")
-            p_i = float(p_used[i])
-            if p_i <= 0.0:
-                raise ValueError(f"sampled slot {i} has zero probability in p_used")
-            self.w[i] += value / p_i
+        slots = np.asarray(slots, dtype=np.int64)
+        d, p_used = np.asarray(d, dtype=np.float64), np.asarray(p_used, dtype=np.float64)
+        if slots.ndim != 1 or not d.shape == p_used.shape == slots.shape:
+            shapes = f"{slots.shape}, {d.shape} and {p_used.shape}"
+            raise ValueError(f"slots, d and p_used must be aligned 1-d arrays, got {shapes}")
+        ordered = np.sort(slots)
+        if len(ordered) and not 0 <= ordered[0] <= ordered[-1] < self.config.capacity:
+            i = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"slot index {i} out of range")
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValueError(f"duplicate slot {repeated[0]} in slots")
+        bad = ~(np.isfinite(d) & (d >= 0))
+        if bad.any():
+            i = bad.argmax()
+            raise ValueError(f"loss for slot {slots[i]} must be finite and non-negative, got {d[i]}")
+        # A NaN fails the comparison, so it is rejected with the zeros.
+        bad = ~(p_used > 0)
+        if bad.any():
+            raise ValueError(f"sampled slot {slots[bad.argmax()]} has zero probability in p_used")
+        self.w[slots] += d / p_used
         self.step += 1
 
     def record_full(self, d: np.ndarray) -> None:

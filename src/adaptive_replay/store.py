@@ -169,11 +169,8 @@ class WeightedStore(TrajectoryBatch):
     def warmed_up(self) -> bool:
         return self.occupancy == self.capacity
 
-    def update_scores(self, sampler: SamplerState, slots: np.ndarray | None = None) -> None:
-        """Refresh index scores ``sqrt(w + nu)`` for the given slots (all if None)."""
-        if slots is None:
-            self.rebuild_index(sampler)
-            return
+    def update_scores(self, sampler: SamplerState, slots: np.ndarray) -> None:
+        """Refresh index scores ``sqrt(w + nu)`` for the given slots."""
         slots = np.unique(np.asarray(slots, dtype=np.int64))
         self.tree.set_many(slots, np.sqrt(sampler.w[slots] + sampler.config.nu))
 

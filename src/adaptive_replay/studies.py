@@ -67,7 +67,7 @@ def learn_distribution(
     for _ in range(steps):
         p = sampler.distribution()
         drawn = np.unique(store.sample_mixture(sampler.config.kappa, batch, rng))
-        sampler.record_feedback(drawn, {int(i): float(d[i]) for i in drawn}, p)
+        sampler.record_feedback(drawn, d[drawn], p[drawn])
         store.update_scores(sampler, drawn)
     return sampler.distribution()
 

@@ -155,9 +155,7 @@ class _AccumulatorStrategy:
         self.kappa = sampler.config.kappa
 
     def after_update(self, unique_slots, d, p_used) -> bool:
-        slots = unique_slots.tolist()
-        p = dict(zip(slots, p_used.tolist()))
-        self.sampler.record_feedback(slots, dict(zip(slots, d.tolist())), p)
+        self.sampler.record_feedback(unique_slots, d, p_used)
         self.store.update_scores(self.sampler, unique_slots)
         if self.periodic_reset and self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
@@ -231,9 +229,6 @@ class _TDPriorityStrategy:
         score = float(self._scores(np.array([priority]))[0])
         slot = self.store.insert(episode, self.sampler, rng, kappa=self.kappa, score=score)
         self.priorities[slot] = priority
-
-    def epoch_reset(self) -> None:
-        raise NotImplementedError("td_priority has no epoch variant")
 
 
 def _make_strategy(config: TrainingConfig, sampler, store, env):
@@ -382,16 +377,3 @@ def _epoch_loop(state: _LoopState) -> None:
             t += 1
             state.update_policy()
             state.maybe_eval(t)
-
-
-def run_group(
-    env_factory,
-    base_config: TrainingConfig,
-    seeds,
-) -> list[TrainingTrace]:
-    """Run one trace per seed with an otherwise identical configuration."""
-    traces = []
-    for seed in seeds:
-        config = replace(base_config, seed=int(seed))
-        traces.append(run_training(env_factory(), config))
-    return traces

@@ -378,7 +378,8 @@ def test_criterion_11_store_correctness_and_speed():
         if op == 0:
             slots = np.unique(rng.integers(0, capacity, 4))
             p = sampler.distribution()
-            sampler.record_feedback(slots, {int(i): float(rng.uniform(0, 5)) for i in slots}, p)
+            losses = np.array([rng.uniform(0, 5) for _ in slots])
+            sampler.record_feedback(slots, losses, p[slots])
             store.update_scores(sampler, slots)
         else:
             store.insert(random_traj(rng, policy, 3), sampler, rng)

@@ -1,5 +1,6 @@
 """Config parsing, suite execution, CSV schemas, determinism, and the CLI."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,10 @@ from adaptive_replay.reporting import (
     METRICS_HEADER,
     REGRET_HEADER,
     TRACE_HEADER,
+    TRACE_SCHEMA,
     read_trace,
+    write_atomic,
+    write_csv,
     write_metrics,
 )
 from adaptive_replay.studies import learned_vs_uniform_variance
@@ -285,6 +289,23 @@ class TestRunSuite:
         assert manifest["package_version"]
         assert all(cell["status"] == "ok" for cell in manifest["cells"])
 
+    def test_manifest_records_sha256_of_every_artifact(self, tmp_path):
+        spec = rl_spec(seeds=(1,), modes=("uniform", "adaptive"))
+        assert run_suite(spec, out=str(tmp_path)) == 0
+        digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
+        written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+        assert set(digests) == written
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_failed_cell_marker_has_digest_and_no_temp_files(self, tmp_path):
+        spec = rl_spec(seeds=(1,), modes=("uniform",))
+        spec.options["batch_size"] = 40  # invalid: batch > capacity
+        assert run_suite(spec, out=str(tmp_path)) == 1
+        digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
+        assert set(digests) == {p.name for p in tmp_path.glob("*.FAILED")}
+        assert not list(tmp_path.glob(".*"))
+
     def test_parallel_workers_match_serial(self, tmp_path):
         spec = rl_spec(seeds=(1, 2), modes=("uniform", "adaptive"))
         run_suite(spec, out=str(tmp_path / "serial"), workers=1)
@@ -293,6 +314,47 @@ class TestRunSuite:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+
+class TestAtomicWrites:
+    """A writer that fails midway leaves no partial target and no temp file."""
+
+    @staticmethod
+    def rows_failing_after(n):
+        for i in range(n):
+            yield (i, float(i))
+        raise RuntimeError("writer failed midway")
+
+    def test_failing_rows_leave_nothing(self, tmp_path):
+        target = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="midway"):
+            write_csv(target, TRACE_SCHEMA, "a,b", self.rows_failing_after(3))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_leaves_no_target_and_no_temp(self, tmp_path, monkeypatch):
+        def half_write(path, data):
+            with open(path, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+        target = tmp_path / "trace.csv"
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(target, TRACE_SCHEMA, "a,b", [(1, 2.0), (3, 4.0)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "manifest.json"
+        write_atomic(target, "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("adaptive_replay.reporting.os.replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestTraceRoundtrip:

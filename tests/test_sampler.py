@@ -96,40 +96,82 @@ class TestDistribution:
 class TestFeedback:
     def test_inverse_probability_weighting(self):
         state = make_state([0.0, 0.0], nu=1.0, kappa=0.0)
-        state.record_feedback({0}, {0: 2.0}, np.array([0.5, 0.5]))
+        state.record_feedback(np.array([0]), np.array([2.0]), np.array([0.5]))
         np.testing.assert_allclose(state.w, [4.0, 0.0])
         assert state.step == 1
 
     def test_empty_feedback_only_advances_step(self):
         state = make_state([1.0, 2.0])
-        state.record_feedback(set(), {}, np.array([0.5, 0.5]))
+        state.record_feedback(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
         np.testing.assert_array_equal(state.w, [1.0, 2.0])
         assert state.step == 1
 
     def test_zero_loss_adds_nothing(self):
         state = make_state([1.0, 1.0])
-        state.record_feedback({1}, {1: 0.0}, np.array([0.3, 0.7]))
+        state.record_feedback(np.array([1]), np.array([0.0]), np.array([0.7]))
         np.testing.assert_array_equal(state.w, [1.0, 1.0])
 
     def test_negative_loss_rejected(self):
         state = make_state([0.0, 0.0])
         with pytest.raises(ValueError, match="non-negative"):
-            state.record_feedback({0}, {0: -1.0}, np.array([0.5, 0.5]))
+            state.record_feedback(np.array([0]), np.array([-1.0]), np.array([0.5]))
 
     def test_non_finite_loss_rejected(self):
         state = make_state([0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            state.record_feedback({0}, {0: np.nan}, np.array([0.5, 0.5]))
+            state.record_feedback(np.array([0]), np.array([np.nan]), np.array([0.5]))
 
     def test_zero_probability_on_sampled_slot_rejected(self):
         state = make_state([0.0, 0.0])
         with pytest.raises(ValueError, match="zero probability"):
-            state.record_feedback({0}, {0: 1.0}, np.array([0.0, 1.0]))
+            state.record_feedback(np.array([0]), np.array([1.0]), np.array([0.0]))
 
     def test_losses_must_cover_exactly_the_sampled_slots(self):
         state = make_state([0.0, 0.0])
-        with pytest.raises(ValueError, match="exactly"):
-            state.record_feedback({0}, {0: 1.0, 1: 1.0}, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="aligned"):
+            state.record_feedback(np.array([0]), np.array([1.0, 1.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="aligned"):
+            state.record_feedback(np.array([0, 1]), np.ones(2), np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="aligned"):
+            state.record_feedback(np.array([[0, 1]]), np.ones((1, 2)), np.full((1, 2), 0.5))
+
+    def test_duplicate_slot_rejected_before_any_write(self):
+        # A fancy-index add would keep only one of a repeated slot's terms.
+        state = make_state([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="duplicate slot 2"):
+            state.record_feedback(np.array([2, 0, 2]), np.ones(3), np.full(3, 0.5))
+        np.testing.assert_array_equal(state.w, [1.0, 2.0, 3.0])
+        assert state.step == 0
+
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_out_of_range_slot_rejected(self, slot):
+        state = make_state([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"slot index {slot} out of range"):
+            state.record_feedback(np.array([1, slot]), np.ones(2), np.full(2, 0.5))
+
+    def test_rejections_name_the_slot(self):
+        state = make_state([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="loss for slot 2 must be finite"):
+            state.record_feedback(np.array([0, 2]), np.array([1.0, np.nan]), np.full(2, 0.5))
+        with pytest.raises(ValueError, match="slot 1 has zero probability"):
+            state.record_feedback(np.array([0, 1]), np.ones(2), np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="slot 1 has zero probability"):
+            state.record_feedback(np.array([0, 1]), np.ones(2), np.array([0.5, np.nan]))
+        np.testing.assert_array_equal(state.w, [0.0, 0.0, 0.0])
+
+    def test_matches_per_slot_loop_bit_for_bit(self):
+        # Reference: the scalar update ``w[i] += d[i] / p[i]``, one slot at a time.
+        rng = np.random.default_rng(3)
+        state = make_state(rng.uniform(0, 10, 50))
+        reference = state.w.copy()
+        for _ in range(200):
+            slots = rng.permutation(50)[: rng.integers(0, 9)]
+            d, p = 10.0 ** rng.uniform(-3, 3, (2, len(slots)))
+            state.record_feedback(slots, d, p / 1e3)
+            for i, d_i, p_i in zip(slots.tolist(), d.tolist(), (p / 1e3).tolist()):
+                reference[i] += d_i / p_i
+        np.testing.assert_array_equal(state.w, reference)
+        assert state.step == 200
 
     def test_unbiased_per_slot_over_many_draws(self):
         # Monte Carlo oracle: with slots drawn from p, the mean contribution
@@ -147,7 +189,7 @@ class TestFeedback:
 
         state = make_state(np.zeros(n), kappa=0.0)
         for i in slots[:1000]:
-            state.record_feedback({int(i)}, {int(i): float(d[i])}, p)
+            state.record_feedback(np.array([i]), d[[i]], p[[i]])
         assert state.step == 1000
 
     def test_full_information_feedback(self):

@@ -277,9 +277,8 @@ class TestIndexMaintenance:
             if op == 0:
                 slots = np.unique(rng.integers(0, capacity, 4))
                 p = sampler.distribution()
-                sampler.record_feedback(
-                    slots, {int(i): float(rng.uniform(0, 5)) for i in slots}, p
-                )
+                losses = np.array([rng.uniform(0, 5) for _ in slots])
+                sampler.record_feedback(slots, losses, p[slots])
                 store.update_scores(sampler, slots)
             elif op == 1:
                 store.insert(make_traj(rng), sampler, rng)
@@ -321,8 +320,8 @@ class TestStoreProbabilities:
                 slots = np.unique(store.sample_mixture(kappa, 4, rng))
                 p_used = store.probabilities(slots, kappa)
                 np.testing.assert_allclose(p_used, sampler.distribution()[slots], rtol=1e-12)
-                losses = {int(i): float(rng.uniform(0, 50)) for i in slots}
-                sampler.record_feedback(slots, losses, dict(zip(slots.tolist(), p_used)))
+                losses = np.array([rng.uniform(0, 50) for _ in slots])
+                sampler.record_feedback(slots, losses, p_used)
                 store.update_scores(sampler, slots)
             elif op == 1:
                 store.insert(make_traj(rng), sampler, rng)
@@ -388,9 +387,8 @@ class TestLongRunInvariants:
             if op < 0.6:  # one replay update: sample, feedback, index update, reset
                 slots = np.unique(store.sample_mixture(kappa, 8, rng))
                 p_used = store.probabilities(slots, kappa)
-                keys = slots.tolist()
-                losses = dict(zip(keys, (10.0 ** rng.uniform(-2, 3, len(keys))).tolist()))
-                sampler.record_feedback(keys, losses, dict(zip(keys, p_used.tolist())))
+                losses = 10.0 ** rng.uniform(-2, 3, len(slots))
+                sampler.record_feedback(slots, losses, p_used)
                 store.update_scores(sampler, slots)
                 if sampler.maybe_reset():
                     store.rebuild_index(sampler)
