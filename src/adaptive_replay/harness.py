@@ -28,7 +28,7 @@ import json
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,13 @@ _FAMILY_DEFAULTS = {
 
 @dataclass
 class ExperimentSpec:
+    """A parsed experiment: family, seeds, sweeps, sampler values and family options.
+
+    Construction builds, for every cell, the sampler and training configs that
+    the cell will run with, so a value those configs reject is rejected here,
+    named by its ``section.key``.
+    """
+
     family: str = "regret_synthetic"
     seeds: tuple[int, ...] = (0,)
     output_dir: str = "runs"
@@ -122,9 +129,13 @@ class ExperimentSpec:
             raise ValueError("experiment.seeds must not be empty")
         self.sampler = {**_SAMPLER_DEFAULTS, **self.sampler}
         self.options = {**_FAMILY_DEFAULTS[self.family], **self.options}
-        if self.family == "rl_comparison":
-            for _, overrides in self.sweep:
-                _check_epoch_budget(_apply_sweep(self, overrides)[1])
+        for _, overrides in self.sweep:
+            # Scenarios may override some sampler values, so check the section
+            # as written too; no sampler rule depends on the capacity.
+            _build("sampler", SamplerConfig, **_apply_sweep(self, overrides)[0], capacity=1)
+        for cell in _build_cells(self):
+            if cell.kind in _CELL_CONFIGS:
+                _CELL_CONFIGS[cell.kind](cell.params)
 
     def echo(self) -> dict[str, str]:
         """Flat, sorted key=value view of the spec for manifests and comments."""
@@ -158,18 +169,6 @@ def _family_section(family: str) -> str:
 
 # --- config file parsing --------------------------------------------------------
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
@@ -178,30 +177,9 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _in_range(low, high):
-    def check(value, key):
-        if not low <= value <= high:
-            raise ValueError(f"{key}={value} out of range [{low}, {high}]")
-
-    return check
-
-
 def _positive(value, key):
     if value <= 0:
         raise ValueError(f"{key}={value} must be positive")
-
-
-def _non_negative(value, key):
-    if value < 0:
-        raise ValueError(f"{key}={value} must be >= 0")
-
-
-def _check_epoch_budget(options: dict) -> None:
-    """Only the epoch mode may run zero updates per collected episode."""
-    if options["updates_per_episode"] == 0 and set(options["modes"]) != {"adaptive_epoch"}:
-        raise ValueError(
-            "training.updates_per_episode=0 is allowed only when modes = adaptive_epoch"
-        )
 
 
 def _one_of(*allowed):
@@ -212,54 +190,36 @@ def _one_of(*allowed):
     return check
 
 
+# Each key's converter.  Sampler and training values are checked by the config
+# objects the cells build (see ``ExperimentSpec``), the other keys by ``_CHECKS``.
 _SCHEMA = {
-    "experiment": {
-        "family": (_parse_str, _one_of(*FAMILIES)),
-        "seeds": (_parse_int_list, None),
-        "output_dir": (_parse_str, None),
-    },
+    "experiment": {"family": str.strip, "seeds": _parse_int_list, "output_dir": str.strip},
     "sampler": {
-        "kappa": (_parse_float, _in_range(0.0, 1.0)),
-        "nu": (_parse_float, _positive),
-        "reset_period": (_parse_int, _positive),
-        "reset_mode": (_parse_str, _one_of("hard", "soft", "annealed_soft")),
-        "rho": (_parse_float, _in_range(0.0, 1.0)),
-        "rho_start": (_parse_float, _in_range(0.0, 1.0)),
-        "rho_end": (_parse_float, _in_range(0.0, 1.0)),
-        "anneal_steps": (_parse_int, _positive),
+        "kappa": float, "nu": float, "reset_period": int, "reset_mode": str.strip,
+        "rho": float, "rho_start": float, "rho_end": float, "anneal_steps": int,
     },
     "regret": {
-        "scenario": (_parse_str, _one_of("stationary", "bandit_rate", "drifting")),
-        "capacity": (_parse_int, _positive),
-        "horizons": (_parse_int_list, None),
-        "batch": (_parse_int, _positive),
-        "drift_replace": (_parse_int, _positive),
-        "naive_reset": (_parse_int, _positive),
+        "scenario": str.strip, "capacity": int, "horizons": _parse_int_list,
+        "batch": int, "drift_replace": int, "naive_reset": int,
     },
     "training": {
-        "envs": (_parse_str_list, None),
-        "modes": (_parse_str_list, None),
-        "total_steps": (_parse_int, _positive),
-        "batch_size": (_parse_int, _positive),
-        "buffer_capacity": (_parse_int, _positive),
-        "learning_rate": (_parse_float, _positive),
-        "eval_every": (_parse_int, _positive),
-        "eval_episodes": (_parse_int, _positive),
-        "probe_every": (_parse_int, _non_negative),
-        "probe_repeats": (_parse_int, _positive),
-        "updates_per_episode": (_parse_int, _non_negative),
+        "envs": _parse_str_list, "modes": _parse_str_list, "total_steps": int,
+        "batch_size": int, "buffer_capacity": int, "learning_rate": float, "eval_every": int,
+        "eval_episodes": int, "probe_every": int, "probe_repeats": int, "updates_per_episode": int,
     },
-    "variance": {
-        "constructions": (_parse_int, _positive),
-        "capacity": (_parse_int, _positive),
-        "batch": (_parse_int, _positive),
-        "repeats": (_parse_int, _positive),
-        "orders": (_parse_float, _positive),
-    },
-    "bench": {
-        "capacity": (_parse_int, _positive),
-        "batch": (_parse_int, _positive),
-        "rounds": (_parse_int, _positive),
+    "variance": {"constructions": int, "capacity": int, "batch": int, "repeats": int, "orders": float},
+    "bench": {"capacity": int, "batch": int, "rounds": int},
+}
+
+# Every number of the regret, variance and bench sections is positive.
+_CHECKS = {
+    "experiment.family": _one_of(*FAMILIES),
+    "regret.scenario": _one_of("stationary", "bandit_rate", "drifting"),
+    **{
+        f"{section}.{key}": _positive
+        for section in ("regret", "variance", "bench")
+        for key, convert in _SCHEMA[section].items()
+        if convert in (int, float)
     },
 }
 
@@ -271,72 +231,63 @@ def parse_config(path) -> ExperimentSpec:
     offending key named.  An empty file yields the full-default spec.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = Path(path).read_text()
-    parser.read_string(text)
+    parser.read_string(Path(path).read_text())
 
-    family = "regret_synthetic"
-    seeds: tuple[int, ...] = (0,)
-    output_dir = "runs"
-    sampler: dict = {}
     sections: dict[str, dict] = {}
     sweep: list[tuple[str, dict]] = []
-
     for section in parser.sections():
         if section.startswith("sweep:"):
-            label = section.split(":", 1)[1]
             overrides = {}
-            for key, raw in parser.items(section):
-                overrides[key] = _parse_override(key, raw)
-            sweep.append((label, overrides))
+            for dotted, raw in parser.items(section):
+                sec, _, key = dotted.partition(".")
+                if key not in _SCHEMA.get(sec, {}):
+                    raise ValueError(f"unknown sweep override '{dotted}'")
+                overrides[dotted] = _parse_value(sec, key, raw)
+            sweep.append((section.split(":", 1)[1], overrides))
             continue
         if section not in _SCHEMA:
             raise ValueError(f"unknown config section [{section}]")
-        parsed = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ValueError(f"unknown key '{section}.{key}'")
-            convert, check = _SCHEMA[section][key]
-            try:
-                value = convert(raw)
-            except ValueError as exc:
-                raise ValueError(f"invalid value for '{section}.{key}': {raw!r}") from exc
-            if check is not None:
-                check(value, f"{section}.{key}")
-            parsed[key] = value
-        sections[section] = parsed
+        sections[section] = {key: _parse_value(section, key, raw) for key, raw in parser.items(section)}
 
     experiment = sections.get("experiment", {})
-    family = experiment.get("family", family)
-    seeds = experiment.get("seeds", seeds)
-    output_dir = experiment.get("output_dir", output_dir)
-    sampler = sections.get("sampler", {})
-    options = sections.get(_family_section(family), {})
+    family = experiment.get("family", "regret_synthetic")
     for section in sections:
         if section not in ("experiment", "sampler", _family_section(family)):
-            raise ValueError(
-                f"section [{section}] does not belong to family '{family}'"
-            )
+            raise ValueError(f"section [{section}] does not belong to family '{family}'")
     return ExperimentSpec(
         family=family,
-        seeds=tuple(seeds),
-        output_dir=output_dir,
+        seeds=tuple(experiment.get("seeds", (0,))),
+        output_dir=experiment.get("output_dir", "runs"),
         sweep=tuple(sweep) if sweep else (("base", {}),),
-        sampler=sampler,
-        options=options,
+        sampler=sections.get("sampler", {}),
+        options=sections.get(_family_section(family), {}),
     )
 
 
-def _parse_override(dotted: str, raw: str):
-    if "." not in dotted:
-        raise ValueError(f"sweep override '{dotted}' must be section.key")
-    section, _, key = dotted.partition(".")
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
-        raise ValueError(f"unknown sweep override '{dotted}'")
-    convert, check = _SCHEMA[section][key]
-    value = convert(raw)
+def _parse_value(section: str, key: str, raw: str):
+    """Convert one raw value of ``section.key``; errors name the key."""
+    if key not in _SCHEMA[section]:
+        raise ValueError(f"unknown key '{section}.{key}'")
+    try:
+        value = _SCHEMA[section][key](raw)
+    except ValueError as exc:
+        raise ValueError(f"invalid value for '{section}.{key}': {raw!r}") from exc
+    check = _CHECKS.get(f"{section}.{key}")
     if check is not None:
-        check(value, dotted)
+        check(value, f"{section}.{key}")
     return value
+
+
+def _build(section: str, config_type, **values):
+    """Construct a config; a rule it breaks is re-raised as ``section.<message>``.
+
+    The config messages a spec can trigger start with the offending field, so
+    the re-raised error names the spec key.
+    """
+    try:
+        return config_type(**values)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{exc}") from exc
 
 
 # --- seeding --------------------------------------------------------------------
@@ -364,7 +315,9 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
 
     Cells are independent and may run in parallel; aggregation runs after all
     cells complete.  A failed cell leaves a ``<cell>.FAILED`` marker with the
-    traceback and flips the exit status to 1, but other cells still run.
+    traceback and flips the exit status to 1, but other cells still run; a
+    failed rl aggregation leaves ``metrics.FAILED`` the same way.  A rerun
+    into the same directory removes the markers its successes supersede.
     """
     outdir = resolve_output_dir(spec.output_dir, out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -378,9 +331,16 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
 
     status = 0 if all(r["status"] == "ok" for r in results) else 1
     artifacts = [name for r in results for name in r["artifacts"]]
-    if spec.family == "rl_comparison" and status == 0:
-        _aggregate_rl_metrics(spec, outdir, results)
-        artifacts.append("metrics.csv")
+    if spec.family == "rl_comparison":
+        # Whichever metrics file an earlier run left describes other traces.
+        for stale in ("metrics.csv", "metrics.FAILED"):
+            (outdir / stale).unlink(missing_ok=True)
+        if status == 0:
+            metrics = _run_or_mark(
+                outdir, "metrics", lambda: _aggregate_rl_metrics(spec, outdir, cells)
+            )
+            status = 0 if metrics["status"] == "ok" else 1
+            artifacts += metrics["artifacts"]
     manifest = {
         "package_version": __version__,
         "generator": GENERATOR_ID,
@@ -394,6 +354,22 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
     }
     write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return status
+
+
+def _run_or_mark(outdir: Path, name: str, run) -> dict:
+    """Call ``run()`` for its artifact names; if it raises, write ``<name>.FAILED``.
+
+    The marker holds the traceback.  A success removes the marker an earlier
+    run into ``outdir`` left under the same name.
+    """
+    marker = outdir / f"{name}.FAILED"
+    try:
+        artifacts = run()
+    except Exception:
+        write_atomic(marker, traceback.format_exc())
+        return {"id": name, "status": "failed", "artifacts": [marker.name]}
+    marker.unlink(missing_ok=True)
+    return {"id": name, "status": "ok", "artifacts": artifacts}
 
 
 @dataclass
@@ -476,40 +452,66 @@ def _build_cells(spec: ExperimentSpec) -> list[_Cell]:
 
 def _execute_cell(args) -> dict:
     spec, outdir, cell = args
-    try:
-        artifacts = _CELL_RUNNERS[cell.kind](spec, outdir, cell)
-        return {"id": cell.id, "status": "ok", "artifacts": artifacts}
-    except Exception:
-        marker = outdir / f"{cell.id}.FAILED"
-        write_atomic(marker, traceback.format_exc())
-        return {"id": cell.id, "status": "failed", "artifacts": [marker.name]}
+    return _run_or_mark(outdir, cell.id, lambda: _CELL_RUNNERS[cell.kind](spec, outdir, cell))
 
 
-def _sampler_config(sampler_opts: dict, capacity: int) -> SamplerConfig:
-    return SamplerConfig(capacity=capacity, **sampler_opts)
+# --- cell configs and runners -----------------------------------------------------
 
-
-def _run_rl_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
-    params = cell.params
+def _rl_config(params: dict) -> TrainingConfig:
+    """The TrainingConfig, with its SamplerConfig, that an rl cell trains with."""
     options = params["options"]
-    env = ENVIRONMENTS[params["env"]]()
-    mode = params["mode"]
-    config = TrainingConfig(
+    config = _build(
+        "training",
+        TrainingConfig,
         total_steps=options["total_steps"],
         batch_size=options["batch_size"],
         buffer_capacity=options["buffer_capacity"],
         learning_rate=options["learning_rate"],
-        selection_mode=mode,
-        seed=cell_seed(params["seed"], f"rl_{params['env']}_{mode}_{params['label']}"),
+        selection_mode=params["mode"],
+        seed=cell_seed(params["seed"], f"rl_{params['env']}_{params['mode']}_{params['label']}"),
         updates_per_episode=options["updates_per_episode"],
-        sampler=_sampler_config(params["sampler"], options["buffer_capacity"]),
         eval_every=options["eval_every"],
         eval_episodes=options["eval_episodes"],
         probe_every=options["probe_every"],
         probe_repeats=options["probe_repeats"],
     )
-    trace = run_training(env, config)
-    trace.seed = params["seed"]  # report the spec-level seed, not the derived stream
+    sampler = _build("sampler", SamplerConfig, **params["sampler"], capacity=config.buffer_capacity)
+    return replace(config, sampler=sampler)
+
+
+def _regret_configs(params: dict) -> dict[str | None, SamplerConfig]:
+    """The SamplerConfig of each ledger a regret cell writes, keyed by its pattern.
+
+    The drifting scenario contrasts two reset patterns; the others write one
+    ledger, keyed ``None``.
+    """
+    options, T = params["options"], params["T"]
+    capacity = options["capacity"]
+    if T < 1:
+        raise ValueError(f"regret.horizons must be positive, got {T}")
+    if options["scenario"] == "stationary":
+        overrides = {None: {"kappa": 0.0}}
+    elif options["scenario"] == "bandit_rate":
+        overrides = {None: {"kappa": min(1.0, (capacity / T) ** (1.0 / 3.0))}}
+    else:  # drifting: periodic-reset pattern vs per-collection reinitialization
+        adaptive_period = max(2, min(int(np.sqrt(T) / 3.0), int(np.sqrt(capacity - 1))))
+        overrides = {
+            "adaptive": {"reset_period": adaptive_period, "reset_mode": "hard"},
+            "naive": {"reset_period": options["naive_reset"], "reset_mode": "hard"},
+        }
+    return {
+        pattern: _build("sampler", SamplerConfig, **{**params["sampler"], **changed}, capacity=capacity)
+        for pattern, changed in overrides.items()
+    }
+
+
+_CELL_CONFIGS = {"rl": _rl_config, "regret": _regret_configs}
+
+
+def _run_rl_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
+    config = _rl_config(cell.params)
+    trace = run_training(ENVIRONMENTS[cell.params["env"]](), config)
+    trace.seed = cell.params["seed"]  # report the spec-level seed, not the derived stream
     path = outdir / f"{cell.id}.csv"
     write_trace(path, trace, config_echo=spec.echo())
     return [path.name]
@@ -517,48 +519,30 @@ def _run_rl_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
 
 def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
     params = cell.params
-    options = params["options"]
-    T = params["T"]
-    seed = params["seed"]
-    capacity = options["capacity"]
+    options, T, seed = params["options"], params["T"], params["seed"]
     scenario = options["scenario"]
-    sampler_opts = dict(params["sampler"])
-    artifacts = []
-
+    configs = _regret_configs(params)
     if scenario == "stationary":
-        config = _sampler_config({**sampler_opts, "kappa": 0.0}, capacity)
-        generator = stationary_sequence()
-        ledger = run_regret_experiment(generator, config, T, [seed], feedback="full")[0]
-        path = outdir / f"{cell.id}.csv"
-        write_regret(path, seed, ledger, metadata={"scenario": scenario, "feedback": "full"})
-        artifacts.append(path.name)
+        generator, feedback = stationary_sequence(), "full"
     elif scenario == "bandit_rate":
-        kappa = min(1.0, (capacity / T) ** (1.0 / 3.0))
-        config = _sampler_config({**sampler_opts, "kappa": kappa}, capacity)
-        generator = scaled_noise_sequence(orders=2.0)
+        generator, feedback = scaled_noise_sequence(orders=2.0), "bandit"
+    else:
+        interval = configs["adaptive"].reset_period
+        generator = drifting_sequence(interval=interval, n_replace=options["drift_replace"])
+        feedback = "bandit"
+    artifacts = []
+    for pattern, config in configs.items():
         ledger = run_regret_experiment(
-            generator, config, T, [seed], feedback="bandit", batch=options["batch"]
+            generator, config, T, [seed], feedback=feedback, batch=options["batch"]
         )[0]
-        path = outdir / f"{cell.id}.csv"
-        write_regret(path, seed, ledger, metadata={"scenario": scenario, "feedback": "bandit"})
-        artifacts.append(path.name)
-    else:  # drifting: periodic-reset pattern vs per-collection reinitialization
-        adaptive_period = max(2, min(int(np.sqrt(T) / 3.0), int(np.sqrt(capacity - 1))))
-        naive_period = options["naive_reset"]
-        generator = drifting_sequence(interval=adaptive_period, n_replace=options["drift_replace"])
-        for pattern, period in (("adaptive", adaptive_period), ("naive", naive_period)):
-            config = _sampler_config(
-                {**sampler_opts, "reset_period": period, "reset_mode": "hard"}, capacity
-            )
-            ledger = run_regret_experiment(
-                generator, config, T, [seed], feedback="bandit", batch=options["batch"]
-            )[0]
+        if pattern is None:
+            path = outdir / f"{cell.id}.csv"
+            metadata = {"scenario": scenario, "feedback": feedback}
+        else:
             path = outdir / f"{cell.id}_{pattern}.csv"
-            write_regret(
-                path, seed, ledger,
-                metadata={"scenario": scenario, "pattern": pattern, "reset_period": str(period)},
-            )
-            artifacts.append(path.name)
+            metadata = {"scenario": scenario, "pattern": pattern, "reset_period": str(config.reset_period)}
+        write_regret(path, seed, ledger, metadata=metadata)
+        artifacts.append(path.name)
     return artifacts
 
 
@@ -599,22 +583,18 @@ _CELL_RUNNERS = {
 }
 
 
-def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, results) -> None:
-    groups: dict[tuple[str, str, str], list[dict]] = {}
-    for result in results:
-        for name in result["artifacts"]:
-            if not name.startswith("rl_"):
-                continue
-            data = read_trace(outdir / name)
-            label = result["id"].rsplit("_seed", 1)[0]
-            groups.setdefault((label, data["env"], data["mode"]), []).append(data)
-    rows = []
-    for (label, env, mode), traces in sorted(groups.items()):
-        metric = compute_metrics(
-            [t["steps"] for t in traces], [t["returns"] for t in traces]
-        )
-        rows.append((spec.family, label, env, mode, len(traces), metric))
+def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[_Cell]) -> list[str]:
+    """Write ``metrics.csv``: one row per seed group of the cells' trace CSVs."""
+    groups: dict[tuple[str, str, str], list[Path]] = {}
+    for cell in cells:
+        group = (cell.id.rsplit("_seed", 1)[0], cell.params["env"], cell.params["mode"])
+        groups.setdefault(group, []).append(outdir / f"{cell.id}.csv")
+    rows = [
+        (spec.family, label, env, mode, len(paths), metrics_from_traces(paths))
+        for (label, env, mode), paths in sorted(groups.items())
+    ]
     write_metrics(outdir / "metrics.csv", rows)
+    return ["metrics.csv"]
 
 
 def metrics_from_traces(paths, window: int = 10):

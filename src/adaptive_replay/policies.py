@@ -166,7 +166,3 @@ class TabularSoftmaxPolicy(LinearSoftmaxPolicy):
         if logits is not None and np.shape(logits) != (n_states, n_actions):
             raise ValueError("logits shape must be (n_states, n_actions)")
         super().__init__(np.eye(int(n_states)), n_actions, logits)
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.weights

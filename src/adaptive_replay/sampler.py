@@ -79,10 +79,10 @@ class SamplerConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.reset_mode == RESET_ANNEALED_SOFT and (
-            self.anneal_steps is None or self.anneal_steps < 1
-        ):
-            raise ValueError("annealed_soft reset requires anneal_steps >= 1")
+        if self.anneal_steps is not None and self.anneal_steps < 1:
+            raise ValueError(f"anneal_steps must be >= 1, got {self.anneal_steps}")
+        if self.reset_mode == RESET_ANNEALED_SOFT and self.anneal_steps is None:
+            raise ValueError("anneal_steps must be set for the annealed_soft reset")
 
 
 class SamplerState:

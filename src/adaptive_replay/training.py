@@ -63,6 +63,8 @@ class TrainingConfig:
             raise ValueError(f"selection_mode must be one of {MODES}, got {self.selection_mode!r}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ValueError("batch_size must lie in [1, buffer_capacity]")
         if self.learning_rate <= 0:
@@ -75,12 +77,16 @@ class TrainingConfig:
             self.updates_per_episode >= self.buffer_capacity / self.batch_size
         ):
             raise ValueError(
-                "adaptive_epoch requires updates_per_episode < buffer_capacity / batch_size"
+                "updates_per_episode must be < buffer_capacity / batch_size in adaptive_epoch mode"
             )
         if self.warmup_episodes is not None and self.warmup_episodes < self.buffer_capacity:
             raise ValueError("warmup must fill the buffer: warmup_episodes >= buffer_capacity")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        if self.probe_repeats < 2:
+            raise ValueError("probe_repeats must be >= 2")
         if self.probe_every < 0:
             raise ValueError("probe_every must be >= 0")
         if self.probe_every and self.probe_every % self.eval_every != 0:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,67 @@ class TestParseConfig:
     def test_invalid_family_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="family"):
             parse_config(write_spec(tmp_path, "[experiment]\nfamily = nope\n"))
+
+
+RL = "[experiment]\nfamily = rl_comparison\n"
+
+
+def set_both_ways(section, key, value):
+    """A value set in its own section and the same value as a sweep override."""
+    head = RL if section == "training" else ""
+    return [
+        pytest.param(f"{head}[{section}]\n{key} = {value}\n", f"{section}.{key}", id=f"{key}={value}"),
+        pytest.param(
+            f"{head}[sweep:x]\n{section}.{key} = {value}\n", f"{section}.{key}",
+            id=f"sweep-{key}={value}",
+        ),
+    ]
+
+
+# Values an earlier, separate copy of the range rules in the parser rejected.
+_REJECTED = [
+    ("sampler", "kappa", 1.5), ("sampler", "kappa", -0.1), ("sampler", "rho", 1.5),
+    ("sampler", "rho_start", -0.1), ("sampler", "rho_end", 2), ("sampler", "nu", 0),
+    ("sampler", "nu", -1), ("sampler", "reset_period", 0), ("sampler", "anneal_steps", 0),
+    ("training", "probe_every", -50), ("training", "total_steps", 0),
+    ("training", "batch_size", 0), ("training", "buffer_capacity", 0),
+    ("training", "learning_rate", 0), ("training", "learning_rate", -0.5),
+    ("training", "eval_every", 0), ("training", "eval_episodes", 0),
+    ("training", "probe_repeats", 0), ("training", "updates_per_episode", -1),
+]
+
+# Specs that copy accepted and then failed in every cell, or failed unnamed.
+_CELL_FAILURES = [
+    pytest.param(RL + "[training]\nbatch_size = 40\nbuffer_capacity = 8\n", "training.batch_size",
+                 id="batch-over-capacity"),
+    pytest.param("[sampler]\nreset_mode = annealed_soft\n", "sampler.anneal_steps",
+                 id="annealed-without-steps"),
+    pytest.param(RL + "[sweep:x]\ntraining.batch_size = abc\n", "training.batch_size",
+                 id="sweep-not-an-int"),
+    pytest.param(RL + "[training]\nprobe_every = 40\nprobe_repeats = 1\n", "training.probe_repeats",
+                 id="one-probe-repeat"),
+    pytest.param(RL + "[training]\nmodes = adaptive_epoch\nupdates_per_episode = 4\n",
+                 "training.updates_per_episode", id="epoch-budget"),
+    pytest.param("[regret]\nscenario = bandit_rate\n[sampler]\nkappa = 1.5\n", "sampler.kappa",
+                 id="scenario-overridden-kappa"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [case for args in _REJECTED for case in set_both_ways(*args)] + _CELL_FAILURES,
+)
+def test_rejected_values_name_their_key(tmp_path, text, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        parse_config(write_spec(tmp_path, text))
+
+
+def test_readme_spec_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    spec = parse_config(write_spec(tmp_path, block))
+    assert spec.family == "rl_comparison"
+    assert spec.sweep == (("highmix", {"sampler.kappa": 0.5}),)
 
 
 class TestSeeding:
@@ -305,6 +367,35 @@ class TestRunSuite:
         digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
         assert set(digests) == {p.name for p in tmp_path.glob("*.FAILED")}
         assert not list(tmp_path.glob(".*"))
+
+    def test_short_trace_marks_metrics_and_still_writes_manifest(self, tmp_path):
+        # 4 evaluation points are fewer than the metric windows.
+        spec = rl_spec(seeds=(1,), modes=("uniform",), total_steps=20, eval_every=5)
+        assert run_suite(spec, out=str(tmp_path)) == 1
+        assert "shorter than the metric windows" in (tmp_path / "metrics.FAILED").read_text()
+        assert not (tmp_path / "metrics.csv").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert all(cell["status"] == "ok" for cell in manifest["cells"])
+        assert set(manifest["sha256"]) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+    def test_rerun_removes_stale_cell_markers(self, tmp_path):
+        failing = rl_spec(seeds=(1,), modes=("uniform", "adaptive"))
+        failing.options["batch_size"] = 40  # invalid: batch > capacity
+        assert run_suite(failing, out=str(tmp_path)) == 1
+        assert len(list(tmp_path.glob("*.FAILED"))) == 2
+        assert run_suite(rl_spec(seeds=(1,), modes=("uniform", "adaptive")), out=str(tmp_path)) == 0
+        assert not list(tmp_path.glob("*.FAILED"))
+        digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
+        assert set(digests) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+    def test_rerun_replaces_the_other_metrics_outcome(self, tmp_path):
+        good = rl_spec(seeds=(1,), modes=("uniform",))
+        short = rl_spec(seeds=(1,), modes=("uniform",), total_steps=20, eval_every=5)
+        assert run_suite(good, out=str(tmp_path)) == 0
+        assert run_suite(short, out=str(tmp_path)) == 1
+        assert (tmp_path / "metrics.FAILED").exists() and not (tmp_path / "metrics.csv").exists()
+        assert run_suite(good, out=str(tmp_path)) == 0
+        assert (tmp_path / "metrics.csv").exists() and not (tmp_path / "metrics.FAILED").exists()
 
     def test_parallel_workers_match_serial(self, tmp_path):
         spec = rl_spec(seeds=(1, 2), modes=("uniform", "adaptive"))

@@ -243,6 +243,11 @@ class TestResets:
         with pytest.raises(ValueError, match="anneal_steps"):
             SamplerConfig(capacity=2, reset_mode="annealed_soft")
 
+    def test_schedule_length_must_be_positive_in_any_mode(self):
+        for mode in ("hard", "soft", "annealed_soft"):
+            with pytest.raises(ValueError, match="anneal_steps must be >= 1"):
+                SamplerConfig(capacity=2, reset_mode=mode, anneal_steps=0)
+
 
 def lambda_ratio(p, k):
     """The weight ``1 / (p(k) n)`` that the replay gradient gives one draw of

@@ -64,6 +64,14 @@ class TestConfigValidation:
                 total_steps=10, batch_size=2, buffer_capacity=8, eval_every=125, probe_every=-250
             )
 
+    @pytest.mark.parametrize(
+        "field, value", [("buffer_capacity", 0), ("eval_episodes", 0), ("probe_repeats", 1)]
+    )
+    def test_counts_below_their_minimum_rejected_by_name(self, field, value):
+        kwargs = {"total_steps": 10, "batch_size": 1, "buffer_capacity": 8, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainingConfig(**kwargs)
+
     def test_zero_updates_per_episode_only_for_epoch_mode(self):
         with pytest.raises(ValueError, match="updates_per_episode"):
             TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, updates_per_episode=0)
