@@ -23,6 +23,7 @@ rerun with the same spec and seed reproduces its artifacts byte for byte.
 from __future__ import annotations
 
 import configparser
+import glob
 import hashlib
 import json
 import os
@@ -360,12 +361,16 @@ def _run_or_mark(outdir: Path, name: str, run) -> dict:
     """Call ``run()`` for its artifact names; if it raises, write ``<name>.FAILED``.
 
     The marker holds the traceback.  A success removes the marker an earlier
-    run into ``outdir`` left under the same name.
+    run into ``outdir`` left under the same name; a failure removes the
+    artifacts an earlier success left, ``<name>.csv`` and the per-pattern
+    ``<name>_<pattern>.csv``, so the directory agrees with the manifest.
     """
     marker = outdir / f"{name}.FAILED"
     try:
         artifacts = run()
     except Exception:
+        for stale in [outdir / f"{name}.csv", *outdir.glob(f"{glob.escape(name)}_*.csv")]:
+            stale.unlink(missing_ok=True)
         write_atomic(marker, traceback.format_exc())
         return {"id": name, "status": "failed", "artifacts": [marker.name]}
     marker.unlink(missing_ok=True)
@@ -494,6 +499,11 @@ def _regret_configs(params: dict) -> dict[str | None, SamplerConfig]:
     elif options["scenario"] == "bandit_rate":
         overrides = {None: {"kappa": min(1.0, (capacity / T) ** (1.0 / 3.0))}}
     else:  # drifting: periodic-reset pattern vs per-collection reinitialization
+        if options["drift_replace"] > capacity:
+            raise ValueError(
+                f"regret.drift_replace must be <= regret.capacity ({capacity}), "
+                f"got {options['drift_replace']}"
+            )
         adaptive_period = max(2, min(int(np.sqrt(T) / 3.0), int(np.sqrt(capacity - 1))))
         overrides = {
             "adaptive": {"reset_period": adaptive_period, "reset_mode": "hard"},

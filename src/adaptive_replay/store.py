@@ -170,8 +170,11 @@ class WeightedStore(TrajectoryBatch):
         return self.occupancy == self.capacity
 
     def update_scores(self, sampler: SamplerState, slots: np.ndarray) -> None:
-        """Refresh index scores ``sqrt(w + nu)`` for the given slots."""
-        slots = np.unique(np.asarray(slots, dtype=np.int64))
+        """Refresh index scores ``sqrt(w + nu)`` for the given slots.
+
+        ``slots`` must be distinct, as ``record_feedback`` requires of the
+        same slots; their order is the order of the index's additions.
+        """
         self.tree.set_many(slots, np.sqrt(sampler.w[slots] + sampler.config.nu))
 
     def rebuild_index(self, sampler: SamplerState) -> None:

@@ -194,6 +194,8 @@ _CELL_FAILURES = [
                  "training.updates_per_episode", id="epoch-budget"),
     pytest.param("[regret]\nscenario = bandit_rate\n[sampler]\nkappa = 1.5\n", "sampler.kappa",
                  id="scenario-overridden-kappa"),
+    pytest.param("[regret]\nscenario = drifting\ncapacity = 4\ndrift_replace = 6\n",
+                 "regret.drift_replace", id="drift-replace-over-capacity"),
 ]
 
 
@@ -385,6 +387,31 @@ class TestRunSuite:
         assert len(list(tmp_path.glob("*.FAILED"))) == 2
         assert run_suite(rl_spec(seeds=(1,), modes=("uniform", "adaptive")), out=str(tmp_path)) == 0
         assert not list(tmp_path.glob("*.FAILED"))
+        digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
+        assert set(digests) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+    def test_failed_rerun_removes_the_earlier_success(self, tmp_path):
+        assert run_suite(rl_spec(seeds=(1,), modes=("uniform",)), out=str(tmp_path)) == 0
+        failing = rl_spec(seeds=(1,), modes=("uniform",))
+        failing.options["batch_size"] = 40  # invalid: batch > capacity
+        assert run_suite(failing, out=str(tmp_path)) == 1
+        assert {p.name for p in tmp_path.glob("rl_*")} == {
+            "rl_two_state_bandit_uniform_base_seed1.FAILED"
+        }
+        digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
+        assert set(digests) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+
+    def test_failed_rerun_removes_the_earlier_pattern_ledgers(self, tmp_path):
+        spec = ExperimentSpec(
+            family="regret_synthetic",
+            seeds=(0,),
+            options={"scenario": "drifting", "capacity": 16, "horizons": (80,), "batch": 4},
+        )
+        assert run_suite(spec, out=str(tmp_path)) == 0
+        assert len(list(tmp_path.glob("regret_*.csv"))) == 2
+        spec.options["drift_replace"] = 20  # invalid: more than the capacity
+        assert run_suite(spec, out=str(tmp_path)) == 1
+        assert [p.name for p in tmp_path.glob("regret_*")] == ["regret_drifting_base_T80_seed0.FAILED"]
         digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
         assert set(digests) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
 

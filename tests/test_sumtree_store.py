@@ -6,7 +6,7 @@ from scipy import stats
 
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.store import NotReadyError, Trajectory, WeightedStore
-from adaptive_replay.sumtree import SumTree
+from adaptive_replay.sumtree import SCALAR_DESCENT_MAX, SumTree
 
 
 def make_traj(rng, length=3):
@@ -59,6 +59,20 @@ def per_node_set(nodes, padded, index, value):
     while node >= 1:
         nodes[node] += delta
         node >>= 1
+
+
+def per_draw_descent(nodes, padded, capacity, offset):
+    """``SumTree.sample`` of one offset on a node array, one level at a time:
+    go right when the offset reaches the left child's sum, less that sum."""
+    node = 1
+    while node < padded:
+        left = nodes[2 * node]
+        if offset >= left:
+            offset -= left
+            node = 2 * node + 1
+        else:
+            node = 2 * node
+    return min(node - padded, capacity - 1)
 
 
 def assert_row_holds(store, slot, traj):
@@ -138,6 +152,31 @@ class TestSumTree:
             tree.set(index, value)
             per_node_set(expected, padded, index, value)
         np.testing.assert_array_equal(tree._tree, expected)
+
+    @pytest.mark.parametrize("capacity", [1, 3, 5, 37, 65_000])
+    def test_sample_equals_per_draw_descent_bitwise(self, capacity):
+        rng = np.random.default_rng(capacity + 2)
+        # Scores over six decades, with exact zeros where an offset can land on
+        # a boundary; slot 0 is one, so offset 0 tells ">=" from ">".
+        scores = 10.0 ** rng.uniform(-3, 3, capacity)
+        scores[rng.permutation(capacity)[: capacity // 3]] = 0.0
+        if capacity > 1:
+            scores[0] = 0.0
+        padded = 1 << (capacity - 1).bit_length()
+        nodes = per_node_rebuild(capacity, scores)
+        total = nodes[1]
+        tree = SumTree(capacity)
+        tree.rebuild(scores)
+        # Offset ``total`` can land on a padding leaf; the guard maps it back.
+        edges = [0.0, np.nextafter(total, 0.0), total]
+        for batch in (1, 8, 32, 33, 256):
+            u = rng.random(batch) * total
+            u[: min(batch, 3)] = edges[:batch]
+            rng.shuffle(u)
+            expected = [per_draw_descent(nodes, padded, capacity, x) for x in u]
+            np.testing.assert_array_equal(tree.sample(u), expected)
+            chunks = [tree.sample(u[i : i + SCALAR_DESCENT_MAX]) for i in range(0, batch, SCALAR_DESCENT_MAX)]
+            np.testing.assert_array_equal(np.concatenate(chunks), expected)
 
     def test_rejects_wrong_score_count(self):
         with pytest.raises(ValueError, match="scores"):
