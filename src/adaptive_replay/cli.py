@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .bench import run_bench
@@ -25,6 +26,16 @@ from .harness import (
     run_suite,
 )
 from .reporting import metrics_text, write_bench
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
 
     bench_p = sub.add_parser("bench", help="store index micro-benchmarks")
-    bench_p.add_argument("--capacity", type=int, default=1_000_000)
-    bench_p.add_argument("--batch", type=int, default=256)
-    bench_p.add_argument("--rounds", type=int, default=200)
+    bench_p.add_argument("--capacity", type=_positive_int, default=1_000_000)
+    bench_p.add_argument("--batch", type=_positive_int, default=256)
+    bench_p.add_argument("--rounds", type=_positive_int, default=200)
     bench_p.add_argument("--out", default=None, help="also write a bench CSV here")
 
     metrics_p = sub.add_parser("metrics", help="summarize trace CSVs (one seed group)")
@@ -57,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     spec = parse_config(args.spec)
     if args.seed_list:
-        seeds = tuple(int(s) for s in args.seed_list.split(",") if s.strip())
-        spec.seeds = seeds
+        # Replacing, not assigning, re-checks the spec: an empty list is rejected.
+        spec = replace(spec, seeds=tuple(int(s) for s in args.seed_list.split(",") if s.strip()))
     return run_suite(spec, out=args.out, workers=args.workers)
 
 

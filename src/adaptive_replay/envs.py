@@ -155,33 +155,31 @@ def _start_average(env: TabularEnv, value: np.ndarray) -> float:
     return float(env.start_dist @ value)
 
 
-def exact_policy_value(env: TabularEnv, policy) -> float:
-    """Expected discounted return of a stochastic policy, by backward induction."""
-    _check_exact_size(env)
-    probs = policy.prob_table()
+def _backward_induction(env: TabularEnv, state_value) -> float:
+    """Start value after ``horizon`` backups; ``state_value(s, q)`` combines state
+    ``s``'s action values ``q`` into its value."""
     value = np.zeros(env.n_states)
     for _ in range(env.horizon):
         step_value = np.zeros(env.n_states)
         for s in range(env.n_states):
             if env.terminal[s]:
                 continue
-            step_value[s] = probs[s] @ (env.rewards[s] + env.gamma * env.transitions[s] @ value)
+            step_value[s] = state_value(s, env.rewards[s] + env.gamma * env.transitions[s] @ value)
         value = step_value
     return _start_average(env, value)
+
+
+def exact_policy_value(env: TabularEnv, policy) -> float:
+    """Expected discounted return of a stochastic policy, by backward induction."""
+    _check_exact_size(env)
+    probs = policy.prob_table()
+    return _backward_induction(env, lambda s, q: probs[s] @ q)
 
 
 def optimal_value(env: TabularEnv) -> float:
     """Best achievable expected discounted return, by finite-horizon value iteration."""
     _check_exact_size(env)
-    value = np.zeros(env.n_states)
-    for _ in range(env.horizon):
-        step_value = np.zeros(env.n_states)
-        for s in range(env.n_states):
-            if env.terminal[s]:
-                continue
-            step_value[s] = np.max(env.rewards[s] + env.gamma * env.transitions[s] @ value)
-        value = step_value
-    return _start_average(env, value)
+    return _backward_induction(env, lambda s, q: np.max(q))
 
 
 def chain_env(n_states: int = 5, horizon: int = 8, gamma: float = 0.99) -> TabularEnv:

@@ -28,9 +28,11 @@ import hashlib
 import json
 import os
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,60 +62,40 @@ from .training import MODES, TrainingConfig, run_training
 OUTPUT_ROOT_ENV = "ADAPTIVE_REPLAY_OUT"
 GENERATOR_ID = "numpy.random.PCG64"
 
-FAMILIES = ("regret_synthetic", "rl_comparison", "variance_study", "bench")
 
-_SAMPLER_DEFAULTS = {
-    "kappa": 0.1,
-    "nu": 1000.0,
-    "reset_period": 100,
-    "reset_mode": "soft",
-    "rho": 0.9,
-}
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
-_FAMILY_DEFAULTS = {
-    "regret_synthetic": {
-        "scenario": "stationary",
-        "capacity": 16,
-        "horizons": (500, 1000),
-        "batch": 8,
-        "drift_replace": 2,
-        "naive_reset": 2,
-    },
-    "rl_comparison": {
-        "envs": ("two_state_bandit",),
-        "modes": ("uniform", "adaptive"),
-        "total_steps": 400,
-        "batch_size": 4,
-        "buffer_capacity": 16,
-        "learning_rate": 0.2,
-        "eval_every": 20,
-        "eval_episodes": 20,
-        "probe_every": 0,
-        "probe_repeats": 400,
-        "updates_per_episode": 1,
-    },
-    "variance_study": {
-        "constructions": 50,
-        "capacity": 32,
-        "batch": 4,
-        "repeats": 400,
-        "orders": 3.5,
-    },
-    "bench": {
-        "capacity": 1_000_000,
-        "batch": 256,
-        "rounds": 200,
-    },
+
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# The [sampler] keys as (converter, default); a ``None`` default leaves the key
+# to SamplerConfig's own default and out of the echo.  The family sections'
+# keys are in ``_FAMILIES``; the [experiment] defaults are ExperimentSpec's.
+_SAMPLER = {
+    "kappa": (float, 0.1), "nu": (float, 1000.0), "reset_period": (int, 100),
+    "reset_mode": (str.strip, "soft"), "rho": (float, 0.9),
+    "rho_start": (float, None), "rho_end": (float, None), "anneal_steps": (int, None),
 }
+_EXPERIMENT = {"family": str.strip, "seeds": _parse_int_list, "output_dir": str.strip}
+
+# Every number of these sections is positive.  Sampler and training values are
+# checked by the config objects the cells build.
+_POSITIVE_SECTIONS = ("regret", "variance", "bench")
+
+_SCENARIOS = ("stationary", "bandit_rate", "drifting")
 
 
 @dataclass
 class ExperimentSpec:
-    """A parsed experiment: family, seeds, sweeps, sampler values and family options.
+    """An experiment: family, seeds, sweeps, sampler values and family options.
 
-    Construction builds, for every cell, the sampler and training configs that
-    the cell will run with, so a value those configs reject is rejected here,
-    named by its ``section.key``.
+    Construction holds a spec to every rule, whether it was built here or by
+    ``parse_config``, and names the offending ``section.key``: unknown keys,
+    family and scenario names, positive numbers, and, for every cell of every
+    sweep, the sampler and training configs the cell will run with.
     """
 
     family: str = "regret_synthetic"
@@ -124,19 +106,31 @@ class ExperimentSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"experiment.family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"experiment.family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
         if len(self.seeds) == 0:
             raise ValueError("experiment.seeds must not be empty")
-        self.sampler = {**_SAMPLER_DEFAULTS, **self.sampler}
-        self.options = {**_FAMILY_DEFAULTS[self.family], **self.options}
+        family = _FAMILIES[self.family]
+        for section, values in (("sampler", self.sampler), (family.section, self.options)):
+            for key in values:
+                _converter(section, key)
         for _, overrides in self.sweep:
+            for dotted in overrides:
+                _converter(*dotted.partition(".")[::2], kind="sweep override")
+        self.sampler = {**_defaults(_SAMPLER), **self.sampler}
+        self.options = {**_defaults(family.keys), **self.options}
+        for label, overrides in self.sweep:
+            sampler, options = _apply_sweep(self, overrides)
+            for key, value in options.items():
+                number = family.keys[key][0] in (int, float)
+                if number and family.section in _POSITIVE_SECTIONS and value <= 0:
+                    raise ValueError(f"{family.section}.{key}={value} must be positive")
             # Scenarios may override some sampler values, so check the section
             # as written too; no sampler rule depends on the capacity.
-            _build("sampler", SamplerConfig, **_apply_sweep(self, overrides)[0], capacity=1)
-        for cell in _build_cells(self):
-            if cell.kind in _CELL_CONFIGS:
-                _CELL_CONFIGS[cell.kind](cell.params)
+            _build("sampler", SamplerConfig, **sampler, capacity=1)
+            for _, params in family.cells(self, label, sampler, options):
+                if family.configs is not None:
+                    family.configs(params)
 
     def echo(self) -> dict[str, str]:
         """Flat, sorted key=value view of the spec for manifests and comments."""
@@ -147,7 +141,7 @@ class ExperimentSpec:
         }
         for key, value in self.sampler.items():
             flat[f"sampler.{key}"] = _echo_value(value)
-        section = _family_section(self.family)
+        section = _FAMILIES[self.family].section
         for key, value in self.options.items():
             flat[f"{section}.{key}"] = _echo_value(value)
         return dict(sorted(flat.items()))
@@ -159,124 +153,67 @@ def _echo_value(value) -> str:
     return str(value)
 
 
-def _family_section(family: str) -> str:
-    return {
-        "regret_synthetic": "regret",
-        "rl_comparison": "training",
-        "variance_study": "variance",
-        "bench": "bench",
-    }[family]
+def _defaults(keys: dict) -> dict:
+    return {key: default for key, (_, default) in keys.items() if default is not None}
+
+
+def _converter(section: str, key: str, kind: str = "key"):
+    """The converter of ``section.key``; an unknown key is rejected by name."""
+    if section == "experiment" and key in _EXPERIMENT:
+        return _EXPERIMENT[key]
+    keys = _SECTIONS.get(section, {})
+    if key not in keys:
+        raise ValueError(f"unknown {kind} '{section}.{key}'")
+    return keys[key][0]
 
 
 # --- config file parsing --------------------------------------------------------
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _positive(value, key):
-    if value <= 0:
-        raise ValueError(f"{key}={value} must be positive")
-
-
-def _one_of(*allowed):
-    def check(value, key):
-        if value not in allowed:
-            raise ValueError(f"{key}={value!r} must be one of {allowed}")
-
-    return check
-
-
-# Each key's converter.  Sampler and training values are checked by the config
-# objects the cells build (see ``ExperimentSpec``), the other keys by ``_CHECKS``.
-_SCHEMA = {
-    "experiment": {"family": str.strip, "seeds": _parse_int_list, "output_dir": str.strip},
-    "sampler": {
-        "kappa": float, "nu": float, "reset_period": int, "reset_mode": str.strip,
-        "rho": float, "rho_start": float, "rho_end": float, "anneal_steps": int,
-    },
-    "regret": {
-        "scenario": str.strip, "capacity": int, "horizons": _parse_int_list,
-        "batch": int, "drift_replace": int, "naive_reset": int,
-    },
-    "training": {
-        "envs": _parse_str_list, "modes": _parse_str_list, "total_steps": int,
-        "batch_size": int, "buffer_capacity": int, "learning_rate": float, "eval_every": int,
-        "eval_episodes": int, "probe_every": int, "probe_repeats": int, "updates_per_episode": int,
-    },
-    "variance": {"constructions": int, "capacity": int, "batch": int, "repeats": int, "orders": float},
-    "bench": {"capacity": int, "batch": int, "rounds": int},
-}
-
-# Every number of the regret, variance and bench sections is positive.
-_CHECKS = {
-    "experiment.family": _one_of(*FAMILIES),
-    "regret.scenario": _one_of("stationary", "bandit_rate", "drifting"),
-    **{
-        f"{section}.{key}": _positive
-        for section in ("regret", "variance", "bench")
-        for key, convert in _SCHEMA[section].items()
-        if convert in (int, float)
-    },
-}
-
-
 def parse_config(path) -> ExperimentSpec:
     """Parse an INI-style spec: flat sections, ``key = value``, comma lists.
 
-    Unknown sections or keys and out-of-range values are rejected with the
-    offending key named.  An empty file yields the full-default spec.
+    Parsing converts text, naming the key whose value does not convert or
+    whose section does not belong to the family; ``ExperimentSpec`` checks
+    the values.  An empty file yields the full-default spec.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.read_string(Path(path).read_text())
 
     sections: dict[str, dict] = {}
     sweep: list[tuple[str, dict]] = []
-    for section in parser.sections():
-        if section.startswith("sweep:"):
-            overrides = {}
-            for dotted, raw in parser.items(section):
-                sec, _, key = dotted.partition(".")
-                if key not in _SCHEMA.get(sec, {}):
-                    raise ValueError(f"unknown sweep override '{dotted}'")
-                overrides[dotted] = _parse_value(sec, key, raw)
-            sweep.append((section.split(":", 1)[1], overrides))
-            continue
-        if section not in _SCHEMA:
-            raise ValueError(f"unknown config section [{section}]")
-        sections[section] = {key: _parse_value(section, key, raw) for key, raw in parser.items(section)}
+    for name in parser.sections():
+        if name.startswith("sweep:"):
+            overrides = {
+                dotted: _convert(*dotted.partition(".")[::2], raw, kind="sweep override")
+                for dotted, raw in parser.items(name)
+            }
+            sweep.append((name.split(":", 1)[1], overrides))
+        elif name == "experiment" or name in _SECTIONS:
+            sections[name] = {key: _convert(name, key, raw) for key, raw in parser.items(name)}
+        else:
+            raise ValueError(f"unknown config section [{name}]")
 
-    experiment = sections.get("experiment", {})
-    family = experiment.get("family", "regret_synthetic")
-    for section in sections:
-        if section not in ("experiment", "sampler", _family_section(family)):
-            raise ValueError(f"section [{section}] does not belong to family '{family}'")
+    experiment = sections.pop("experiment", {})
+    family = experiment.get("family", ExperimentSpec.family)
+    section = getattr(_FAMILIES.get(family), "section", None)
+    for name in sections:
+        if name not in ("sampler", section):
+            raise ValueError(f"section [{name}] does not belong to family '{family}'")
     return ExperimentSpec(
-        family=family,
-        seeds=tuple(experiment.get("seeds", (0,))),
-        output_dir=experiment.get("output_dir", "runs"),
-        sweep=tuple(sweep) if sweep else (("base", {}),),
+        **experiment,
+        **({"sweep": tuple(sweep)} if sweep else {}),
         sampler=sections.get("sampler", {}),
-        options=sections.get(_family_section(family), {}),
+        options=sections.get(section, {}),
     )
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _convert(section: str, key: str, raw: str, kind: str = "key"):
     """Convert one raw value of ``section.key``; errors name the key."""
-    if key not in _SCHEMA[section]:
-        raise ValueError(f"unknown key '{section}.{key}'")
+    convert = _converter(section, key, kind)
     try:
-        value = _SCHEMA[section][key](raw)
+        return convert(raw)
     except ValueError as exc:
         raise ValueError(f"invalid value for '{section}.{key}': {raw!r}") from exc
-    check = _CHECKS.get(f"{section}.{key}")
-    if check is not None:
-        check(value, f"{section}.{key}")
-    return value
 
 
 def _build(section: str, config_type, **values):
@@ -377,90 +314,50 @@ def _run_or_mark(outdir: Path, name: str, run) -> dict:
     return {"id": name, "status": "ok", "artifacts": artifacts}
 
 
-@dataclass
-class _Cell:
-    id: str
-    kind: str
-    params: dict
-
-
 def _apply_sweep(spec: ExperimentSpec, overrides: dict) -> tuple[dict, dict]:
-    sampler = dict(spec.sampler)
-    options = dict(spec.options)
-    section = _family_section(spec.family)
+    """The sampler values and family options of one sweep label."""
+    sampler, options = dict(spec.sampler), dict(spec.options)
+    targets = {"sampler": sampler, _FAMILIES[spec.family].section: options}
     for dotted, value in overrides.items():
         sec, _, key = dotted.partition(".")
-        if sec == "sampler":
-            sampler[key] = value
-        elif sec == section:
-            options[key] = value
-        else:
+        if sec not in targets:
             raise ValueError(f"sweep override '{dotted}' does not apply to family {spec.family}")
+        targets[sec][key] = value
     return sampler, options
 
 
-def _build_cells(spec: ExperimentSpec) -> list[_Cell]:
-    cells = []
-    for label, overrides in spec.sweep:
-        sampler, options = _apply_sweep(spec, overrides)
-        if spec.family == "rl_comparison":
-            for env_name in options["envs"]:
-                if env_name not in ENVIRONMENTS:
-                    raise ValueError(f"unknown environment '{env_name}'")
-                for mode in options["modes"]:
-                    if mode not in MODES:
-                        raise ValueError(f"unknown selection mode '{mode}'")
-                    for seed in spec.seeds:
-                        cells.append(
-                            _Cell(
-                                id=f"rl_{env_name}_{mode}_{label}_seed{seed}",
-                                kind="rl",
-                                params={
-                                    "env": env_name,
-                                    "mode": mode,
-                                    "label": label,
-                                    "seed": seed,
-                                    "sampler": sampler,
-                                    "options": options,
-                                },
-                            )
-                        )
-        elif spec.family == "regret_synthetic":
-            for T in options["horizons"]:
-                for seed in spec.seeds:
-                    cells.append(
-                        _Cell(
-                            id=f"regret_{options['scenario']}_{label}_T{T}_seed{seed}",
-                            kind="regret",
-                            params={
-                                "T": T,
-                                "label": label,
-                                "seed": seed,
-                                "sampler": sampler,
-                                "options": options,
-                            },
-                        )
-                    )
-        elif spec.family == "variance_study":
-            for seed in spec.seeds:
-                cells.append(
-                    _Cell(
-                        id=f"variance_{label}_seed{seed}",
-                        kind="variance",
-                        params={"label": label, "seed": seed, "options": options},
-                    )
-                )
-        else:
-            cells.append(_Cell(id=f"bench_{label}", kind="bench", params={"label": label, "options": options}))
-    return cells
+def _build_cells(spec: ExperimentSpec) -> list[tuple[str, dict]]:
+    """Every cell of the spec as ``(cell id, params)``, sweep by sweep."""
+    family = _FAMILIES[spec.family]
+    return [
+        cell
+        for label, overrides in spec.sweep
+        for cell in family.cells(spec, label, *_apply_sweep(spec, overrides))
+    ]
 
 
 def _execute_cell(args) -> dict:
-    spec, outdir, cell = args
-    return _run_or_mark(outdir, cell.id, lambda: _CELL_RUNNERS[cell.kind](spec, outdir, cell))
+    spec, outdir, (cell_id, params) = args
+    run = _FAMILIES[spec.family].run
+    return _run_or_mark(outdir, cell_id, lambda: run(spec, outdir, cell_id, params))
 
 
-# --- cell configs and runners -----------------------------------------------------
+# --- families: cells, configs and runners -------------------------------------------
+
+def _rl_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
+    for env in options["envs"]:
+        if env not in ENVIRONMENTS:
+            raise ValueError(f"unknown environment '{env}'")
+        for mode in options["modes"]:
+            if mode not in MODES:
+                raise ValueError(f"unknown selection mode '{mode}'")
+            for seed in spec.seeds:
+                params = {
+                    "env": env, "mode": mode, "label": label, "seed": seed,
+                    "sampler": sampler, "options": options,
+                }
+                yield f"rl_{env}_{mode}_{label}_seed{seed}", params
+
 
 def _rl_config(params: dict) -> TrainingConfig:
     """The TrainingConfig, with its SamplerConfig, that an rl cell trains with."""
@@ -484,121 +381,164 @@ def _rl_config(params: dict) -> TrainingConfig:
     return replace(config, sampler=sampler)
 
 
-def _regret_configs(params: dict) -> dict[str | None, SamplerConfig]:
-    """The SamplerConfig of each ledger a regret cell writes, keyed by its pattern.
+def _run_rl_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: dict) -> list[str]:
+    config = _rl_config(params)
+    trace = run_training(ENVIRONMENTS[params["env"]](), config)
+    trace.seed = params["seed"]  # report the spec-level seed, not the derived stream
+    path = outdir / f"{cell_id}.csv"
+    write_trace(path, trace, config_echo=spec.echo())
+    return [path.name]
 
-    The drifting scenario contrasts two reset patterns; the others write one
-    ledger, keyed ``None``.
+
+def _regret_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
+    scenario = options["scenario"]
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"regret.scenario={scenario!r} must be one of {_SCENARIOS}")
+    for T in options["horizons"]:
+        for seed in spec.seeds:
+            params = {"T": T, "label": label, "seed": seed, "sampler": sampler, "options": options}
+            yield f"regret_{scenario}_{label}_T{T}_seed{seed}", params
+
+
+def _regret_ledgers(params: dict) -> list[tuple]:
+    """``(pattern, SamplerConfig, sequence generator, feedback)`` of each ledger of a regret cell.
+
+    The drifting scenario contrasts the periodic-reset pattern with
+    per-collection reinitialization; the others write one ledger, pattern ``None``.
     """
     options, T = params["options"], params["T"]
     capacity = options["capacity"]
     if T < 1:
         raise ValueError(f"regret.horizons must be positive, got {T}")
+
+    def config(**changed) -> SamplerConfig:
+        return _build("sampler", SamplerConfig, **{**params["sampler"], **changed}, capacity=capacity)
+
     if options["scenario"] == "stationary":
-        overrides = {None: {"kappa": 0.0}}
-    elif options["scenario"] == "bandit_rate":
-        overrides = {None: {"kappa": min(1.0, (capacity / T) ** (1.0 / 3.0))}}
-    else:  # drifting: periodic-reset pattern vs per-collection reinitialization
-        if options["drift_replace"] > capacity:
-            raise ValueError(
-                f"regret.drift_replace must be <= regret.capacity ({capacity}), "
-                f"got {options['drift_replace']}"
-            )
-        adaptive_period = max(2, min(int(np.sqrt(T) / 3.0), int(np.sqrt(capacity - 1))))
-        overrides = {
-            "adaptive": {"reset_period": adaptive_period, "reset_mode": "hard"},
-            "naive": {"reset_period": options["naive_reset"], "reset_mode": "hard"},
-        }
-    return {
-        pattern: _build("sampler", SamplerConfig, **{**params["sampler"], **changed}, capacity=capacity)
-        for pattern, changed in overrides.items()
-    }
+        return [(None, config(kappa=0.0), stationary_sequence(), "full")]
+    if options["scenario"] == "bandit_rate":
+        kappa = min(1.0, (capacity / T) ** (1.0 / 3.0))
+        return [(None, config(kappa=kappa), scaled_noise_sequence(orders=2.0), "bandit")]
+    if options["drift_replace"] > capacity:
+        raise ValueError(
+            f"regret.drift_replace must be <= regret.capacity ({capacity}), "
+            f"got {options['drift_replace']}"
+        )
+    period = max(2, min(int(np.sqrt(T) / 3.0), int(np.sqrt(capacity - 1))))
+    generator = drifting_sequence(interval=period, n_replace=options["drift_replace"])
+    return [
+        ("adaptive", config(reset_period=period, reset_mode="hard"), generator, "bandit"),
+        ("naive", config(reset_period=options["naive_reset"], reset_mode="hard"), generator, "bandit"),
+    ]
 
 
-_CELL_CONFIGS = {"rl": _rl_config, "regret": _regret_configs}
-
-
-def _run_rl_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
-    config = _rl_config(cell.params)
-    trace = run_training(ENVIRONMENTS[cell.params["env"]](), config)
-    trace.seed = cell.params["seed"]  # report the spec-level seed, not the derived stream
-    path = outdir / f"{cell.id}.csv"
-    write_trace(path, trace, config_echo=spec.echo())
-    return [path.name]
-
-
-def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
-    params = cell.params
-    options, T, seed = params["options"], params["T"], params["seed"]
-    scenario = options["scenario"]
-    configs = _regret_configs(params)
-    if scenario == "stationary":
-        generator, feedback = stationary_sequence(), "full"
-    elif scenario == "bandit_rate":
-        generator, feedback = scaled_noise_sequence(orders=2.0), "bandit"
-    else:
-        interval = configs["adaptive"].reset_period
-        generator = drifting_sequence(interval=interval, n_replace=options["drift_replace"])
-        feedback = "bandit"
+def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: dict) -> list[str]:
+    options, seed = params["options"], params["seed"]
     artifacts = []
-    for pattern, config in configs.items():
+    for pattern, config, generator, feedback in _regret_ledgers(params):
         ledger = run_regret_experiment(
-            generator, config, T, [seed], feedback=feedback, batch=options["batch"]
+            generator, config, params["T"], [seed], feedback=feedback, batch=options["batch"]
         )[0]
+        metadata = {"scenario": options["scenario"]}
         if pattern is None:
-            path = outdir / f"{cell.id}.csv"
-            metadata = {"scenario": scenario, "feedback": feedback}
+            name = f"{cell_id}.csv"
+            metadata["feedback"] = feedback
         else:
-            path = outdir / f"{cell.id}_{pattern}.csv"
-            metadata = {"scenario": scenario, "pattern": pattern, "reset_period": str(config.reset_period)}
-        write_regret(path, seed, ledger, metadata=metadata)
-        artifacts.append(path.name)
+            name = f"{cell_id}_{pattern}.csv"
+            metadata.update(pattern=pattern, reset_period=str(config.reset_period))
+        write_regret(outdir / name, seed, ledger, metadata=metadata)
+        artifacts.append(name)
     return artifacts
 
 
-def _run_variance_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
-    options = cell.params["options"]
-    seed = cell.params["seed"]
-    comparisons = []
-    for i in range(options["constructions"]):
-        comparisons.append(
-            learned_vs_uniform_variance(
-                seed=cell_seed(seed, f"variance_{cell.params['label']}_{i}"),
-                capacity=options["capacity"],
-                batch=options["batch"],
-                repeats=options["repeats"],
-                orders=options["orders"],
-            )
+def _variance_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
+    for seed in spec.seeds:
+        yield f"variance_{label}_seed{seed}", {"label": label, "seed": seed, "options": options}
+
+
+def _run_variance_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: dict) -> list[str]:
+    options, seed = params["options"], params["seed"]
+    comparisons = [
+        learned_vs_uniform_variance(
+            seed=cell_seed(seed, f"variance_{params['label']}_{i}"),
+            capacity=options["capacity"],
+            batch=options["batch"],
+            repeats=options["repeats"],
+            orders=options["orders"],
         )
-    path = outdir / f"{cell.id}.csv"
+        for i in range(options["constructions"])
+    ]
+    path = outdir / f"{cell_id}.csv"
     write_variance(path, comparisons, metadata={"base_seed": str(seed)})
     return [path.name]
 
 
-def _run_bench_cell(spec: ExperimentSpec, outdir: Path, cell: _Cell) -> list[str]:
-    options = cell.params["options"]
-    rows = run_bench(
-        capacity=options["capacity"], batch=options["batch"], rounds=options["rounds"]
-    )
-    path = outdir / f"{cell.id}.csv"
+def _bench_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
+    yield f"bench_{label}", {"options": options}
+
+
+def _run_bench_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: dict) -> list[str]:
+    options = params["options"]
+    rows = run_bench(capacity=options["capacity"], batch=options["batch"], rounds=options["rounds"])
+    path = outdir / f"{cell_id}.csv"
     write_bench(path, rows)
     return [path.name]
 
 
-_CELL_RUNNERS = {
-    "rl": _run_rl_cell,
-    "regret": _run_regret_cell,
-    "variance": _run_variance_cell,
-    "bench": _run_bench_cell,
+class _Family(NamedTuple):
+    """One experiment family: its spec section, its keys, and its cells."""
+
+    section: str
+    keys: dict  # key -> (converter, default)
+    cells: Callable  # (spec, label, sampler, options) -> (cell id, params) pairs
+    run: Callable  # (spec, outdir, cell id, params) -> artifact names
+    configs: Callable | None = None  # params -> the cell's configs, built when a spec is checked
+
+
+_FAMILIES = {
+    "regret_synthetic": _Family(
+        "regret",
+        {
+            "scenario": (str.strip, "stationary"), "capacity": (int, 16),
+            "horizons": (_parse_int_list, (500, 1000)), "batch": (int, 8),
+            "drift_replace": (int, 2), "naive_reset": (int, 2),
+        },
+        _regret_cells, _run_regret_cell, _regret_ledgers,
+    ),
+    "rl_comparison": _Family(
+        "training",
+        {
+            "envs": (_parse_str_list, ("two_state_bandit",)),
+            "modes": (_parse_str_list, ("uniform", "adaptive")),
+            "total_steps": (int, 400), "batch_size": (int, 4), "buffer_capacity": (int, 16),
+            "learning_rate": (float, 0.2), "eval_every": (int, 20), "eval_episodes": (int, 20),
+            "probe_every": (int, 0), "probe_repeats": (int, 400), "updates_per_episode": (int, 1),
+        },
+        _rl_cells, _run_rl_cell, _rl_config,
+    ),
+    "variance_study": _Family(
+        "variance",
+        {
+            "constructions": (int, 50), "capacity": (int, 32), "batch": (int, 4),
+            "repeats": (int, 400), "orders": (float, 3.5),
+        },
+        _variance_cells, _run_variance_cell,
+    ),
+    "bench": _Family(
+        "bench",
+        {"capacity": (int, 1_000_000), "batch": (int, 256), "rounds": (int, 200)},
+        _bench_cells, _run_bench_cell,
+    ),
 }
+_SECTIONS = {"sampler": _SAMPLER, **{family.section: family.keys for family in _FAMILIES.values()}}
 
 
-def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[_Cell]) -> list[str]:
+def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[str, dict]]) -> list[str]:
     """Write ``metrics.csv``: one row per seed group of the cells' trace CSVs."""
     groups: dict[tuple[str, str, str], list[Path]] = {}
-    for cell in cells:
-        group = (cell.id.rsplit("_seed", 1)[0], cell.params["env"], cell.params["mode"])
-        groups.setdefault(group, []).append(outdir / f"{cell.id}.csv")
+    for cell_id, params in cells:
+        group = (cell_id.rsplit("_seed", 1)[0], params["env"], params["mode"])
+        groups.setdefault(group, []).append(outdir / f"{cell_id}.csv")
     rows = [
         (spec.family, label, env, mode, len(paths), metrics_from_traces(paths))
         for (label, env, mode), paths in sorted(groups.items())

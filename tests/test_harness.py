@@ -13,6 +13,7 @@ from adaptive_replay import cli
 from adaptive_replay.bench import run_bench
 from adaptive_replay.cli import main as cli_main
 from adaptive_replay.harness import (
+    _FAMILIES,
     ExperimentSpec,
     cell_seed,
     metrics_from_traces,
@@ -206,6 +207,41 @@ _CELL_FAILURES = [
 def test_rejected_values_name_their_key(tmp_path, text, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         parse_config(write_spec(tmp_path, text))
+
+
+# Values a spec built in Python was accepted with before it was held to the
+# rules a parsed spec is: unknown option and sampler keys, and values that only
+# the parser checked.
+_DIRECT_ONLY = [
+    ("regret", "bogus", 1), ("sampler", "kapa", 0.1), ("variance", "capacity", 0),
+    ("regret", "scenario", "nope"),
+]
+
+_FAMILY_OF = {
+    "sampler": "regret_synthetic", "regret": "regret_synthetic", "training": "rl_comparison",
+    "variance": "variance_study", "bench": "bench",
+}
+
+
+@pytest.mark.parametrize("as_sweep", [False, True], ids=["own", "sweep"])
+@pytest.mark.parametrize("section, key, value", _REJECTED + _DIRECT_ONLY)
+def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
+    if as_sweep:
+        values = {"sweep": (("x", {f"{section}.{key}": value}),)}
+    else:
+        values = {"sampler" if section == "sampler" else "options": {key: value}}
+    with pytest.raises(ValueError, match=re.escape(f"{section}.{key}")):
+        ExperimentSpec(family=_FAMILY_OF[section], **values)
+
+
+def test_readme_family_sections_match_the_family_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line = re.search(r"Family sections:(.*?)\n\n", readme, re.DOTALL).group(1)
+    named = {
+        section: set(re.findall(r"`(\w+)`", keys))
+        for section, keys in re.findall(r"`\[(\w+)\]`\s+\(([^)]*)\)", line)
+    }
+    assert named == {family.section: set(family.keys) for family in _FAMILIES.values()}
 
 
 def test_readme_spec_parses(tmp_path):
@@ -534,6 +570,21 @@ class TestCli:
         assert status == 0
         assert len(list((tmp_path / "out").glob("regret_*seed5*.csv"))) == 1
         assert len(list((tmp_path / "out").glob("regret_*seed6*.csv"))) == 1
+
+    def test_run_empty_seed_list_rejected(self, tmp_path):
+        spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="experiment.seeds must not be empty"):
+            cli_main(["run", str(spec_path), "--out", str(out), "--seed-list", ","])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--capacity", "--batch", "--rounds"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bench_rejects_non_positive_flags(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["bench", "--capacity", "256", "--batch", "16", "--rounds", "2", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be positive, got {value}" in capsys.readouterr().err
 
     def test_bench_subcommand(self, capsys):
         status = cli_main(["bench", "--capacity", "256", "--batch", "16", "--rounds", "2"])
