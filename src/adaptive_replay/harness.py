@@ -94,8 +94,9 @@ class ExperimentSpec:
 
     Construction holds a spec to every rule, whether it was built here or by
     ``parse_config``, and names the offending ``section.key``: unknown keys,
-    family and scenario names, positive numbers, and, for every cell of every
-    sweep, the sampler and training configs the cell will run with.
+    values that no spec text parses to, family and scenario names, positive
+    numbers, non-empty lists, and, for every cell of every sweep, the sampler
+    and training configs the cell will run with.
     """
 
     family: str = "regret_synthetic"
@@ -108,23 +109,28 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"experiment.family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
+        family = _FAMILIES[self.family]
+        experiment = {"seeds": self.seeds, "output_dir": self.output_dir}
+        for section, values in (
+            ("experiment", experiment), ("sampler", self.sampler), (family.section, self.options)
+        ):
+            for key, value in values.items():
+                _check_value(section, key, value)
+        for _, overrides in self.sweep:
+            for dotted, value in overrides.items():
+                _check_value(*dotted.partition(".")[::2], value, kind="sweep override")
         if len(self.seeds) == 0:
             raise ValueError("experiment.seeds must not be empty")
-        family = _FAMILIES[self.family]
-        for section, values in (("sampler", self.sampler), (family.section, self.options)):
-            for key in values:
-                _converter(section, key)
-        for _, overrides in self.sweep:
-            for dotted in overrides:
-                _converter(*dotted.partition(".")[::2], kind="sweep override")
         self.sampler = {**_defaults(_SAMPLER), **self.sampler}
         self.options = {**_defaults(family.keys), **self.options}
         for label, overrides in self.sweep:
             sampler, options = _apply_sweep(self, overrides)
             for key, value in options.items():
-                number = family.keys[key][0] in (int, float)
-                if number and family.section in _POSITIVE_SECTIONS and value <= 0:
+                convert = family.keys[key][0]
+                if convert in (int, float) and family.section in _POSITIVE_SECTIONS and value <= 0:
                     raise ValueError(f"{family.section}.{key}={value} must be positive")
+                if convert in (_parse_int_list, _parse_str_list) and len(value) == 0:
+                    raise ValueError(f"{family.section}.{key} must not be empty")
             # Scenarios may override some sampler values, so check the section
             # as written too; no sampler rule depends on the capacity.
             _build("sampler", SamplerConfig, **sampler, capacity=1)
@@ -165,6 +171,15 @@ def _converter(section: str, key: str, kind: str = "key"):
     if key not in keys:
         raise ValueError(f"unknown {kind} '{section}.{key}'")
     return keys[key][0]
+
+
+def _check_value(section: str, key: str, value, kind: str = "key") -> None:
+    """Reject ``value`` by name unless the key's converter reads it back from its
+    spec text unchanged, so a spec built in Python holds the values a parsed
+    one would (a list stands for the tuple a list key parses to)."""
+    expected = tuple(value) if isinstance(value, list) else value
+    if _convert(section, key, _echo_value(value), kind) != expected:
+        raise ValueError(f"invalid value for '{section}.{key}': {value!r}")
 
 
 # --- config file parsing --------------------------------------------------------

@@ -15,6 +15,7 @@ accumulator is zeroed, since the fresh trajectory has no feedback history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ class TrajectoryBatch:
     Row ``i`` holds one trajectory in its first ``lengths[i]`` cells; the
     cells after it are padding and may hold stale steps of an overwritten,
     longer trajectory, so readers mask by ``lengths``.  ``width`` is the
-    longest trajectory written so far and grows on :meth:`write`.
+    longest trajectory written so far and grows as longer ones are written.
     """
 
     def __init__(self, rows: int):
@@ -115,8 +116,7 @@ class TrajectoryBatch:
     def of(cls, trajs: Sequence[Trajectory | Episode]) -> TrajectoryBatch:
         """A batch holding ``trajs`` in order, one row each."""
         batch = cls(len(trajs))
-        for row, traj in enumerate(trajs):
-            batch.write(row, traj)
+        batch._write_rows(0, trajs)
         return batch
 
     def __len__(self) -> int:
@@ -126,6 +126,12 @@ class TrajectoryBatch:
     def width(self) -> int:
         return self.states.shape[1]
 
+    def _widen(self, width: int) -> None:
+        if width > self.width:
+            pad = ((0, 0), (0, width - self.width))
+            for name, (_, fill) in _COLUMNS.items():
+                setattr(self, name, np.pad(getattr(self, name), pad, constant_values=fill))
+
     def write(self, row: int, traj: Trajectory | Episode) -> None:
         """Store ``traj`` in ``row``, widening every column if it is the longest yet.
 
@@ -133,13 +139,26 @@ class TrajectoryBatch:
         ``column[row, :len(traj)]`` as it is, with no further checks.
         """
         n = len(traj)
-        if n > self.width:
-            pad = ((0, 0), (0, n - self.width))
-            for name, (_, fill) in _COLUMNS.items():
-                setattr(self, name, np.pad(getattr(self, name), pad, constant_values=fill))
+        self._widen(n)
         for name in _COLUMNS:
             getattr(self, name)[row, :n] = getattr(traj, name)
         self.lengths[row] = n
+
+    def _write_rows(self, lo: int, trajs: Sequence[Trajectory | Episode]) -> None:
+        """Store ``trajs`` in rows ``lo, lo + 1, ...``, as a ``write`` per row would.
+
+        Each column takes one ``np.fromiter`` over the trajectories' chained
+        steps and one assignment through the ``lengths`` mask, which visits
+        the cells row by row, in the order the steps were chained.
+        """
+        lengths = np.fromiter(map(len, trajs), dtype=np.int64, count=len(trajs))
+        self._widen(int(lengths.max(initial=0)))
+        mask = np.arange(self.width) < lengths[:, None]
+        steps = int(lengths.sum())
+        for name, (dtype, _) in _COLUMNS.items():
+            values = chain.from_iterable(getattr(traj, name) for traj in trajs)
+            getattr(self, name)[lo : lo + len(trajs)][mask] = np.fromiter(values, dtype, steps)
+        self.lengths[lo : lo + len(trajs)] = lengths
 
     def take(self, rows: np.ndarray) -> TrajectoryBatch:
         """The given rows, gathered into a batch of their own."""
@@ -219,6 +238,30 @@ class WeightedStore(TrajectoryBatch):
             self.tree.set(int(slots[0]), float(np.asarray(values)[0]))
         else:
             self.tree.set_many(slots, values)
+
+    def fill(
+        self,
+        trajs: Sequence[Trajectory | Episode],
+        sampler: SamplerState,
+        scores: np.ndarray | None = None,
+    ) -> None:
+        """Store ``trajs`` in the next free slots, as one fill-phase ``insert`` each would.
+
+        The rows are written in bulk, the slots' accumulators zeroed, and
+        their scores, ``scores`` or a fresh accumulator's ``sqrt(nu)``,
+        written in one leaf write.  Each ancestor of the fresh leaves
+        receives the same additions in the same leaf order as under
+        per-trajectory inserts, so the index is bit-identical to theirs.
+        """
+        lo, hi = self.occupancy, self.occupancy + len(trajs)
+        if hi > self.capacity:
+            raise ValueError(f"{len(trajs)} trajectories do not fit {self.capacity - lo} free slots")
+        self._write_rows(lo, trajs)
+        self.occupancy = hi
+        sampler.w[lo:hi] = 0.0
+        if scores is None:
+            scores = np.full(hi - lo, np.sqrt(sampler.config.nu))
+        self.set_scores(np.arange(lo, hi), scores)
 
     def insert(
         self,

@@ -37,18 +37,19 @@ def heteroscedastic_buffer(
     )
     store = WeightedStore(capacity)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1.0, kappa=0.1, reset_period=10**9))
+    trajs = []
     for i in range(capacity):
         scale = 10.0 ** (orders / 2.0 * i / (capacity - 1))
-        states = rng.integers(0, n_states, horizon)
-        actions = rng.integers(0, n_actions, horizon)
-        traj = Trajectory(
-            states=states,
-            actions=actions,
-            behavior_probs=rng.uniform(0.2, 1.0, horizon),
-            rewards=scale * rng.uniform(0.5, 1.0, horizon),
-            next_states=rng.integers(0, n_states, horizon),
+        trajs.append(
+            Trajectory(
+                states=rng.integers(0, n_states, horizon),
+                actions=rng.integers(0, n_actions, horizon),
+                behavior_probs=rng.uniform(0.2, 1.0, horizon),
+                rewards=scale * rng.uniform(0.5, 1.0, horizon),
+                next_states=rng.integers(0, n_states, horizon),
+            )
         )
-        store.insert(traj, sampler, rng)
+    store.fill(trajs, sampler)
     store.rebuild_index(sampler)
     return store, sampler, policy
 

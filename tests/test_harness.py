@@ -181,6 +181,9 @@ _REJECTED = [
     ("training", "probe_repeats", 0), ("training", "updates_per_episode", -1),
 ]
 
+# List keys that, left empty, gave a spec of zero cells that ran as a success.
+_EMPTY_LISTS = [("regret", "horizons"), ("training", "envs"), ("training", "modes")]
+
 # Specs that copy accepted and then failed in every cell, or failed unnamed.
 _CELL_FAILURES = [
     pytest.param(RL + "[training]\nbatch_size = 40\nbuffer_capacity = 8\n", "training.batch_size",
@@ -202,7 +205,9 @@ _CELL_FAILURES = [
 
 @pytest.mark.parametrize(
     "text, key",
-    [case for args in _REJECTED for case in set_both_ways(*args)] + _CELL_FAILURES,
+    [case for args in _REJECTED for case in set_both_ways(*args)]
+    + [case for args in _EMPTY_LISTS for case in set_both_ways(*args, "")]
+    + _CELL_FAILURES,
 )
 def test_rejected_values_name_their_key(tmp_path, text, key):
     with pytest.raises(ValueError, match=re.escape(key)):
@@ -210,11 +215,12 @@ def test_rejected_values_name_their_key(tmp_path, text, key):
 
 
 # Values a spec built in Python was accepted with before it was held to the
-# rules a parsed spec is: unknown option and sampler keys, and values that only
-# the parser checked.
+# rules a parsed spec is: unknown option and sampler keys, values that only
+# the parser checked, and values of a type the key's text never parses to.
 _DIRECT_ONLY = [
     ("regret", "bogus", 1), ("sampler", "kapa", 0.1), ("variance", "capacity", 0),
-    ("regret", "scenario", "nope"),
+    ("regret", "scenario", "nope"), ("sampler", "kappa", "0.2"), ("regret", "capacity", "8"),
+    ("training", "total_steps", 10.5), ("regret", "horizons", 50),
 ]
 
 _FAMILY_OF = {
@@ -224,7 +230,11 @@ _FAMILY_OF = {
 
 
 @pytest.mark.parametrize("as_sweep", [False, True], ids=["own", "sweep"])
-@pytest.mark.parametrize("section, key, value", _REJECTED + _DIRECT_ONLY)
+@pytest.mark.parametrize(
+    "section, key, value",
+    _REJECTED + _DIRECT_ONLY
+    + [pytest.param(*args, (), id=f"{args[0]}-{args[1]}-empty") for args in _EMPTY_LISTS],
+)
 def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
     if as_sweep:
         values = {"sweep": (("x", {f"{section}.{key}": value}),)}
@@ -232,6 +242,23 @@ def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
         values = {"sampler" if section == "sampler" else "options": {key: value}}
     with pytest.raises(ValueError, match=re.escape(f"{section}.{key}")):
         ExperimentSpec(family=_FAMILY_OF[section], **values)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seeds", 5), ("seeds", ("1",)), ("seeds", (1.5,)), ("output_dir", 5)]
+)
+def test_directly_built_experiment_values_rejected_by_key(key, value):
+    with pytest.raises(ValueError, match=re.escape(f"experiment.{key}")):
+        ExperimentSpec(family="rl_comparison", **{key: value})
+
+
+def test_directly_built_lists_and_numbers_accepted():
+    # A list stands for the tuple its key parses to, an int for a float.
+    spec = ExperimentSpec(
+        family="regret_synthetic", seeds=[0, 1], sampler={"kappa": 0, "nu": 10},
+        options={"horizons": [50, 100]},
+    )
+    assert spec.options["horizons"] == [50, 100]
 
 
 def test_readme_family_sections_match_the_family_table():

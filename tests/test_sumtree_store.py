@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from adaptive_replay.envs import chain_env
 from adaptive_replay.sampler import SamplerConfig, SamplerState
-from adaptive_replay.store import NotReadyError, Trajectory, WeightedStore
+from adaptive_replay.store import Episode, NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
 from adaptive_replay.sumtree import SCALAR_DESCENT_MAX, SumTree
+from adaptive_replay.training import FILL_BLOCK, _AccumulatorStrategy, _TDPriorityStrategy
 
 
 def make_traj(rng, length=3):
@@ -304,6 +306,125 @@ class TestInsertOverwrite:
         np.testing.assert_array_equal(store.behavior_probs[0, 2:], 1.0)
         np.testing.assert_array_equal(store.behavior_probs[2], 1.0)  # never written
         np.testing.assert_array_equal(store.lengths, [2, 5, 0])
+
+
+COLUMNS = ("states", "actions", "behavior_probs", "rewards", "next_states")
+
+
+def random_rollouts(rng, lengths, kind):
+    """Chain-5 steps of the given lengths, as ``Episode`` lists or ``Trajectory`` arrays."""
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    total = int(bounds[-1])
+    columns = (
+        rng.integers(0, 5, total), rng.integers(0, 2, total), rng.uniform(0.1, 1.0, total),
+        rng.normal(size=total), rng.integers(0, 5, total),
+    )
+    if kind == "episode":
+        columns = [column.tolist() for column in columns]
+    make = Episode if kind == "episode" else Trajectory
+    return [
+        make(*(column[lo:hi] for column in columns))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
+def fill_strategy(mode, capacity, rng):
+    """A training strategy over an empty store whose accumulators hold stale values."""
+    store = WeightedStore(capacity)
+    sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1000.0, kappa=0.1))
+    sampler.w[:] = rng.uniform(0.0, 5.0, capacity)
+    if mode == "td_priority":
+        return _TDPriorityStrategy(sampler, store, chain_env(5), 0.05, TD_EXPONENT)
+    return _AccumulatorStrategy(sampler, store, periodic_reset=True)
+
+
+def assert_same_store(got, want):
+    for name in (*COLUMNS, "lengths"):
+        a, b = getattr(got.store, name), getattr(want.store, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.store.occupancy == want.store.occupancy
+    assert got.store.tree._tree.tobytes() == want.store.tree._tree.tobytes()
+    assert got.sampler.w.tobytes() == want.sampler.w.tobytes()
+    if isinstance(want, _TDPriorityStrategy):
+        assert got.priorities.tobytes() == want.priorities.tobytes()
+
+
+class TestBlockFill:
+    """``fill`` in blocks leaves the store that per-episode inserts leave, byte for byte."""
+
+    @staticmethod
+    def filled_both_ways(mode, rollouts, blocks):
+        capacity = len(rollouts)
+        stale = np.random.default_rng(0)
+        want = fill_strategy(mode, capacity, stale)
+        insert_rng = np.random.default_rng(1)
+        for rollout in rollouts:
+            want.insert(rollout, insert_rng)
+        got = fill_strategy(mode, capacity, np.random.default_rng(0))
+        lo = 0
+        for size in blocks:
+            got.fill(rollouts[lo : lo + size])
+            lo += size
+        assert lo == capacity
+        # Fill-phase inserts draw nothing, so neither may fill.
+        assert insert_rng.random() == np.random.default_rng(1).random()
+        return got, want
+
+    # The td sweep reads both kinds alike, so 65,000 Trajectory records
+    # (seconds to build and insert) run in one mode.
+    @pytest.mark.parametrize(
+        "capacity, kind, mode",
+        [
+            (capacity, kind, mode)
+            for capacity in (1, FILL_BLOCK - 1, FILL_BLOCK, FILL_BLOCK + 1, 65_000)
+            for kind in ("episode", "trajectory")
+            for mode in ("adaptive", "td_priority")
+            if (capacity, kind, mode) != (65_000, "trajectory", "td_priority")
+        ],
+    )
+    def test_blocks_equal_inserts_bitwise(self, capacity, kind, mode):
+        rng = np.random.default_rng(capacity)
+        # Only the last rollout is 7 steps long, so past one block the
+        # columns widen after an earlier block filled them.
+        lengths = np.append(rng.integers(1, 5, capacity - 1), 7)
+        rollouts = random_rollouts(rng, lengths, kind)
+        blocks = [min(FILL_BLOCK, capacity - lo) for lo in range(0, capacity, FILL_BLOCK)]
+        got, want = self.filled_both_ways(mode, rollouts, blocks)
+        assert_same_store(got, want)
+        assert got.store.width == 7
+        batch = TrajectoryBatch.of(rollouts)
+        for name in (*COLUMNS, "lengths"):
+            assert getattr(batch, name).tobytes() == getattr(got.store, name).tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["adaptive", "td_priority"])
+    @pytest.mark.parametrize("kind", ["episode", "trajectory"])
+    def test_widening_blocks_and_one_episode_block(self, monkeypatch, kind, mode):
+        calls = []
+        for name in ("set", "set_many"):
+            original = getattr(SumTree, name)
+
+            def recorded(tree, *args, name=name, original=original):
+                calls.append(name)
+                return original(tree, *args)
+
+            monkeypatch.setattr(SumTree, name, recorded)
+        rng = np.random.default_rng(41)
+        # Block 2 widens the columns block 1 wrote; block 4 widens again and
+        # holds one episode, which must take SumTree.set.
+        rollouts = random_rollouts(rng, [2, 1, 3, 6, 2, 5, 1, 3, 7], kind)
+        got, want = self.filled_both_ways(mode, rollouts, [3, 1, 4, 1])
+        assert calls[len(rollouts):] == ["set_many", "set", "set_many", "set"]
+        assert_same_store(got, want)
+
+    def test_rejects_more_than_the_free_slots(self):
+        rng = np.random.default_rng(42)
+        store = WeightedStore(3)
+        sampler = SamplerState(SamplerConfig(capacity=3))
+        store.fill(random_rollouts(rng, [1, 2], "episode"), sampler)
+        with pytest.raises(ValueError, match="do not fit 1 free slots"):
+            store.fill(random_rollouts(rng, [1, 2], "episode"), sampler)
+        assert store.occupancy == 2
 
 
 class TestIndexMaintenance:

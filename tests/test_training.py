@@ -1,5 +1,7 @@
 """Training loops: schema, mode semantics, equivalences, and sanity directions."""
 
+import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -263,37 +265,56 @@ class TestReplayStepCost:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_insert_writes_one_leaf_through_set(self, monkeypatch, mode):
-        # Collecting an episode writes the fresh slot's first score, the td
-        # score in td_priority mode, in exactly one SumTree.set; and a
-        # one-leaf set_many costs several times a set, so no td rescoring
+        # The warm-up writes each slot's first score, the td score in
+        # td_priority mode, exactly once, in one leaf write per block of
+        # FILL_BLOCK episodes, a one-episode block through SumTree.set.
+        # Every later collect writes its slot's leaf in exactly one set; and
+        # a one-leaf set_many costs several times a set, so no td rescoring
         # of one slot may take it.
-        leaves = []
-        original = SumTree.set_many
+        writes = []  # (method, leaves) per leaf-write call
+        for name in ("set", "set_many"):
+            original = getattr(SumTree, name)
 
-        def recorded(tree, indices, values):
-            leaves.append(len(indices))
-            return original(tree, indices, values)
+            def recorded(tree, indices, values, name=name, original=original):
+                writes.append((name, np.atleast_1d(indices).tolist()))
+                return original(tree, indices, values)
 
-        monkeypatch.setattr(SumTree, "set_many", recorded)
-        counts = Counter()
-        count_calls(monkeypatch, counts, SumTree, "set")
-        sets_per_episode = []
-        collect = training._LoopState.collect_episode
+            monkeypatch.setattr(SumTree, name, recorded)
+        phases = {}
+        for method in ("fill_buffer", "collect_episode"):
+            original = getattr(training._LoopState, method)
 
-        def counted_collect(state):
-            before = counts["set"]
-            collect(state)
-            sets_per_episode.append(counts["set"] - before)
+            def wrapped(state, method=method, original=original):
+                before = len(writes)
+                original(state)
+                phases[method].append(writes[before:])
 
-        monkeypatch.setattr(training._LoopState, "collect_episode", counted_collect)
+            monkeypatch.setattr(training._LoopState, method, wrapped)
         config = bandit_config(
             mode, seed=5, updates_per_episode=2 if mode == "adaptive_epoch" else 1
         )
-        run_training(two_state_bandit_env(), config)
-        assert len(sets_per_episode) > config.buffer_capacity
-        assert set(sets_per_episode) == {1}
-        if mode == "td_priority":
-            assert leaves and 1 not in leaves
+        capacity = config.buffer_capacity
+        # Blocks of 5 leave a last block of one episode at capacity 16.
+        for block in (5, training.FILL_BLOCK):
+            monkeypatch.setattr(training, "FILL_BLOCK", block)
+            writes.clear()
+            phases.update(fill_buffer=[], collect_episode=[])
+            run_training(two_state_bandit_env(), config)
+            [fill] = phases["fill_buffer"]
+            assert len(fill) == math.ceil(capacity / block)
+            assert [leaf for _, leaves in fill for leaf in leaves] == list(range(capacity))
+            single = ["set"] if capacity % block == 1 else []
+            assert [name for name, leaves in fill if len(leaves) == 1] == single
+            collects = phases["collect_episode"]
+            assert len(collects) == math.ceil(config.total_steps / config.updates_per_episode)
+            assert all(
+                len(calls) == 1 and calls[0][0] == "set" and len(calls[0][1]) == 1
+                for calls in collects
+            )
+            if mode == "td_priority":
+                after_fill = writes[len(fill):]
+                rescored = [len(leaves) for name, leaves in after_fill if name == "set_many"]
+                assert len(rescored) > 1 and 1 not in rescored
 
     def test_dense_distribution_and_rebuild_only_at_evals_and_resets(self, monkeypatch):
         counts = Counter()
@@ -322,6 +343,35 @@ class TestCollectionPath:
         trace = run_training(chain_env(4, horizon=6), config)
         assert trace.steps[-1] > config.buffer_capacity
         assert counts["__post_init__"] == 0
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_block_fill_equals_per_episode_inserts(self, monkeypatch, mode):
+        # Warm-up past the capacity: blocks of 5 fill the 24 slots, then 37
+        # episodes evict one insert each; the trace digest must equal a run
+        # that inserts every warm-up episode on its own.
+        def per_episode_fill(state):
+            for _ in range(state.store.capacity):
+                state.collect_episode()
+
+        def digest(trace):
+            h = hashlib.sha256(str(trace.ratio_cap_hits).encode())
+            for name, value in sorted(vars(trace).items()):
+                if isinstance(value, np.ndarray):
+                    h.update(f"{name}:{value.dtype.str}:{value.shape};".encode())
+                    h.update(value.tobytes())
+            return h.hexdigest()
+
+        config = bandit_config(
+            mode, seed=8, total_steps=150, buffer_capacity=24, warmup_episodes=24 + 37,
+            probe_every=50, probe_repeats=20,
+            updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+        )
+        env = chain_env(5)
+        monkeypatch.setattr(training, "FILL_BLOCK", 5)
+        blocks = digest(run_training(env, config))
+        monkeypatch.setattr(training._LoopState, "fill_buffer", per_episode_fill)
+        assert blocks == digest(run_training(env, config))
 
 
 class TestRatioCapHits:
