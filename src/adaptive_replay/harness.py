@@ -362,10 +362,10 @@ def _execute_cell(args) -> dict:
 def _rl_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
     for env in options["envs"]:
         if env not in ENVIRONMENTS:
-            raise ValueError(f"unknown environment '{env}'")
+            raise ValueError(f"training.envs: unknown environment '{env}'")
         for mode in options["modes"]:
             if mode not in MODES:
-                raise ValueError(f"unknown selection mode '{mode}'")
+                raise ValueError(f"training.modes: unknown selection mode '{mode}'")
             for seed in spec.seeds:
                 params = {
                     "env": env, "mode": mode, "label": label, "seed": seed,

@@ -113,15 +113,6 @@ class LinearSoftmaxPolicy:
         """``log pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
         return self.tables().log_probs
 
-    def action_probs(self, state: int) -> np.ndarray:
-        return self.prob_table()[state]
-
-    def prob(self, state: int, action: int) -> float:
-        return float(self.prob_table()[state, action])
-
-    def log_prob(self, state: int, action: int) -> float:
-        return float(self.log_prob_table()[state, action])
-
     def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step score functions ``grad log pi(a_t|s_t)``, one flat row per step."""
         states = np.asarray(states, dtype=np.int64)
@@ -129,16 +120,6 @@ class LinearSoftmaxPolicy:
         residual[np.arange(len(states)), actions] += 1.0
         phi = self.features[states]
         return (phi[:, :, None] * residual[:, None, :]).reshape(len(states), -1)
-
-    def sample_action(self, state: int, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.n_actions, p=self.action_probs(state)))
-
-    def greedy_action(self, state: int) -> int:
-        return self.tables().greedy[state]
-
-    def min_action_prob(self) -> float:
-        """Smallest probability over all (state, action) pairs."""
-        return float(np.exp(self.log_prob_table()).min())
 
     def max_score_norm(self) -> float:
         """Largest ``||grad log pi(a|s)||`` over all (state, action) pairs.

@@ -31,12 +31,6 @@ class CompetitorResult:
     degenerate: bool
 
 
-def floor_distribution(p: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Floor each probability at ``eps`` and renormalize; used before evaluating f."""
-    p = np.maximum(np.asarray(p, dtype=np.float64), eps)
-    return p / p.sum()
-
-
 def static_competitor(d_matrix: np.ndarray) -> CompetitorResult:
     """Best fixed distribution for a whole loss sequence: mass ~ sqrt of column sums."""
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
@@ -94,7 +88,6 @@ class RegretLedger:
     realized_cum: np.ndarray
     static_opt_cum: np.ndarray
     dynamic_opt_cum: np.ndarray
-    degenerate_steps: int
 
     @classmethod
     def from_sequence(cls, d_matrix: np.ndarray, realized: np.ndarray) -> "RegretLedger":
@@ -107,7 +100,6 @@ class RegretLedger:
         col_prefix = np.cumsum(d_matrix, axis=0)
         static_opt_cum = np.sqrt(col_prefix).sum(axis=1) ** 2
         dynamic_opt = roots.sum(axis=1) ** 2
-        degenerate = int(np.sum(np.all(d_matrix == 0.0, axis=1)))
         return cls(
             capacity=capacity,
             realized=realized,
@@ -116,7 +108,6 @@ class RegretLedger:
             realized_cum=np.cumsum(realized),
             static_opt_cum=static_opt_cum,
             dynamic_opt_cum=np.cumsum(dynamic_opt),
-            degenerate_steps=degenerate,
         )
 
     @property

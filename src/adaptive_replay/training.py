@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -109,15 +109,9 @@ class TrainingConfig:
         return base
 
     def hash(self, env_name: str) -> str:
-        payload = {"env": env_name, **{k: _jsonable(v) for k, v in self.__dict__.items()}}
+        payload = {"env": env_name, **asdict(self)}
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
         return digest.hexdigest()[:12]
-
-
-def _jsonable(value):
-    if isinstance(value, SamplerConfig):
-        return value.__dict__
-    return value
 
 
 @dataclass
@@ -155,18 +149,18 @@ class TrainingTrace:
 class _AccumulatorStrategy:
     """FTRL accumulators drive both sampling scores and eviction; used by the
     adaptive modes and (with full uniform mixing) the uniform baseline.  A
-    strategy's ``kappa`` is the uniform weight of the store mixture it uses."""
+    strategy's ``kappa`` is the uniform weight of the store mixture it uses,
+    and its ``scores(episodes)`` the leaf scores of fresh slots (``None``: the
+    store's fresh-accumulator default)."""
 
-    def __init__(
-        self,
-        sampler: SamplerState,
-        store: WeightedStore,
-        periodic_reset: bool,
-    ):
+    def __init__(self, sampler: SamplerState, store: WeightedStore, periodic_reset: bool):
         self.sampler = sampler
         self.store = store
         self.periodic_reset = periodic_reset
         self.kappa = sampler.config.kappa
+
+    def scores(self, episodes) -> None:
+        return None
 
     def after_update(self, unique_slots, d, p_used) -> bool:
         self.sampler.record_feedback(unique_slots, d, p_used)
@@ -175,12 +169,6 @@ class _AccumulatorStrategy:
             self.store.rebuild_index(self.sampler)
             return True
         return False
-
-    def insert(self, episode, rng) -> None:
-        self.store.insert(episode, self.sampler, rng, kappa=self.kappa)
-
-    def fill(self, episodes) -> None:
-        self.store.fill(episodes, self.sampler)
 
     def epoch_reset(self) -> None:
         self.sampler.w[:] = 0.0
@@ -193,25 +181,16 @@ class _TDPriorityStrategy:
 
     kappa = 0.0
 
-    def __init__(
-        self,
-        sampler: SamplerState,
-        store: WeightedStore,
-        env: TabularEnv,
-        learning_rate: float,
-        exponent: float,
-    ):
-        self.sampler = sampler
+    def __init__(self, store: WeightedStore, env: TabularEnv, learning_rate: float, exponent: float):
         self.store = store
         self.env = env
         self.values = np.zeros(env.n_states)
-        self.priorities = np.zeros(store.capacity)
         self.learning_rate = learning_rate
         self.exponent = exponent
         self.eps = 1e-6
 
-    def _scores(self, priorities: np.ndarray) -> np.ndarray:
-        return (priorities + self.eps) ** self.exponent
+    def _scores(self, priorities: list[float]) -> np.ndarray:
+        return (np.array(priorities) + self.eps) ** self.exponent
 
     def _sweep(self, states, rewards, next_states, learn: bool) -> float:
         total = 0.0
@@ -224,93 +203,68 @@ class _TDPriorityStrategy:
             total += abs(delta)
         return total
 
+    def scores(self, episodes) -> np.ndarray:
+        # A sweep without learning does not depend on the slot, so a fresh
+        # episode's score is known before it is written.
+        return self._scores(
+            [self._sweep(e.states, e.rewards, e.next_states, learn=False) for e in episodes]
+        )
+
     def after_update(self, unique_slots, d, p_used) -> bool:
         store = self.store
         slots = np.asarray(unique_slots, dtype=np.int64)
-        for i in slots.tolist():
-            n = store.lengths[i]
-            self.priorities[i] = self._sweep(
+        priorities = [
+            self._sweep(
                 store.states[i, :n].tolist(),
                 store.rewards[i, :n].tolist(),
                 store.next_states[i, :n].tolist(),
                 learn=True,
             )
-        store.set_scores(slots, self._scores(self.priorities[slots]))
-        return False
-
-    def insert(self, episode, rng) -> None:
-        # A sweep without learning does not depend on the slot, so the score
-        # is known before the insert and becomes the slot's only leaf write.
-        # It goes through numpy's array power, as the rescoring above does.
-        priority = self._sweep(episode.states, episode.rewards, episode.next_states, learn=False)
-        score = float(self._scores(np.array([priority]))[0])
-        slot = self.store.insert(episode, self.sampler, rng, kappa=self.kappa, score=score)
-        self.priorities[slot] = priority
-
-    def fill(self, episodes) -> None:
-        priorities = [
-            self._sweep(e.states, e.rewards, e.next_states, learn=False) for e in episodes
+            for i, n in zip(slots.tolist(), store.lengths[slots].tolist())
         ]
-        lo = self.store.occupancy
-        self.store.fill(episodes, self.sampler, self._scores(np.array(priorities)))
-        self.priorities[lo : lo + len(episodes)] = priorities
-
-
-def _make_strategy(config: TrainingConfig, sampler, store, env):
-    mode = config.selection_mode
-    if mode == "td_priority":
-        return _TDPriorityStrategy(
-            sampler, store, env, config.learning_rate, config.td_priority_exponent
-        )
-    return _AccumulatorStrategy(sampler, store, periodic_reset=(mode != "adaptive_epoch"))
+        store.set_scores(slots, self._scores(priorities))
+        return False
 
 
 def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
     """Train a tabular softmax policy on ``env`` under the configured mode."""
-    root = np.random.SeedSequence(config.seed)
-    train_ss, eval_ss, probe_ss = root.spawn(3)
-    rng = np.random.default_rng(train_ss)
-    eval_rng = np.random.default_rng(eval_ss)
-    probe_rng = np.random.default_rng(probe_ss)
-
-    policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
-    store = WeightedStore(config.buffer_capacity)
-    sampler = SamplerState(config.resolved_sampler())
-    strategy = _make_strategy(config, sampler, store, env)
-
-    trace = TrainingTrace(
-        seed=config.seed,
-        mode=config.selection_mode,
-        env_name=env.name,
-        config_hash=config.hash(env.name),
-    )
-    state = _LoopState(env, config, policy, store, sampler, strategy, rng, eval_rng, probe_rng, trace)
-
+    state = _LoopState(env, config)
     state.fill_buffer()
     # Warm-up episodes past the capacity already evict, one insert each.
-    for _ in range((config.warmup_episodes or store.capacity) - store.capacity):
+    for _ in range((config.warmup_episodes or config.buffer_capacity) - config.buffer_capacity):
         state.collect_episode()
-
     if config.selection_mode == "adaptive_epoch":
         _epoch_loop(state)
     else:
         _interleaved_loop(state)
     state.flush_rows()
-    return trace
+    return state.trace
 
 
 class _LoopState:
-    def __init__(self, env, config, policy, store, sampler, strategy, rng, eval_rng, probe_rng, trace):
+    """One run's parts and phases; the only writer of episodes to the store."""
+
+    def __init__(self, env: TabularEnv, config: TrainingConfig):
+        self.rng, self.eval_rng, self.probe_rng = (
+            np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3)
+        )
         self.env = env
         self.config = config
-        self.policy = policy
-        self.store = store
-        self.sampler = sampler
-        self.strategy = strategy
-        self.rng = rng
-        self.eval_rng = eval_rng
-        self.probe_rng = probe_rng
-        self.trace = trace
+        self.policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
+        self.store = WeightedStore(config.buffer_capacity)
+        self.sampler = SamplerState(config.resolved_sampler())
+        mode = config.selection_mode
+        if mode == "td_priority":
+            self.strategy = _TDPriorityStrategy(
+                self.store, env, config.learning_rate, config.td_priority_exponent
+            )
+        else:
+            self.strategy = _AccumulatorStrategy(
+                self.sampler, self.store, periodic_reset=(mode != "adaptive_epoch")
+            )
+        self.trace = TrainingTrace(
+            seed=config.seed, mode=mode, env_name=env.name, config_hash=config.hash(env.name)
+        )
         self.env_steps = 0
         self.reset_count = 0
         self._rows: list[tuple] = []
@@ -324,12 +278,16 @@ class _LoopState:
                 for _ in range(min(FILL_BLOCK, capacity - lo))
             ]
             self.env_steps += sum(map(len, block))
-            self.strategy.fill(block)
+            self.store.fill(block, self.sampler, self.strategy.scores(block))
 
     def collect_episode(self) -> None:
         episode = self.env.rollout(self.policy, self.rng)
         self.env_steps += len(episode)
-        self.strategy.insert(episode, self.rng)
+        scores = self.strategy.scores([episode])
+        self.store.insert(
+            episode, self.sampler, self.rng, kappa=self.strategy.kappa,
+            score=None if scores is None else float(scores[0]),
+        )
 
     def update_policy(self) -> None:
         cfg = self.config

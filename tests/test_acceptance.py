@@ -173,13 +173,14 @@ def test_criterion_05_loss_bound_never_violated():
     n_states, n_actions, horizon, reward_cap = 5, 3, 8, 2.0
     target = random_policy(rng, n_states, n_actions)
     behavior = random_policy(rng, n_states, n_actions)
-    beta = min(target.min_action_prob(), behavior.min_action_prob())
+    beta = min(float(np.exp(p.log_prob_table()).min()) for p in (target, behavior))
+    table = behavior.prob_table()
     trajs = []
     for _ in range(10_000):
         length = int(rng.integers(1, horizon + 1))
         states = rng.integers(0, n_states, length)
-        actions = np.array([behavior.sample_action(int(s), rng) for s in states])
-        probs = np.array([behavior.prob(int(s), int(a)) for s, a in zip(states, actions)])
+        actions = np.array([rng.choice(n_actions, p=table[s]) for s in states])
+        probs = table[states, actions]
         trajs.append(
             Trajectory(
                 states=states,
@@ -425,16 +426,10 @@ def test_criterion_12_gradient_and_value_checks():
             shifted = params.copy()
             shifted[i] += h
             probe.set_params(shifted)
-            up = sum(
-                probe.log_prob(int(traj.states[t]), int(traj.actions[t]))
-                for t in range(len(traj))
-            )
+            up = sum(probe.log_prob_table()[traj.states, traj.actions])
             shifted[i] -= 2 * h
             probe.set_params(shifted)
-            down = sum(
-                probe.log_prob(int(traj.states[t]), int(traj.actions[t]))
-                for t in range(len(traj))
-            )
+            down = sum(probe.log_prob_table()[traj.states, traj.actions])
             fd[i] = (up - down) / (2 * h) * ret
         scale = max(1.0, float(np.max(np.abs(analytic))))
         worst_rel = max(worst_rel, float(np.max(np.abs(analytic - fd)) / scale))

@@ -21,9 +21,9 @@ from adaptive_replay.training import MODES, TrainingConfig, run_training
 
 def reference_rollout(env, policy, rng, greedy=False):
     """Per step, a fresh softmax of ``features[s] @ weights`` computed here,
-    then ``rng.choice`` over it (or its argmax) and its value at the action:
-    what ``sample_action`` and ``prob`` compute, sharing nothing with the
-    policy's cached table, the path ``rollout`` must reproduce."""
+    then ``rng.choice`` over it (or its argmax) and its value at the action,
+    sharing nothing with the policy's cached tables: the draws and
+    probabilities ``rollout`` must reproduce."""
     states, actions, probs, rewards, next_states = [], [], [], [], []
     s = env.draw_start(rng)
     for _ in range(env.horizon):
@@ -221,7 +221,7 @@ class TestCachedPolicyTables:
 
     def test_cached_arrays_are_read_only(self):
         policy = TabularSoftmaxPolicy(3, 2)
-        for table in (policy.prob_table(), policy.log_prob_table(), policy.action_probs(0)):
+        for table in (policy.prob_table(), policy.log_prob_table(), policy.prob_table()[0]):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
@@ -392,3 +392,37 @@ class TestValidation:
                 start_state=0,
                 horizon=2,
             )
+
+
+def three_state_env(**overrides):
+    """A one-action env whose every move ends in terminal state 2."""
+    transitions = np.zeros((3, 1, 3))
+    transitions[:, :, 2] = 1.0
+    fields = dict(
+        name="three", transitions=transitions, rewards=np.zeros((3, 1)),
+        terminal=np.array([False, False, True]), start_state=0, horizon=2,
+    )
+    return TabularEnv(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: three_state_env(start_dist=np.array([0.5, 0.4, 0.0])),
+                     "start distribution must sum to 1", id="start-sum"),
+        pytest.param(lambda: three_state_env(start_dist=np.array([0.5, 0.0, 0.5])),
+                     "start distribution must not touch terminal states", id="start-terminal"),
+        pytest.param(lambda: three_state_env(gamma=0.0), r"gamma must lie in \(0, 1\)",
+                     id="gamma-0"),
+        pytest.param(lambda: three_state_env(gamma=1.0), r"gamma must lie in \(0, 1\)",
+                     id="gamma-1"),
+        pytest.param(lambda: three_state_env(horizon=0), "horizon must be >= 1", id="horizon-0"),
+        pytest.param(lambda: gridworld_env(3, 3, goal=(3, 0)),
+                     r"cell \(3, 0\) is outside the 3x3 grid", id="goal-outside"),
+        pytest.param(lambda: gridworld_env(3, 3, traps=((0, -1),)),
+                     r"cell \(0, -1\) is outside the 3x3 grid", id="trap-outside"),
+    ],
+)
+def test_invalid_env_rejected_by_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -59,7 +59,7 @@ class TestImportanceRatio:
         policy = random_policy(rng)
         states = rng.integers(0, 4, 5)
         actions = rng.integers(0, 3, 5)
-        probs = [policy.prob(int(s), int(a)) for s, a in zip(states, actions)]
+        probs = policy.prob_table()[states, actions]
         traj = traj_from(states, actions, probs, np.zeros(5))
         assert importance_ratio(traj, policy) == pytest.approx(1.0)
 
@@ -117,16 +117,10 @@ class TestScoreReturnGrad:
                 shifted = params.copy()
                 shifted[i] += h
                 probe.set_params(shifted)
-                up = sum(
-                    probe.log_prob(int(traj.states[t]), int(traj.actions[t]))
-                    for t in range(len(traj))
-                )
+                up = sum(probe.log_prob_table()[traj.states, traj.actions])
                 shifted[i] -= 2 * h
                 probe.set_params(shifted)
-                down = sum(
-                    probe.log_prob(int(traj.states[t]), int(traj.actions[t]))
-                    for t in range(len(traj))
-                )
+                down = sum(probe.log_prob_table()[traj.states, traj.actions])
                 fd[i] = (up - down) / (2 * h) * ret
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) / scale < 1e-5
@@ -186,7 +180,7 @@ def enumerate_exact_gradient(env, policy):
             total += prob * score * ret
             return
         for a in range(env.n_actions):
-            pi = policy.prob(s, a)
+            pi = policy.prob_table()[s, a]
             recurse(
                 int(np.argmax(env.transitions[s, a])),
                 depth + 1,

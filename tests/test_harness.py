@@ -184,6 +184,9 @@ _REJECTED = [
 # List keys that, left empty, gave a spec of zero cells that ran as a success.
 _EMPTY_LISTS = [("regret", "horizons"), ("training", "envs"), ("training", "modes")]
 
+# Names outside an rl spec's environment and mode tables, rejected without their key.
+_UNKNOWN_NAMES = [("training", "envs", "nope"), ("training", "modes", "nope")]
+
 # Specs that copy accepted and then failed in every cell, or failed unnamed.
 _CELL_FAILURES = [
     pytest.param(RL + "[training]\nbatch_size = 40\nbuffer_capacity = 8\n", "training.batch_size",
@@ -207,6 +210,7 @@ _CELL_FAILURES = [
     "text, key",
     [case for args in _REJECTED for case in set_both_ways(*args)]
     + [case for args in _EMPTY_LISTS for case in set_both_ways(*args, "")]
+    + [case for args in _UNKNOWN_NAMES for case in set_both_ways(*args)]
     + _CELL_FAILURES,
 )
 def test_rejected_values_name_their_key(tmp_path, text, key):
@@ -233,7 +237,8 @@ _FAMILY_OF = {
 @pytest.mark.parametrize(
     "section, key, value",
     _REJECTED + _DIRECT_ONLY
-    + [pytest.param(*args, (), id=f"{args[0]}-{args[1]}-empty") for args in _EMPTY_LISTS],
+    + [pytest.param(*args, (), id=f"{args[0]}-{args[1]}-empty") for args in _EMPTY_LISTS]
+    + [pytest.param(s, k, (name,), id=f"{s}-{k}-{name}") for s, k, name in _UNKNOWN_NAMES],
 )
 def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
     if as_sweep:
@@ -550,6 +555,21 @@ class TestTraceRoundtrip:
         assert np.isnan(data["probes"]).sum() > 0  # non-probe rows left empty
         assert np.isfinite(data["probes"]).sum() > 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(f"# schema={TRACE_SCHEMA}\nseed,mode\n1,adaptive\n",
+                         "unexpected trace header", id="wrong-header"),
+            pytest.param(f"# schema={TRACE_SCHEMA}\n{TRACE_HEADER}\n", "contains no rows",
+                         id="no-rows"),
+        ],
+    )
+    def test_malformed_trace_rejected_by_message(self, tmp_path, text, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_trace(path)
+
     def test_metrics_from_traces(self, tmp_path):
         spec = rl_spec(seeds=(1, 2), modes=("uniform",))
         run_suite(spec, out=str(tmp_path))
@@ -617,6 +637,26 @@ class TestCli:
         status = cli_main(["bench", "--capacity", "256", "--batch", "16", "--rounds", "2"])
         assert status == 0
         assert "sample+update" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("root", [None, "outroot"], ids=["out-only", "env-root"])
+    def test_bench_out_writes_bench_csv(self, tmp_path, monkeypatch, capsys, root):
+        if root:
+            monkeypatch.setenv("ADAPTIVE_REPLAY_OUT", str(tmp_path / root))
+        else:
+            monkeypatch.delenv("ADAPTIVE_REPLAY_OUT", raising=False)
+        out = tmp_path / "b"
+        argv = ["bench", "--capacity", "64", "--batch", "4", "--rounds", "2", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert f"wrote {out / 'bench.csv'}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
+        lines = (out / "bench.csv").read_text().splitlines()
+        assert lines[:2] == ["# schema=bench.v1", BENCH_HEADER]
+        rows = [line.split(",") for line in lines[2:]]
+        operations = ["sample", "update", "sample+update"]
+        assert [tuple(r[:4]) for r in rows] == [
+            ("64", op, batch, "2") for batch in ("4", "8") for op in operations
+        ]
+        assert all(float(r[4]) > 0 for r in rows)
 
     def test_bench_adds_training_batch_rows_after_requested_batch(self):
         operations = ["sample", "update", "sample+update"]

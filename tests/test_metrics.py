@@ -105,3 +105,9 @@ class TestValidation:
             row = compute_metrics([steps_1_to(20)], [scores], window=3)
             assert 0.0 <= row.learning_stability <= 1.0 + 1e-12
             assert row.robustness >= 0.0
+
+
+@pytest.mark.parametrize("step", [0, -100])
+def test_non_positive_steps_rejected_by_message(step):
+    with pytest.raises(ValueError, match="evaluation points must carry positive step counts"):
+        compute_metrics([np.full(10, step)], [np.ones(10)], window=3)

@@ -1,5 +1,7 @@
 """Softmax policy families: probabilities, score functions, measured bounds."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ def finite_difference_log_prob_grad(policy, state, action, h=1e-6):
         shifted = params.copy()
         shifted[i] += h
         probe.set_params(shifted)
-        up = probe.log_prob(state, action)
+        up = probe.log_prob_table()[state, action]
         shifted[i] -= 2 * h
         probe.set_params(shifted)
-        down = probe.log_prob(state, action)
+        down = probe.log_prob_table()[state, action]
         grad[i] = (up - down) / (2 * h)
     return grad
 
@@ -41,15 +43,13 @@ class TestBothFamilies:
     def test_probabilities_positive_and_normalized(self, factory):
         policy = factory(np.random.default_rng(0))
         for s in range(policy.n_states):
-            probs = policy.action_probs(s)
+            probs = policy.prob_table()[s]
             assert np.all(probs > 0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_log_prob_consistent_with_prob(self, factory):
         policy = factory(np.random.default_rng(1))
-        for s in range(policy.n_states):
-            for a in range(policy.n_actions):
-                assert policy.log_prob(s, a) == pytest.approx(np.log(policy.prob(s, a)))
+        assert policy.log_prob_table() == pytest.approx(np.log(policy.prob_table()))
 
     def test_score_function_matches_finite_differences(self, factory):
         rng = np.random.default_rng(2)
@@ -69,11 +69,6 @@ class TestBothFamilies:
         policy.set_params(params * 2.0)
         np.testing.assert_allclose(policy.get_params(), params * 2.0)
 
-    def test_min_action_prob_is_global_minimum(self, factory):
-        policy = factory(np.random.default_rng(4))
-        probs = [policy.prob(s, a) for s in range(policy.n_states) for a in range(policy.n_actions)]
-        assert policy.min_action_prob() == pytest.approx(min(probs))
-
     def test_max_score_norm_is_global_maximum(self, factory):
         policy = factory(np.random.default_rng(5))
         norms = [
@@ -87,7 +82,7 @@ class TestBothFamilies:
 class TestTabularSpecifics:
     def test_equal_logits_give_uniform(self):
         policy = TabularSoftmaxPolicy(2, 2)
-        np.testing.assert_allclose(policy.action_probs(0), [0.5, 0.5])
+        np.testing.assert_allclose(policy.prob_table()[0], [0.5, 0.5])
 
     def test_score_is_onehot_minus_distribution(self):
         policy = TabularSoftmaxPolicy(1, 2)
@@ -95,10 +90,28 @@ class TestTabularSpecifics:
 
     def test_greedy_action(self):
         policy = TabularSoftmaxPolicy(1, 3, logits=np.array([[0.0, 2.0, 1.0]]))
-        assert policy.greedy_action(0) == 1
+        assert policy.tables().greedy[0] == 1
 
     def test_sampling_follows_distribution(self):
+        # Rollouts draw ``bisect_right(cdfs[s], rng.random())``.
         rng = np.random.default_rng(6)
         policy = TabularSoftmaxPolicy(1, 2, logits=np.array([[np.log(3.0), 0.0]]))
-        draws = np.array([policy.sample_action(0, rng) for _ in range(20_000)])
+        cdf = policy.tables().cdfs[0]
+        draws = np.array([bisect_right(cdf, rng.random()) for _ in range(20_000)])
         assert np.mean(draws == 0) == pytest.approx(0.75, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: LinearSoftmaxPolicy(np.ones(4), 2),
+                     r"features must be a \(n_states, n_features\) matrix", id="features-1d"),
+        pytest.param(lambda: LinearSoftmaxPolicy(np.ones((4, 3)), 2, weights=np.zeros((2, 3))),
+                     r"weights shape must be \(n_features, n_actions\)", id="weights-shape"),
+        pytest.param(lambda: TabularSoftmaxPolicy(4, 2, logits=np.zeros((2, 4))),
+                     r"logits shape must be \(n_states, n_actions\)", id="logits-shape"),
+    ],
+)
+def test_wrong_shapes_rejected_by_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

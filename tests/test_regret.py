@@ -12,7 +12,6 @@ from adaptive_replay.regret import (
     drifting_sequence,
     dynamic_competitor,
     fit_loglog_slope,
-    floor_distribution,
     min_step_cost,
     run_regret_experiment,
     scaled_noise_sequence,
@@ -69,9 +68,6 @@ class TestDynamicCompetitor:
         result = dynamic_competitor(np.array([0.0, 5.0, 0.0]))
         np.testing.assert_allclose(result.p, [0.0, 1.0, 0.0])
         assert result.degenerate
-        floored = floor_distribution(result.p)
-        assert np.all(floored > 0)
-        assert abs(floored.sum() - 1.0) < 1e-12
 
     def test_matches_numeric_minimizer(self):
         rng = np.random.default_rng(1)
@@ -181,7 +177,7 @@ class TestLossBound:
         env = chain_env(4, horizon=4)
         policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
         trajs = [env.rollout(policy, rng) for _ in range(50)]
-        beta = policy.min_action_prob()
+        beta = float(np.exp(policy.log_prob_table()).min())
         check = check_loss_bound(
             trajs, policy, env.gamma, beta=beta,
             score_norm_cap=policy.max_score_norm(), reward_cap=env.reward_bound,
@@ -199,17 +195,16 @@ class TestLossBound:
         behavior = TabularSoftmaxPolicy(
             n_states, n_actions, logits=rng.uniform(-1, 1, (n_states, n_actions))
         )
-        beta = min(target.min_action_prob(), behavior.min_action_prob())
+        beta = min(float(np.exp(p.log_prob_table()).min()) for p in (target, behavior))
+        table = behavior.prob_table()
         trajs = []
         for _ in range(500):
             length = int(rng.integers(1, horizon + 1))
             states = rng.integers(0, n_states, length)
             actions = np.array(
-                [behavior.sample_action(int(s), rng) for s in states], dtype=np.int64
+                [rng.choice(n_actions, p=table[s]) for s in states], dtype=np.int64
             )
-            probs = np.array(
-                [behavior.prob(int(s), int(a)) for s, a in zip(states, actions)]
-            )
+            probs = table[states, actions]
             trajs.append(
                 Trajectory(
                     states=states,
@@ -231,3 +226,21 @@ class TestSlopeFit:
         horizons = [500, 1000, 2000, 4000]
         values = [7.0 * t**0.66 for t in horizons]
         assert fit_loglog_slope(horizons, values) == pytest.approx(0.66)
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        pytest.param(lambda: static_competitor(np.ones(3)),
+                     r"expected a \(steps, slots\) loss matrix", id="static-1d"),
+        pytest.param(lambda: dynamic_competitor(np.ones((2, 3))), "expected a 1-d loss row",
+                     id="dynamic-2d"),
+        pytest.param(lambda: static_competitor(np.array([[1.0, np.nan]])),
+                     "losses must be finite", id="static-nan"),
+        pytest.param(lambda: dynamic_competitor(np.array([1.0, np.inf])),
+                     "losses must be finite", id="dynamic-inf"),
+    ],
+)
+def test_invalid_competitor_input_rejected_by_message(act, message):
+    with pytest.raises(ValueError, match=message):
+        act()

@@ -288,3 +288,23 @@ class TestConfigValidation:
         assert config.nu == 1000.0
         assert config.kappa == 0.1
         assert config.rho == 0.9
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        pytest.param(lambda config: SamplerState(config, w=np.zeros(3)),
+                     r"w must have shape \(4,\), got \(3,\)", id="w-shape"),
+        pytest.param(lambda config: SamplerState(config, w=np.array([0.0, -1.0, 0.0, 0.0])),
+                     "w entries must be non-negative and finite", id="w-negative"),
+        pytest.param(lambda config: SamplerState(config).record_full(np.zeros(3)),
+                     r"expected \(4,\) losses, got \(3,\)", id="full-shape"),
+        pytest.param(
+            lambda config: SamplerState(config).record_full(np.array([0.0, -1.0, 0.0, 0.0])),
+            "losses must be finite and non-negative", id="full-negative",
+        ),
+    ],
+)
+def test_invalid_state_and_full_feedback_rejected_by_message(act, message):
+    with pytest.raises(ValueError, match=message):
+        act(SamplerConfig(capacity=4))

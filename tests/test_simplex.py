@@ -80,3 +80,12 @@ class TestMinimizer:
                 max_iter=3,
                 tol=1e-14,
             )
+
+
+@pytest.mark.parametrize(
+    "x0", [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])], ids=["first", "last"]
+)
+def test_start_point_with_non_finite_objective_rejected(x0):
+    # The start keeps zero coordinates, where sum(1/x) is infinite.
+    with pytest.raises(ValueError, match="objective is not finite at the starting point"):
+        minimize_on_simplex(lambda x: float(np.sum(1.0 / x)), 3, x0=x0)

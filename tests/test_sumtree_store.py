@@ -329,47 +329,52 @@ def random_rollouts(rng, lengths, kind):
 
 
 def fill_strategy(mode, capacity, rng):
-    """A training strategy over an empty store whose accumulators hold stale values."""
+    """An empty store, accumulators holding stale values, and a training strategy over them."""
     store = WeightedStore(capacity)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1000.0, kappa=0.1))
     sampler.w[:] = rng.uniform(0.0, 5.0, capacity)
     if mode == "td_priority":
-        return _TDPriorityStrategy(sampler, store, chain_env(5), 0.05, TD_EXPONENT)
-    return _AccumulatorStrategy(sampler, store, periodic_reset=True)
+        return store, sampler, _TDPriorityStrategy(store, chain_env(5), 0.05, TD_EXPONENT)
+    return store, sampler, _AccumulatorStrategy(sampler, store, periodic_reset=True)
 
 
 def assert_same_store(got, want):
+    (got_store, got_sampler), (want_store, want_sampler) = got, want
     for name in (*COLUMNS, "lengths"):
-        a, b = getattr(got.store, name), getattr(want.store, name)
+        a, b = getattr(got_store, name), getattr(want_store, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    assert got.store.occupancy == want.store.occupancy
-    assert got.store.tree._tree.tobytes() == want.store.tree._tree.tobytes()
-    assert got.sampler.w.tobytes() == want.sampler.w.tobytes()
-    if isinstance(want, _TDPriorityStrategy):
-        assert got.priorities.tobytes() == want.priorities.tobytes()
+    assert got_store.occupancy == want_store.occupancy
+    assert got_store.tree._tree.tobytes() == want_store.tree._tree.tobytes()
+    assert got_sampler.w.tobytes() == want_sampler.w.tobytes()
 
 
 class TestBlockFill:
-    """``fill`` in blocks leaves the store that per-episode inserts leave, byte for byte."""
+    """``fill`` in blocks with a strategy's scores leaves the store that
+    per-episode inserts with the same scores leave, byte for byte."""
 
     @staticmethod
     def filled_both_ways(mode, rollouts, blocks):
         capacity = len(rollouts)
-        stale = np.random.default_rng(0)
-        want = fill_strategy(mode, capacity, stale)
+        store, sampler, strategy = fill_strategy(mode, capacity, np.random.default_rng(0))
         insert_rng = np.random.default_rng(1)
         for rollout in rollouts:
-            want.insert(rollout, insert_rng)
-        got = fill_strategy(mode, capacity, np.random.default_rng(0))
+            scores = strategy.scores([rollout])
+            store.insert(
+                rollout, sampler, insert_rng, kappa=strategy.kappa,
+                score=None if scores is None else float(scores[0]),
+            )
+        want = store, sampler
+        store, sampler, strategy = fill_strategy(mode, capacity, np.random.default_rng(0))
         lo = 0
         for size in blocks:
-            got.fill(rollouts[lo : lo + size])
+            block = rollouts[lo : lo + size]
+            store.fill(block, sampler, strategy.scores(block))
             lo += size
         assert lo == capacity
         # Fill-phase inserts draw nothing, so neither may fill.
         assert insert_rng.random() == np.random.default_rng(1).random()
-        return got, want
+        return (store, sampler), want
 
     # The td sweep reads both kinds alike, so 65,000 Trajectory records
     # (seconds to build and insert) run in one mode.
@@ -392,10 +397,11 @@ class TestBlockFill:
         blocks = [min(FILL_BLOCK, capacity - lo) for lo in range(0, capacity, FILL_BLOCK)]
         got, want = self.filled_both_ways(mode, rollouts, blocks)
         assert_same_store(got, want)
-        assert got.store.width == 7
+        got_store = got[0]
+        assert got_store.width == 7
         batch = TrajectoryBatch.of(rollouts)
         for name in (*COLUMNS, "lengths"):
-            assert getattr(batch, name).tobytes() == getattr(got.store, name).tobytes(), name
+            assert getattr(batch, name).tobytes() == getattr(got_store, name).tobytes(), name
 
     @pytest.mark.parametrize("mode", ["adaptive", "td_priority"])
     @pytest.mark.parametrize("kind", ["episode", "trajectory"])

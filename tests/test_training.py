@@ -29,6 +29,28 @@ def bandit_config(mode, seed, **overrides):
     return TrainingConfig(**kwargs)
 
 
+# Recorded trace digests (chain5): the mid-epoch stop run below and, per
+# mode, a run with evictions, resets and probes.  Any change to a loop's
+# draws, write order or arithmetic moves them.
+EPOCH_STOP_DIGEST = "d727d5889fc7680c129ce1bb177b028687f4e4097a73f62565eb26bc1408eb60"
+RECORDED_DIGESTS = {
+    "uniform": "086a14fc82a794f7cece0e822f26a1b8466ccb4ca3d3d3fe0e54e0e7854e45cc",
+    "td_priority": "19899fbe9f72e64e3911af59f28e9390c1e54320cd2964910cc9aaf4c3df0fd9",
+    "adaptive": "456f76dbe79a5cfe04cb2ff2d6c42a592fbbc6248adb70f9bad012358ba51914",
+    "adaptive_epoch": "eb9f23b6b1ff2affa06c2bec2d0517ddea06190d469c3a7d3390d6f89ae16c17",
+}
+
+
+def trace_digest(trace):
+    """sha256 over every trace array (name, dtype, shape, bytes) and ``ratio_cap_hits``."""
+    h = hashlib.sha256(str(trace.ratio_cap_hits).encode())
+    for name, value in sorted(vars(trace).items()):
+        if isinstance(value, np.ndarray):
+            h.update(f"{name}:{value.dtype.str}:{value.shape};".encode())
+            h.update(value.tobytes())
+    return h.hexdigest()
+
+
 class TestConfigValidation:
     def test_batch_cannot_exceed_buffer(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -73,6 +95,19 @@ class TestConfigValidation:
         kwargs = {"total_steps": 10, "batch_size": 1, "buffer_capacity": 8, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param({"selection_mode": "adaptive_epoch", "updates_per_episode": -1},
+                         "updates_per_episode must be >= 0", id="epoch-negative-updates"),
+            pytest.param({"eval_every": 50, "probe_every": 75},
+                         "probe_every must be a multiple of eval_every", id="probe-off-schedule"),
+        ],
+    )
+    def test_invalid_schedule_rejected_by_message(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, **overrides)
 
     def test_zero_updates_per_episode_only_for_epoch_mode(self):
         with pytest.raises(ValueError, match="updates_per_episode"):
@@ -152,6 +187,27 @@ class TestModeSemantics:
         )
         trace = run_training(env, config)
         assert np.all(trace.returns == trace.returns[0])
+
+    def test_epoch_loop_stops_inside_an_epoch(self, monkeypatch):
+        # 10 updates at 3 per episode: the fourth epoch ends after one update.
+        counts, evals = Counter(), []
+        count_calls(monkeypatch, counts, training._LoopState, "collect_episode")
+        count_calls(monkeypatch, counts, training._LoopState, "update_policy")
+        record_eval = training._LoopState.record_eval
+
+        def recorded(state, update_index):
+            evals.append(update_index)
+            record_eval(state, update_index)
+
+        monkeypatch.setattr(training._LoopState, "record_eval", recorded)
+        config = bandit_config(
+            "adaptive_epoch", seed=9, total_steps=10, updates_per_episode=3, eval_every=4
+        )
+        trace = run_training(chain_env(5), config)
+        assert evals == [4, 8, 10]
+        assert counts["update_policy"] == 10
+        assert counts["collect_episode"] == math.ceil(10 / 3)
+        assert trace_digest(trace) == EPOCH_STOP_DIGEST
 
     def test_periodic_resets_counted(self):
         env = two_state_bandit_env()
@@ -346,6 +402,16 @@ class TestCollectionPath:
 
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_trace_digest_recorded(self, mode):
+        sampler = SamplerConfig(capacity=16, reset_period=25, reset_mode="soft", kappa=0.1)
+        config = bandit_config(
+            mode, seed=12, total_steps=60, eval_every=10, warmup_episodes=16 + 5,
+            probe_every=20, probe_repeats=20, sampler=sampler,
+            updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+        )
+        assert trace_digest(run_training(chain_env(5), config)) == RECORDED_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_block_fill_equals_per_episode_inserts(self, monkeypatch, mode):
         # Warm-up past the capacity: blocks of 5 fill the 24 slots, then 37
         # episodes evict one insert each; the trace digest must equal a run
@@ -354,14 +420,6 @@ class TestCollectionPath:
             for _ in range(state.store.capacity):
                 state.collect_episode()
 
-        def digest(trace):
-            h = hashlib.sha256(str(trace.ratio_cap_hits).encode())
-            for name, value in sorted(vars(trace).items()):
-                if isinstance(value, np.ndarray):
-                    h.update(f"{name}:{value.dtype.str}:{value.shape};".encode())
-                    h.update(value.tobytes())
-            return h.hexdigest()
-
         config = bandit_config(
             mode, seed=8, total_steps=150, buffer_capacity=24, warmup_episodes=24 + 37,
             probe_every=50, probe_repeats=20,
@@ -369,9 +427,9 @@ class TestCollectionPath:
         )
         env = chain_env(5)
         monkeypatch.setattr(training, "FILL_BLOCK", 5)
-        blocks = digest(run_training(env, config))
+        blocks = trace_digest(run_training(env, config))
         monkeypatch.setattr(training._LoopState, "fill_buffer", per_episode_fill)
-        assert blocks == digest(run_training(env, config))
+        assert blocks == trace_digest(run_training(env, config))
 
 
 class TestRatioCapHits:
