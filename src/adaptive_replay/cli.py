@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from .bench import run_bench
@@ -22,7 +23,6 @@ from .harness import (
     OUTPUT_ROOT_ENV,
     metrics_from_traces,
     parse_config,
-    resolve_output_dir,
     run_suite,
 )
 from .reporting import metrics_text, write_bench
@@ -78,7 +78,7 @@ def _cmd_bench(args) -> int:
     for capacity, operation, batch, rounds, ops in rows:
         print(f"capacity={capacity} {operation:>14s}: {ops:,.0f} ops/s (batch={batch})")
     if args.out:
-        out = resolve_output_dir(args.out)
+        out = Path(args.out)  # an override, as for `run`: no output root applies
         out.mkdir(parents=True, exist_ok=True)
         write_bench(out / "bench.csv", rows)
         print(f"wrote {out / 'bench.csv'}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import Episode, Trajectory, TrajectoryBatch
+from .store import Episode, TrajectoryBatch
 
 
 @dataclass
@@ -80,8 +80,8 @@ def trajectory_gradients(
     return TrajectoryGradients(omega, score, returns, g, d, int(capped.sum()))
 
 
-def trajectory_return(traj: Trajectory | Episode, gamma: float) -> float:
-    """Discounted return ``sum_t gamma^t r_t``; ``traj.rewards`` may be a list."""
+def trajectory_return(traj: Episode, gamma: float) -> float:
+    """Discounted return ``sum_t gamma^t r_t`` of the list ``traj.rewards``."""
     return float(traj.rewards @ gamma ** np.arange(len(traj)))
 
 

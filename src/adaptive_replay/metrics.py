@@ -46,14 +46,11 @@ def moving_average(scores: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average; early points average over what is available."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    out = np.empty_like(scores)
-    csum = np.cumsum(scores)
-    for i in range(len(scores)):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    csum = np.cumsum(np.asarray(scores, dtype=np.float64))
+    i = np.arange(len(csum))
+    lo = np.maximum(0, i - window + 1)
+    # csum[lo - 1] wraps to the last entry where lo == 0; where() discards it.
+    return (csum - np.where(lo > 0, csum[lo - 1], 0.0)) / (i - lo + 1)
 
 
 def compute_metrics(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gradients import trajectory_gradients, variance_objective
 from .sampler import SamplerConfig, SamplerState
-from .store import Trajectory, TrajectoryBatch
+from .store import Episode, TrajectoryBatch
 
 SequenceGenerator = Callable[[np.random.Generator, int, int], np.ndarray]
 
@@ -244,15 +244,10 @@ class LossBoundCheck:
     score_ok: bool
     return_ok: bool
     max_ratio: float
-    max_score_norm: float
-    max_abs_return: float
-    ratio_bound: float
-    score_bound: float
-    return_bound: float
 
 
 def check_loss_bound(
-    trajs: Sequence[Trajectory],
+    trajs: Sequence[Episode],
     target,
     gamma: float,
     beta: float,
@@ -292,11 +287,6 @@ def check_loss_bound(
         score_ok=bool(score_ok),
         return_ok=bool(return_ok),
         max_ratio=max_ratio,
-        max_score_norm=max_score,
-        max_abs_return=max_return,
-        ratio_bound=ratio_bound,
-        score_bound=score_bound,
-        return_bound=return_bound,
     )
 
 

@@ -14,7 +14,7 @@ accumulator is zeroed, since the fresh trajectory has no feedback history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from itertools import chain
 from typing import Sequence
 
@@ -39,50 +39,14 @@ _COLUMNS = {
 }
 
 
-@dataclass
-class Trajectory:
-    """A hand-built rollout as parallel per-step arrays, validated on construction.
-
-    ``behavior_probs[t]`` is the probability the generating policy assigned to
-    ``actions[t]`` in ``states[t]``; it is what importance ratios divide by,
-    so it must be positive.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    behavior_probs: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states)
-        self.actions = np.asarray(self.actions)
-        self.behavior_probs = np.asarray(self.behavior_probs, dtype=np.float64)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
-        self.next_states = np.asarray(self.next_states)
-        n = len(self.states)
-        if n < 1:
-            raise ValueError("trajectory must contain at least one step")
-        for name in ("actions", "behavior_probs", "rewards", "next_states"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match states length {n}")
-        bp = self.behavior_probs
-        # One pass, and a NaN fails both comparisons, so it is rejected too.
-        if not ((bp > 0) & (bp <= 1)).all():
-            raise ValueError("behavior probabilities must lie in (0, 1]")
-        if not np.isfinite(self.rewards).all():
-            raise ValueError("rewards must be finite")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 class Episode:
-    """One rollout as the per-step lists it was collected in; not validated.
+    """One rollout as the per-step Python lists it was collected in; not checked.
 
-    What :class:`Trajectory` checks holds by construction here: the policy
-    tables reject a probability outside ``(0, 1]`` and the env rejects a
-    non-finite reward, each once, when it is built.
+    This is the one record layout: stores, estimators and the loss-bound
+    check all read its five lists.  A rollout's episode needs no checks, as
+    they hold by construction: the policy tables reject a probability
+    outside ``(0, 1]`` and the env rejects a non-finite reward, each once,
+    when it is built.  Hand-built records go through :class:`Trajectory`.
     """
 
     __slots__ = tuple(_COLUMNS)
@@ -96,6 +60,40 @@ class Episode:
 
     def __len__(self) -> int:
         return len(self.states)
+
+
+class Trajectory(Episode):
+    """A hand-built :class:`Episode`, checked once on construction.
+
+    Each column may be any sequence; it is converted to the list an episode
+    holds (float64 for probabilities and rewards) and checked there.
+    ``behavior_probs[t]`` is the probability the generating policy assigned
+    to ``actions[t]`` in ``states[t]``; it is what importance ratios divide
+    by, so it must be positive.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, states, actions, behavior_probs, rewards, next_states):
+        super().__init__(
+            np.asarray(states).tolist(),
+            np.asarray(actions).tolist(),
+            np.asarray(behavior_probs, dtype=np.float64).tolist(),
+            np.asarray(rewards, dtype=np.float64).tolist(),
+            np.asarray(next_states).tolist(),
+        )
+        n = len(self.states)
+        if n < 1:
+            raise ValueError("trajectory must contain at least one step")
+        for name in _COLUMNS:
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} length does not match states length {n}")
+        # The checks run on the lists: at a few steps, cheaper than numpy's
+        # calls.  A NaN fails both comparisons, so it is rejected too.
+        if not all(0.0 < p <= 1.0 for p in self.behavior_probs):
+            raise ValueError("behavior probabilities must lie in (0, 1]")
+        if not all(map(math.isfinite, self.rewards)):
+            raise ValueError("rewards must be finite")
 
 
 class TrajectoryBatch:
@@ -113,7 +111,7 @@ class TrajectoryBatch:
             setattr(self, name, np.full((rows, 0), fill, dtype=dtype))
 
     @classmethod
-    def of(cls, trajs: Sequence[Trajectory | Episode]) -> TrajectoryBatch:
+    def of(cls, trajs: Sequence[Episode]) -> TrajectoryBatch:
         """A batch holding ``trajs`` in order, one row each."""
         batch = cls(len(trajs))
         batch._write_rows(0, trajs)
@@ -132,11 +130,11 @@ class TrajectoryBatch:
             for name, (_, fill) in _COLUMNS.items():
                 setattr(self, name, np.pad(getattr(self, name), pad, constant_values=fill))
 
-    def write(self, row: int, traj: Trajectory | Episode) -> None:
+    def write(self, row: int, traj: Episode) -> None:
         """Store ``traj`` in ``row``, widening every column if it is the longest yet.
 
-        Each column of ``traj`` (an array or a list) is assigned into
-        ``column[row, :len(traj)]`` as it is, with no further checks.
+        Each list of ``traj`` is assigned into ``column[row, :len(traj)]``
+        as it is, with no further checks.
         """
         n = len(traj)
         self._widen(n)
@@ -144,11 +142,11 @@ class TrajectoryBatch:
             getattr(self, name)[row, :n] = getattr(traj, name)
         self.lengths[row] = n
 
-    def _write_rows(self, lo: int, trajs: Sequence[Trajectory | Episode]) -> None:
+    def _write_rows(self, lo: int, trajs: Sequence[Episode]) -> None:
         """Store ``trajs`` in rows ``lo, lo + 1, ...``, as a ``write`` per row would.
 
         Each column takes one ``np.fromiter`` over the trajectories' chained
-        steps and one assignment through the ``lengths`` mask, which visits
+        lists and one assignment through the ``lengths`` mask, which visits
         the cells row by row, in the order the steps were chained.
         """
         lengths = np.fromiter(map(len, trajs), dtype=np.int64, count=len(trajs))
@@ -241,7 +239,7 @@ class WeightedStore(TrajectoryBatch):
 
     def fill(
         self,
-        trajs: Sequence[Trajectory | Episode],
+        trajs: Sequence[Episode],
         sampler: SamplerState,
         scores: np.ndarray | None = None,
     ) -> None:
@@ -265,7 +263,7 @@ class WeightedStore(TrajectoryBatch):
 
     def insert(
         self,
-        traj: Trajectory | Episode,
+        traj: Episode,
         sampler: SamplerState,
         rng: np.random.Generator,
         kappa: float | None = None,

@@ -49,8 +49,9 @@ def heteroscedastic_buffer(
                 next_states=rng.integers(0, n_states, horizon),
             )
         )
+    # Every fresh leaf is sqrt(0 + nu) = 1.0, and sums of unit leaves are exact,
+    # so the index ``fill`` writes is the one ``rebuild_index`` would make.
     store.fill(trajs, sampler)
-    store.rebuild_index(sampler)
     return store, sampler, policy
 
 

@@ -141,7 +141,7 @@ class TestRollout:
     @pytest.mark.parametrize("greedy", [False, True])
     def test_store_rows_equal_rows_of_reference_trajectories(self, greedy):
         # The rollout's lists go into store rows unconverted; the rows must
-        # equal those TrajectoryBatch.of builds from validated arrays.
+        # equal those TrajectoryBatch.of builds from checked Trajectory records.
         shorter = 0
         for env in rollout_envs():
             policy = random_logits_policy(env, np.random.default_rng(31))

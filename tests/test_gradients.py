@@ -45,6 +45,11 @@ def random_traj(rng, policy, length):
     )
 
 
+def with_rewards(traj, rewards):
+    """``traj`` with other rewards, as a new record: records are not edited in place."""
+    return Trajectory(traj.states, traj.actions, traj.behavior_probs, rewards, traj.next_states)
+
+
 def importance_ratio(traj, policy, log_cap=50.0):
     return trajectory_gradients(TrajectoryBatch.of([traj]), policy, 0.9, log_cap=log_cap).omega[0]
 
@@ -87,8 +92,7 @@ class TestScoreReturnGrad:
     def test_zero_rewards_give_zero_vector(self):
         rng = np.random.default_rng(1)
         policy = random_policy(rng)
-        traj = random_traj(rng, policy, 4)
-        traj.rewards[:] = 0.0
+        traj = with_rewards(random_traj(rng, policy, 4), np.zeros(4))
         np.testing.assert_array_equal(score_return_grad(traj, policy, 0.9), np.zeros(12))
 
     def test_single_step_equal_logits(self):
@@ -258,9 +262,7 @@ class TestOnPolicyGradient:
     def test_zero_rewards(self):
         rng = np.random.default_rng(7)
         policy = random_policy(rng)
-        trajs = [random_traj(rng, policy, 3) for _ in range(4)]
-        for traj in trajs:
-            traj.rewards[:] = 0.0
+        trajs = [with_rewards(random_traj(rng, policy, 3), np.zeros(3)) for _ in range(4)]
         np.testing.assert_array_equal(onpolicy_gradient(trajs, policy, 0.9), np.zeros(12))
 
     def test_empty_list_rejected(self):
@@ -445,7 +447,7 @@ class TestEmpiricalVariance:
         for i in range(capacity):
             traj = random_traj(rng, policy, 3)
             if reward_scale is not None:
-                traj.rewards *= reward_scale[i]
+                traj = with_rewards(traj, np.multiply(traj.rewards, reward_scale[i]))
             store.insert(traj, sampler, rng)
         return store, sampler
 

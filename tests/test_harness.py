@@ -32,7 +32,7 @@ from adaptive_replay.reporting import (
     write_csv,
     write_metrics,
 )
-from adaptive_replay.studies import learned_vs_uniform_variance
+from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance
 
 
 def write_spec(tmp_path, text):
@@ -658,6 +658,17 @@ class TestCli:
         ]
         assert all(float(r[4]) > 0 for r in rows)
 
+    def test_bench_relative_out_ignores_output_root(self, tmp_path, monkeypatch, capsys):
+        # --out overrides the root for bench as for run: a relative one is
+        # taken from the working directory, not joined to the root.
+        monkeypatch.setenv("ADAPTIVE_REPLAY_OUT", str(tmp_path / "outroot"))
+        monkeypatch.chdir(tmp_path)
+        argv = ["bench", "--capacity", "64", "--batch", "4", "--rounds", "2", "--out", "b"]
+        assert cli_main(argv) == 0
+        assert f"wrote {Path('b') / 'bench.csv'}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
+        assert (tmp_path / "b" / "bench.csv").read_text().startswith("# schema=bench.v1\n")
+
     def test_bench_adds_training_batch_rows_after_requested_batch(self):
         operations = ["sample", "update", "sample+update"]
         rows = run_bench(capacity=256, batch=16, rounds=2)
@@ -694,3 +705,12 @@ class TestVarianceStudyUnit:
         comp = learned_vs_uniform_variance(seed=0, capacity=16, repeats=100, learn_steps=80)
         assert comp.loss_spread_orders >= 1.0
         assert comp.var_learned > 0 and comp.var_uniform > 0
+
+    @pytest.mark.parametrize("capacity", [32, 33], ids=["power-of-two", "padded"])
+    def test_filled_index_is_a_rebuild(self, capacity):
+        # fill writes unit leaves in one leaf write; no rebuild follows it.
+        store, sampler, _ = heteroscedastic_buffer(np.random.default_rng(5), capacity=capacity)
+        tree = store.tree._tree.copy()
+        store.rebuild_index(sampler)
+        assert tree.tobytes() == store.tree._tree.tobytes()
+        assert store.tree.total == capacity

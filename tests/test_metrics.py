@@ -10,7 +10,28 @@ def steps_1_to(n, per=100):
     return np.arange(1, n + 1) * per
 
 
+def loop_moving_average(scores, window):
+    """Reference for ``moving_average``: the same arithmetic, one index at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    out = np.empty_like(scores)
+    csum = np.cumsum(scores)
+    for i in range(len(scores)):
+        lo = max(0, i - window + 1)
+        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
+        out[i] = total / (i - lo + 1)
+    return out
+
+
 class TestMovingAverage:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+    @pytest.mark.parametrize("window", [1, 3, 10, 60])
+    def test_same_bytes_as_the_loop(self, n, window):
+        rng = np.random.default_rng(1000 * n + window)
+        for x in (rng.normal(size=n), rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-8, 8, n)):
+            got, want = moving_average(x, window), loop_moving_average(x, window)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
     def test_window_one_is_identity(self):
         x = np.array([3.0, 1.0, 4.0])
         np.testing.assert_array_equal(moving_average(x, 1), x)

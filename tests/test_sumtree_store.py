@@ -312,7 +312,8 @@ COLUMNS = ("states", "actions", "behavior_probs", "rewards", "next_states")
 
 
 def random_rollouts(rng, lengths, kind):
-    """Chain-5 steps of the given lengths, as ``Episode`` lists or ``Trajectory`` arrays."""
+    """Chain-5 steps of the given lengths, as ``Episode`` lists or ``Trajectory``
+    records checked from array slices."""
     bounds = np.concatenate([[0], np.cumsum(lengths)])
     total = int(bounds[-1])
     columns = (

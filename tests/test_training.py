@@ -391,14 +391,14 @@ class TestCollectionPath:
         # Episodes go from the rollout's lists into store rows; their checks
         # ran once, when the policy tables and the env were built.
         counts = Counter()
-        count_calls(monkeypatch, counts, Trajectory, "__post_init__")
+        count_calls(monkeypatch, counts, Trajectory, "__init__")
         config = bandit_config(
             mode, seed=6, total_steps=100, probe_every=50, probe_repeats=20,
             updates_per_episode=2 if mode == "adaptive_epoch" else 1,
         )
         trace = run_training(chain_env(4, horizon=6), config)
         assert trace.steps[-1] > config.buffer_capacity
-        assert counts["__post_init__"] == 0
+        assert counts["__init__"] == 0
 
 
     @pytest.mark.parametrize("mode", MODES)
