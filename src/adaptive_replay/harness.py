@@ -1,6 +1,6 @@
 """Experiment families, config parsing, deterministic seeding, and suite execution.
 
-Four families share one runner:
+Three families share one runner:
 
 ``regret_synthetic``
     FTRL against generated loss sequences (stationary full-information,
@@ -12,8 +12,6 @@ Four families share one runner:
 ``variance_study``
     Paired learned-vs-uniform gradient variance comparisons on synthetic
     heteroscedastic buffers.
-``bench``
-    Store index micro-benchmarks.
 
 Every stochastic choice descends from ``(seed, cell_id)`` through a SHA-256
 hash into a numpy PCG64 generator, recorded in the run manifest, so any cell
@@ -37,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import run_bench
 from .envs import ENVIRONMENTS
 from .metrics import compute_metrics
 from .regret import (
@@ -49,7 +46,6 @@ from .regret import (
 from .reporting import (
     read_trace,
     write_atomic,
-    write_bench,
     write_metrics,
     write_regret,
     write_trace,
@@ -73,17 +69,16 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 # The [sampler] keys as (converter, default); a ``None`` default leaves the key
 # to SamplerConfig's own default and out of the echo.  The family sections'
-# keys are in ``_FAMILIES``; the [experiment] defaults are ExperimentSpec's.
+# keys are in ``_FAMILIES``; the [experiment] keys, in ``_SECTIONS``, default
+# to ExperimentSpec's values.
 _SAMPLER = {
     "kappa": (float, 0.1), "nu": (float, 1000.0), "reset_period": (int, 100),
     "reset_mode": (str.strip, "soft"), "rho": (float, 0.9),
     "rho_start": (float, None), "rho_end": (float, None), "anneal_steps": (int, None),
 }
-_EXPERIMENT = {"family": str.strip, "seeds": _parse_int_list, "output_dir": str.strip}
-
 # Every number of these sections is positive.  Sampler and training values are
 # checked by the config objects the cells build.
-_POSITIVE_SECTIONS = ("regret", "variance", "bench")
+_POSITIVE_SECTIONS = ("regret", "variance")
 
 _SCENARIOS = ("stationary", "bandit_rate", "drifting")
 
@@ -165,8 +160,6 @@ def _defaults(keys: dict) -> dict:
 
 def _converter(section: str, key: str, kind: str = "key"):
     """The converter of ``section.key``; an unknown key is rejected by name."""
-    if section == "experiment" and key in _EXPERIMENT:
-        return _EXPERIMENT[key]
     keys = _SECTIONS.get(section, {})
     if key not in keys:
         raise ValueError(f"unknown {kind} '{section}.{key}'")
@@ -203,7 +196,7 @@ def parse_config(path) -> ExperimentSpec:
                 for dotted, raw in parser.items(name)
             }
             sweep.append((name.split(":", 1)[1], overrides))
-        elif name == "experiment" or name in _SECTIONS:
+        elif name in _SECTIONS:
             sections[name] = {key: _convert(name, key, raw) for key, raw in parser.items(name)}
         else:
             raise ValueError(f"unknown config section [{name}]")
@@ -467,6 +460,8 @@ def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: d
 
 
 def _variance_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
+    if options["capacity"] < 2:
+        raise ValueError(f"variance.capacity must be >= 2, got {options['capacity']}")
     for seed in spec.seeds:
         yield f"variance_{label}_seed{seed}", {"label": label, "seed": seed, "options": options}
 
@@ -485,18 +480,6 @@ def _run_variance_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params:
     ]
     path = outdir / f"{cell_id}.csv"
     write_variance(path, comparisons, metadata={"base_seed": str(seed)})
-    return [path.name]
-
-
-def _bench_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
-    yield f"bench_{label}", {"options": options}
-
-
-def _run_bench_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: dict) -> list[str]:
-    options = params["options"]
-    rows = run_bench(capacity=options["capacity"], batch=options["batch"], rounds=options["rounds"])
-    path = outdir / f"{cell_id}.csv"
-    write_bench(path, rows)
     return [path.name]
 
 
@@ -539,13 +522,14 @@ _FAMILIES = {
         },
         _variance_cells, _run_variance_cell,
     ),
-    "bench": _Family(
-        "bench",
-        {"capacity": (int, 1_000_000), "batch": (int, 256), "rounds": (int, 200)},
-        _bench_cells, _run_bench_cell,
-    ),
 }
-_SECTIONS = {"sampler": _SAMPLER, **{family.section: family.keys for family in _FAMILIES.values()}}
+_SECTIONS = {
+    "experiment": {
+        "family": (str.strip, None), "seeds": (_parse_int_list, None), "output_dir": (str.strip, None),
+    },
+    "sampler": _SAMPLER,
+    **{family.section: family.keys for family in _FAMILIES.values()},
+}
 
 
 def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[str, dict]]) -> list[str]:

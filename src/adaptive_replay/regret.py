@@ -83,8 +83,6 @@ class RegretLedger:
 
     capacity: int
     realized: np.ndarray
-    static_opt: float
-    dynamic_opt: np.ndarray
     realized_cum: np.ndarray
     static_opt_cum: np.ndarray
     dynamic_opt_cum: np.ndarray
@@ -96,18 +94,12 @@ class RegretLedger:
         steps, capacity = d_matrix.shape
         if realized.shape != (steps,):
             raise ValueError("realized costs must match the sequence length")
-        roots = np.sqrt(d_matrix)
-        col_prefix = np.cumsum(d_matrix, axis=0)
-        static_opt_cum = np.sqrt(col_prefix).sum(axis=1) ** 2
-        dynamic_opt = roots.sum(axis=1) ** 2
         return cls(
             capacity=capacity,
             realized=realized,
-            static_opt=float(static_opt_cum[-1]),
-            dynamic_opt=dynamic_opt,
             realized_cum=np.cumsum(realized),
-            static_opt_cum=static_opt_cum,
-            dynamic_opt_cum=np.cumsum(dynamic_opt),
+            static_opt_cum=np.sqrt(np.cumsum(d_matrix, axis=0)).sum(axis=1) ** 2,
+            dynamic_opt_cum=np.cumsum(np.sqrt(d_matrix).sum(axis=1) ** 2),
         )
 
     @property
@@ -196,22 +188,18 @@ def stationary_sequence(low: float = 0.1, high: float = 10.0) -> SequenceGenerat
     return generate
 
 
-def scaled_noise_sequence(orders: float = 2.0, base: float = 1.0) -> SequenceGenerator:
+def scaled_noise_sequence(orders: float = 2.0) -> SequenceGenerator:
     """Bounded noisy rows with per-slot scales spread over ``orders`` decades."""
 
     def generate(rng: np.random.Generator, T: int, n: int) -> np.ndarray:
-        scales = base * 10.0 ** rng.uniform(0.0, orders, n)
+        scales = 10.0 ** rng.uniform(0.0, orders, n)
         return scales * rng.uniform(0.0, 1.0, (T, n))
 
     return generate
 
 
 def drifting_sequence(
-    interval: int,
-    n_replace: int,
-    orders: float = 2.0,
-    base: float = 1.0,
-    jitter: float = 0.5,
+    interval: int, n_replace: int, orders: float = 2.0, jitter: float = 0.5
 ) -> SequenceGenerator:
     """Piecewise-stationary scales; every ``interval`` steps, ``n_replace`` random
     slots get fresh scales, mimicking buffer overwriting."""
@@ -219,13 +207,15 @@ def drifting_sequence(
     def generate(rng: np.random.Generator, T: int, n: int) -> np.ndarray:
         if n_replace > n:
             raise ValueError("cannot replace more slots than exist")
-        scales = base * 10.0 ** rng.uniform(0.0, orders, n)
+        scales = 10.0 ** rng.uniform(0.0, orders, n)
         out = np.empty((T, n))
-        for t in range(T):
-            if t > 0 and t % interval == 0:
+        for lo in range(0, T, interval):
+            if lo > 0:
                 cols = rng.choice(n, size=n_replace, replace=False)
-                scales[cols] = base * 10.0 ** rng.uniform(0.0, orders, n_replace)
-            out[t] = scales * (1.0 - jitter + jitter * rng.uniform(0.0, 1.0, n))
+                scales[cols] = 10.0 ** rng.uniform(0.0, orders, n_replace)
+            # One draw per interval reads the stream a draw per row would.
+            rows = out[lo : lo + interval]
+            rows[:] = scales * (1.0 - jitter + jitter * rng.uniform(0.0, 1.0, rows.shape))
         return out
 
     return generate

@@ -80,16 +80,6 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(
-    path: Path,
-    schema: str,
-    header: str,
-    rows: Iterable[Sequence],
-    metadata: Mapping[str, str] | None = None,
-) -> None:
-    write_atomic(path, csv_text(schema, header, rows, metadata))
-
-
 def write_trace(path: Path, trace: TrainingTrace, config_echo: Mapping[str, str] | None = None) -> None:
     metadata = {
         "config_hash": trace.config_hash,
@@ -109,7 +99,7 @@ def write_trace(path: Path, trace: TrainingTrace, config_echo: Mapping[str, str]
         )
         for i in range(len(trace.steps))
     ]
-    write_csv(path, TRACE_SCHEMA, TRACE_HEADER, rows, metadata)
+    write_atomic(path, csv_text(TRACE_SCHEMA, TRACE_HEADER, rows, metadata))
 
 
 def read_trace(path: Path) -> dict:
@@ -161,7 +151,7 @@ def write_regret(path: Path, seed: int, ledger: RegretLedger, metadata: Mapping[
         )
         for t in range(ledger.steps)
     ]
-    write_csv(path, REGRET_SCHEMA, REGRET_HEADER, rows, metadata)
+    write_atomic(path, csv_text(REGRET_SCHEMA, REGRET_HEADER, rows, metadata))
 
 
 def metrics_text(rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> str:
@@ -193,8 +183,8 @@ def write_variance(path: Path, comparisons, metadata=None) -> None:
         (i, c.seed, c.loss_spread_orders, c.var_learned, c.var_uniform, c.improved)
         for i, c in enumerate(comparisons)
     ]
-    write_csv(path, VARIANCE_SCHEMA, VARIANCE_HEADER, rows, metadata)
+    write_atomic(path, csv_text(VARIANCE_SCHEMA, VARIANCE_HEADER, rows, metadata))
 
 
-def write_bench(path: Path, rows, metadata=None) -> None:
-    write_csv(path, BENCH_SCHEMA, BENCH_HEADER, rows, metadata)
+def write_bench(path: Path, rows) -> None:
+    write_atomic(path, csv_text(BENCH_SCHEMA, BENCH_HEADER, rows))

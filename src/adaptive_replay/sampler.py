@@ -88,17 +88,9 @@ class SamplerConfig:
 class SamplerState:
     """Mutable accumulator state.  Single-writer; reads are side-effect free."""
 
-    def __init__(self, config: SamplerConfig, w: np.ndarray | None = None):
+    def __init__(self, config: SamplerConfig):
         self.config = config
-        if w is None:
-            w = np.zeros(config.capacity)
-        else:
-            w = np.asarray(w, dtype=np.float64).copy()
-            if w.shape != (config.capacity,):
-                raise ValueError(f"w must have shape ({config.capacity},), got {w.shape}")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError("w entries must be non-negative and finite")
-        self.w = w
+        self.w = np.zeros(config.capacity)
         self.step = 0
 
     def distribution(self) -> np.ndarray:

@@ -182,10 +182,6 @@ class WeightedStore(TrajectoryBatch):
         self.tree = SumTree(self.capacity)
         self.occupancy = 0
 
-    @property
-    def warmed_up(self) -> bool:
-        return self.occupancy == self.capacity
-
     def update_scores(self, sampler: SamplerState, slots: np.ndarray) -> None:
         """Refresh index scores ``sqrt(w + nu)`` for the given slots.
 
@@ -207,7 +203,7 @@ class WeightedStore(TrajectoryBatch):
         """
         if batch == 0:
             return np.empty(0, dtype=np.int64)
-        if not self.warmed_up:
+        if self.occupancy < self.capacity:
             raise NotReadyError(
                 f"buffer holds {self.occupancy}/{self.capacity} trajectories; warm up first"
             )

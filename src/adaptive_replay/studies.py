@@ -17,23 +17,26 @@ from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import Trajectory, WeightedStore
 
+# The synthetic MDP's shape: states, actions and steps per trajectory.
+N_STATES, N_ACTIONS, HORIZON = 4, 3, 3
+GAMMA = 0.99
+# Slots drawn per feedback step while the distribution is learned.
+LEARN_BATCH = 8
+
 
 def heteroscedastic_buffer(
-    rng: np.random.Generator,
-    capacity: int = 32,
-    n_states: int = 4,
-    n_actions: int = 3,
-    horizon: int = 3,
-    orders: float = 3.5,
+    rng: np.random.Generator, capacity: int = 32, orders: float = 3.5
 ) -> tuple[WeightedStore, SamplerState, TabularSoftmaxPolicy]:
-    """Buffer whose per-slot losses span ``orders`` decades.
+    """Buffer of ``capacity >= 2`` slots whose per-slot losses span ``orders`` decades.
 
     Trajectories get log-spaced reward scales, so the squared-gradient losses
     spread over roughly ``orders`` orders of magnitude regardless of the
     (random) states, actions and behavior probabilities.
     """
+    if capacity < 2:
+        raise ValueError(f"capacity must be >= 2, got {capacity}")
     policy = TabularSoftmaxPolicy(
-        n_states, n_actions, logits=rng.uniform(-0.5, 0.5, (n_states, n_actions))
+        N_STATES, N_ACTIONS, logits=rng.uniform(-0.5, 0.5, (N_STATES, N_ACTIONS))
     )
     store = WeightedStore(capacity)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1.0, kappa=0.1, reset_period=10**9))
@@ -42,11 +45,11 @@ def heteroscedastic_buffer(
         scale = 10.0 ** (orders / 2.0 * i / (capacity - 1))
         trajs.append(
             Trajectory(
-                states=rng.integers(0, n_states, horizon),
-                actions=rng.integers(0, n_actions, horizon),
-                behavior_probs=rng.uniform(0.2, 1.0, horizon),
-                rewards=scale * rng.uniform(0.5, 1.0, horizon),
-                next_states=rng.integers(0, n_states, horizon),
+                states=rng.integers(0, N_STATES, HORIZON),
+                actions=rng.integers(0, N_ACTIONS, HORIZON),
+                behavior_probs=rng.uniform(0.2, 1.0, HORIZON),
+                rewards=scale * rng.uniform(0.5, 1.0, HORIZON),
+                next_states=rng.integers(0, N_STATES, HORIZON),
             )
         )
     # Every fresh leaf is sqrt(0 + nu) = 1.0, and sums of unit leaves are exact,
@@ -60,15 +63,13 @@ def learn_distribution(
     sampler: SamplerState,
     policy: TabularSoftmaxPolicy,
     rng: np.random.Generator,
-    gamma: float = 0.99,
     steps: int = 300,
-    batch: int = 8,
 ) -> np.ndarray:
     """Run the bandit feedback loop at fixed parameters; returns the learned distribution."""
-    d = trajectory_gradients(store, policy, gamma).d
+    d = trajectory_gradients(store, policy, GAMMA).d
     for _ in range(steps):
         p = sampler.distribution()
-        drawn = np.unique(store.sample_mixture(sampler.config.kappa, batch, rng))
+        drawn = np.unique(store.sample_mixture(sampler.config.kappa, LEARN_BATCH, rng))
         sampler.record_feedback(drawn, d[drawn], p[drawn])
         store.update_scores(sampler, drawn)
     return sampler.distribution()
@@ -93,7 +94,6 @@ def learned_vs_uniform_variance(
     repeats: int = 400,
     learn_steps: int = 300,
     orders: float = 3.5,
-    gamma: float = 0.99,
 ) -> VarianceComparison:
     """One paired construction: learn a distribution, then probe both sides.
 
@@ -105,11 +105,8 @@ def learned_vs_uniform_variance(
     store, sampler, policy = heteroscedastic_buffer(
         np.random.default_rng(build_ss), capacity=capacity, orders=orders
     )
-    learn_distribution(
-        store, sampler, policy, np.random.default_rng(learn_ss), gamma=gamma,
-        steps=learn_steps,
-    )
-    grads = trajectory_gradients(store, policy, gamma)
+    learn_distribution(store, sampler, policy, np.random.default_rng(learn_ss), steps=learn_steps)
+    grads = trajectory_gradients(store, policy, GAMMA)
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (

@@ -66,16 +66,17 @@ class SumTree:
         self._tree[node >> self._shifts] += delta
 
     def rebuild(self, scores: np.ndarray) -> None:
-        """Recompute every node from a full score vector, one numpy pass per
-        level; the same pairwise additions as a per-node loop, so bit-identical."""
+        """Recompute every node from a full score vector, one in-place numpy pass
+        per level; the same pairwise additions as a per-node loop, so bit-identical."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (self.capacity,):
             raise ValueError(f"expected {self.capacity} scores, got {scores.shape}")
-        self._tree[:] = 0.0
-        self._tree[self._n : self._n + self.capacity] = scores
-        m = self._n >> 1
+        tree, n = self._tree, self._n
+        tree[n : n + self.capacity] = scores
+        tree[n + self.capacity :] = 0.0
+        m = n >> 1
         while m >= 1:
-            self._tree[m : 2 * m] = self._tree[2 * m : 4 * m : 2] + self._tree[2 * m + 1 : 4 * m : 2]
+            np.add(tree[2 * m : 4 * m : 2], tree[2 * m + 1 : 4 * m : 2], out=tree[m : 2 * m])
             m >>= 1
 
     def sample(self, u: np.ndarray) -> np.ndarray:

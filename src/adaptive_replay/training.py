@@ -316,7 +316,9 @@ class _LoopState:
             # Paired probe: identical frozen state, gradient terms and probe
             # stream, only the sampling distribution differs.
             seed = self.probe_rng.integers(2**63)
-            grads = trajectory_gradients(self.store, self.policy, self.env.gamma)
+            grads = trajectory_gradients(
+                self.store, self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
+            )
             probe, probe_uniform = (
                 gradient_variance(
                     grads, p_choice, cfg.batch_size, cfg.probe_repeats,

@@ -69,7 +69,8 @@ def test_criterion_01_closed_form_ftrl_matches_oracle():
         steps = int(rng.integers(1, 51))
         d = rng.uniform(0.05, 10.0, size=(steps, n))
         nu = float(10.0 ** rng.uniform(-1, 2))
-        state = SamplerState(SamplerConfig(capacity=n, nu=nu, kappa=0.0), w=d.sum(axis=0))
+        state = SamplerState(SamplerConfig(capacity=n, nu=nu, kappa=0.0))
+        state.w[:] = d.sum(axis=0)
         totals = d.sum(axis=0) + nu
         oracle = minimize_on_simplex(
             lambda p: float(np.sum(totals / p)), n, grad=lambda p: -totals / p**2

@@ -27,9 +27,9 @@ from adaptive_replay.reporting import (
     REGRET_HEADER,
     TRACE_HEADER,
     TRACE_SCHEMA,
+    csv_text,
     read_trace,
     write_atomic,
-    write_csv,
     write_metrics,
 )
 from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance
@@ -103,7 +103,7 @@ class TestParseConfig:
             parse_config(
                 write_spec(
                     tmp_path,
-                    "[experiment]\nfamily = bench\n\n[training]\ntotal_steps = 10\n",
+                    "[experiment]\nfamily = variance_study\n\n[training]\ntotal_steps = 10\n",
                 )
             )
 
@@ -153,13 +153,22 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="family"):
             parse_config(write_spec(tmp_path, "[experiment]\nfamily = nope\n"))
 
+    def test_bench_is_not_a_family(self, tmp_path):
+        # The index micro-bench is the ``bench`` subcommand; it times, so it
+        # has no place among the byte-deterministic spec families.
+        with pytest.raises(ValueError, match="experiment.family must be one of"):
+            parse_config(write_spec(tmp_path, "[experiment]\nfamily = bench\n"))
+        with pytest.raises(ValueError, match=re.escape("unknown config section [bench]")):
+            parse_config(write_spec(tmp_path, "[bench]\ncapacity = 64\n"))
+
 
 RL = "[experiment]\nfamily = rl_comparison\n"
+_HEADS = {"training": RL, "variance": "[experiment]\nfamily = variance_study\n"}
 
 
 def set_both_ways(section, key, value):
     """A value set in its own section and the same value as a sweep override."""
-    head = RL if section == "training" else ""
+    head = _HEADS.get(section, "")
     return [
         pytest.param(f"{head}[{section}]\n{key} = {value}\n", f"{section}.{key}", id=f"{key}={value}"),
         pytest.param(
@@ -179,6 +188,7 @@ _REJECTED = [
     ("training", "learning_rate", 0), ("training", "learning_rate", -0.5),
     ("training", "eval_every", 0), ("training", "eval_episodes", 0),
     ("training", "probe_repeats", 0), ("training", "updates_per_episode", -1),
+    ("variance", "capacity", 1),
 ]
 
 # List keys that, left empty, gave a spec of zero cells that ran as a success.
@@ -229,7 +239,7 @@ _DIRECT_ONLY = [
 
 _FAMILY_OF = {
     "sampler": "regret_synthetic", "regret": "regret_synthetic", "training": "rl_comparison",
-    "variance": "variance_study", "bench": "bench",
+    "variance": "variance_study",
 }
 
 
@@ -349,6 +359,24 @@ class TestRunSuite:
         for name in [p.name for p in (tmp_path / "a").iterdir()]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_every_family_reruns_byte_for_byte(self, tmp_path, family):
+        if family == "rl_comparison":
+            spec = rl_spec(seeds=(1,), probe_every=10, probe_repeats=5)
+        else:
+            options = {
+                "regret_synthetic": {"scenario": "drifting", "capacity": 8, "horizons": (40,)},
+                "variance_study": {"constructions": 2, "capacity": 8, "batch": 2, "repeats": 20},
+            }[family]
+            spec = ExperimentSpec(family=family, seeds=(1, 2), options=options)
+        assert run_suite(spec, out=str(tmp_path / "a")) == 0
+        assert run_suite(spec, out=str(tmp_path / "b")) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_regret_family_emits_ledgers(self, tmp_path):
         spec = ExperimentSpec(
             family="regret_synthetic",
@@ -392,15 +420,6 @@ class TestRunSuite:
         lines = path.read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "construction,seed,loss_spread_orders,var_learned,var_uniform,improved"
-
-    def test_bench_family(self, tmp_path):
-        spec = ExperimentSpec(
-            family="bench", options={"capacity": 1024, "batch": 32, "rounds": 5}
-        )
-        assert run_suite(spec, out=str(tmp_path)) == 0
-        lines = (tmp_path / "bench_base.csv").read_text().splitlines()
-        header = next(l for l in lines if not l.startswith("#"))
-        assert header == BENCH_HEADER
 
     def test_failed_cell_marks_and_continues(self, tmp_path):
         spec = rl_spec(seeds=(1,), modes=("uniform", "adaptive"))
@@ -514,7 +533,7 @@ class TestAtomicWrites:
     def test_failing_rows_leave_nothing(self, tmp_path):
         target = tmp_path / "trace.csv"
         with pytest.raises(RuntimeError, match="midway"):
-            write_csv(target, TRACE_SCHEMA, "a,b", self.rows_failing_after(3))
+            write_atomic(target, csv_text(TRACE_SCHEMA, "a,b", self.rows_failing_after(3)))
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_write_leaves_no_target_and_no_temp(self, tmp_path, monkeypatch):
@@ -526,7 +545,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(Path, "write_bytes", half_write)
         target = tmp_path / "trace.csv"
         with pytest.raises(OSError, match="disk full"):
-            write_csv(target, TRACE_SCHEMA, "a,b", [(1, 2.0), (3, 4.0)])
+            write_atomic(target, csv_text(TRACE_SCHEMA, "a,b", [(1, 2.0), (3, 4.0)]))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
@@ -585,18 +604,19 @@ class TestCli:
         spec_path.write_text(
             """
             [experiment]
-            family = bench
+            family = variance_study
             output_dir = ignored
 
-            [bench]
-            capacity = 512
-            batch = 16
-            rounds = 3
+            [variance]
+            constructions = 2
+            capacity = 8
+            batch = 2
+            repeats = 20
             """
         )
         status = cli_main(["run", str(spec_path), "--out", str(tmp_path / "out")])
         assert status == 0
-        assert (tmp_path / "out" / "bench_base.csv").exists()
+        assert (tmp_path / "out" / "variance_base_seed0.csv").exists()
 
     def test_run_seed_list_override(self, tmp_path):
         spec_path = tmp_path / "spec.ini"
@@ -714,3 +734,8 @@ class TestVarianceStudyUnit:
         store.rebuild_index(sampler)
         assert tree.tobytes() == store.tree._tree.tobytes()
         assert store.tree.total == capacity
+
+    def test_one_slot_buffer_rejected_by_name(self):
+        # Log-spaced reward scales need two slots to span their decades.
+        with pytest.raises(ValueError, match="capacity must be >= 2, got 1"):
+            heteroscedastic_buffer(np.random.default_rng(0), capacity=1)

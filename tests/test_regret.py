@@ -118,8 +118,8 @@ class TestLedger:
             gen, SamplerConfig(capacity=8, nu=1.0, kappa=0.1, reset_period=50),
             T=100, seeds=[7],
         )[0]
-        assert a.static_opt == pytest.approx(b.static_opt)
-        np.testing.assert_allclose(a.dynamic_opt, b.dynamic_opt)
+        np.testing.assert_allclose(a.static_opt_cum, b.static_opt_cum)
+        np.testing.assert_allclose(a.dynamic_opt_cum, b.dynamic_opt_cum)
 
     def test_from_sequence_validates_shapes(self):
         with pytest.raises(ValueError, match="match"):
@@ -132,7 +132,35 @@ class TestLedger:
             )
 
 
+def per_row_drifting(interval, n_replace, orders=2.0, jitter=0.5):
+    """``drifting_sequence`` drawing its jitter one row at a time: the reference
+    for the generator that draws a whole drift interval at once."""
+
+    def generate(rng, T, n):
+        scales = 10.0 ** rng.uniform(0.0, orders, n)
+        out = np.empty((T, n))
+        for t in range(T):
+            if t > 0 and t % interval == 0:
+                cols = rng.choice(n, size=n_replace, replace=False)
+                scales[cols] = 10.0 ** rng.uniform(0.0, orders, n_replace)
+            out[t] = scales * (1.0 - jitter + jitter * rng.uniform(0.0, 1.0, n))
+        return out
+
+    return generate
+
+
 class TestSequenceGenerators:
+    # T is no multiple of the interval in most shapes, and 1,000 outlasts T.
+    @pytest.mark.parametrize(
+        "interval, T, n",
+        [(1, 40, 4), (2, 41, 8), (3, 100, 16), (5, 77, 5), (7, 100, 16), (10, 95, 8), (1000, 120, 8)],
+    )
+    def test_drifting_interval_draws_equal_per_row_draws_bitwise(self, interval, T, n):
+        for seed in range(20):
+            expected = per_row_drifting(interval, 2)(np.random.default_rng(seed), T, n)
+            rows = drifting_sequence(interval, 2)(np.random.default_rng(seed), T, n)
+            assert rows.tobytes() == expected.tobytes()
+
     def test_stationary_rows_identical(self):
         rows = stationary_sequence()(np.random.default_rng(0), 50, 6)
         assert rows.shape == (50, 6)

@@ -40,6 +40,20 @@ def per_node_rebuild(capacity, scores):
     return nodes
 
 
+def zeroing_rebuild(capacity, scores):
+    """Node array of a rebuild that zeroes the whole tree, writes the leaves
+    and sums each level into a fresh temporary: the reference for the
+    in-place rebuild that zeroes only the padding leaves."""
+    padded = 1 << (capacity - 1).bit_length()
+    nodes = np.zeros(2 * padded)
+    nodes[padded : padded + capacity] = scores
+    m = padded >> 1
+    while m >= 1:
+        nodes[m : 2 * m] = nodes[2 * m : 4 * m : 2] + nodes[2 * m + 1 : 4 * m : 2]
+        m >>= 1
+    return nodes
+
+
 def per_level_set_many(nodes, padded, indices, values):
     """``SumTree.set_many`` on a node array as a loop over the levels, one
     ``np.add.at`` each: the reference for the single flattened add."""
@@ -134,6 +148,18 @@ class TestSumTree:
         tree.set(0, 123.0)  # stale state the rebuild must overwrite
         tree.rebuild(scores)
         np.testing.assert_array_equal(tree._tree, per_node_rebuild(capacity, scores))
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 32, 33, 1000, 65_000, 65_536, 1_000_000])
+    def test_rebuild_over_stale_nodes_equals_zeroing_rebuild_bitwise(self, capacity):
+        rng = np.random.default_rng(capacity + 2)
+        tree = SumTree(capacity)
+        # Stale values in every node, padding leaves included.
+        tree._tree[:] = rng.uniform(1.0, 2.0, len(tree._tree))
+        scores = 10.0 ** rng.uniform(-3, 3, capacity)
+        tree.rebuild(scores)
+        # Node 0 is no node of the tree; the rebuild leaves it alone.
+        expected = zeroing_rebuild(capacity, scores)
+        assert tree._tree[1:].tobytes() == expected[1:].tobytes()
 
     @pytest.mark.parametrize("capacity", [1, 5, 65_000])
     def test_writes_equal_per_level_loops_bitwise(self, capacity):

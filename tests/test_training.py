@@ -441,6 +441,23 @@ class TestRatioCapHits:
         assert first.ratio_cap_hits > 0
         assert first.ratio_cap_hits == second.ratio_cap_hits
 
+    def test_probe_uses_the_run_cap(self, monkeypatch):
+        # The probe's whole-store pass clamps ratios as the run's updates do.
+        caps = []
+        original = gradients.trajectory_gradients
+
+        def recorded(trajs, *args, **kwargs):
+            caps.append((len(trajs), kwargs.get("log_cap")))
+            return original(trajs, *args, **kwargs)
+
+        monkeypatch.setattr(training, "trajectory_gradients", recorded)
+        config = bandit_config(
+            "adaptive", seed=3, total_steps=100, probe_every=50, probe_repeats=5,
+            ratio_log_cap=0.5,
+        )
+        run_training(chain_env(4, horizon=6), config)
+        assert [cap for n, cap in caps if n == config.buffer_capacity] == [0.5, 0.5]
+
     def test_default_cap_is_not_hit(self):
         trace = run_training(two_state_bandit_env(), bandit_config("adaptive", seed=3))
         assert trace.ratio_cap_hits == 0
