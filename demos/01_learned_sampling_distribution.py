@@ -16,7 +16,7 @@ d = 10.0 ** np.linspace(0, 2, n)  # per-slot losses, 1 .. 100
 rng.shuffle(d)
 
 state = SamplerState(SamplerConfig(capacity=n, nu=1.0, kappa=0.1, reset_period=10**9))
-optimum = dynamic_competitor(d).p
+optimum = dynamic_competitor(d)
 best_cost = variance_objective(d, optimum)
 
 print(f"{'step':>6} {'objective':>12} {'optimal':>12} {'excess':>8}")

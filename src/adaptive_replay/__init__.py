@@ -30,7 +30,6 @@ from .gradients import (
 from .metrics import MetricsRow, compute_metrics, moving_average
 from .policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
 from .regret import (
-    CompetitorResult,
     LossBoundCheck,
     RegretLedger,
     best_static_cost,
@@ -50,7 +49,6 @@ from .sumtree import SumTree
 from .training import MODES, TrainingConfig, TrainingTrace, run_training
 
 __all__ = [
-    "CompetitorResult",
     "Episode",
     "LossBoundCheck",
     "LinearSoftmaxPolicy",

@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("spec", help="INI spec file (see README for the key schema)")
     run_p.add_argument("--seed-list", help="comma-separated seed override", default=None)
     run_p.add_argument("--out", help="output directory override", default=None)
-    run_p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
+    run_p.add_argument("--workers", type=_positive_int, default=1, help="parallel cell workers")
 
     bench_p = sub.add_parser("bench", help="store index micro-benchmarks")
     bench_p.add_argument("--capacity", type=_positive_int, default=1_000_000)

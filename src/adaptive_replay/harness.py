@@ -44,9 +44,9 @@ from .regret import (
     stationary_sequence,
 )
 from .reporting import (
+    metrics_text,
     read_trace,
     write_atomic,
-    write_metrics,
     write_regret,
     write_trace,
     write_variance,
@@ -76,8 +76,8 @@ _SAMPLER = {
     "reset_mode": (str.strip, "soft"), "rho": (float, 0.9),
     "rho_start": (float, None), "rho_end": (float, None), "anneal_steps": (int, None),
 }
-# Every number of these sections is positive.  Sampler and training values are
-# checked by the config objects the cells build.
+# Every number of these sections is positive and finite.  Sampler and training
+# values are checked by the config objects the cells build.
 _POSITIVE_SECTIONS = ("regret", "variance")
 
 _SCENARIOS = ("stationary", "bandit_rate", "drifting")
@@ -122,8 +122,9 @@ class ExperimentSpec:
             sampler, options = _apply_sweep(self, overrides)
             for key, value in options.items():
                 convert = family.keys[key][0]
-                if convert in (int, float) and family.section in _POSITIVE_SECTIONS and value <= 0:
-                    raise ValueError(f"{family.section}.{key}={value} must be positive")
+                number = convert in (int, float) and family.section in _POSITIVE_SECTIONS
+                if number and not 0 < value < np.inf:
+                    raise ValueError(f"{family.section}.{key}={value} must be positive and finite")
                 if convert in (_parse_int_list, _parse_str_list) and len(value) == 0:
                     raise ValueError(f"{family.section}.{key} must not be empty")
             # Scenarios may override some sampler values, so check the section
@@ -156,14 +157,6 @@ def _echo_value(value) -> str:
 
 def _defaults(keys: dict) -> dict:
     return {key: default for key, (_, default) in keys.items() if default is not None}
-
-
-def _converter(section: str, key: str, kind: str = "key"):
-    """The converter of ``section.key``; an unknown key is rejected by name."""
-    keys = _SECTIONS.get(section, {})
-    if key not in keys:
-        raise ValueError(f"unknown {kind} '{section}.{key}'")
-    return keys[key][0]
 
 
 def _check_value(section: str, key: str, value, kind: str = "key") -> None:
@@ -216,10 +209,13 @@ def parse_config(path) -> ExperimentSpec:
 
 
 def _convert(section: str, key: str, raw: str, kind: str = "key"):
-    """Convert one raw value of ``section.key``; errors name the key."""
-    convert = _converter(section, key, kind)
+    """Convert one raw value of ``section.key``; an unknown key or a value that
+    does not convert is rejected by name."""
+    keys = _SECTIONS.get(section, {})
+    if key not in keys:
+        raise ValueError(f"unknown {kind} '{section}.{key}'")
     try:
-        return convert(raw)
+        return keys[key][0](raw)
     except ValueError as exc:
         raise ValueError(f"invalid value for '{section}.{key}': {raw!r}") from exc
 
@@ -268,7 +264,6 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
     outdir = resolve_output_dir(spec.output_dir, out)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = _build_cells(spec)
-    results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_cell, [(spec, outdir, cell) for cell in cells]))
@@ -542,7 +537,7 @@ def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[
         (spec.family, label, env, mode, len(paths), metrics_from_traces(paths))
         for (label, env, mode), paths in sorted(groups.items())
     ]
-    write_metrics(outdir / "metrics.csv", rows)
+    write_atomic(outdir / "metrics.csv", metrics_text(rows))
     return ["metrics.csv"]
 
 

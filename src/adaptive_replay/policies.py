@@ -71,10 +71,6 @@ class LinearSoftmaxPolicy:
             raise ValueError("weights shape must be (n_features, n_actions)")
         self._cache: PolicyTables | None = None
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size
-
     def get_params(self) -> np.ndarray:
         return self.weights.ravel().copy()
 

@@ -23,16 +23,9 @@ from .store import Episode, TrajectoryBatch
 SequenceGenerator = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
-@dataclass
-class CompetitorResult:
-    """Competitor distribution plus a flag for degenerate (boundary) solutions."""
-
-    p: np.ndarray
-    degenerate: bool
-
-
-def static_competitor(d_matrix: np.ndarray) -> CompetitorResult:
-    """Best fixed distribution for a whole loss sequence: mass ~ sqrt of column sums."""
+def static_competitor(d_matrix: np.ndarray) -> np.ndarray:
+    """Best fixed distribution for a whole loss sequence: mass ~ sqrt of column sums
+    (uniform when every loss is zero)."""
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     if d_matrix.ndim != 2:
         raise ValueError("expected a (steps, slots) loss matrix")
@@ -41,12 +34,11 @@ def static_competitor(d_matrix: np.ndarray) -> CompetitorResult:
     total = roots.sum()
     if total == 0.0:
         n = d_matrix.shape[1]
-        return CompetitorResult(np.full(n, 1.0 / n), degenerate=True)
-    p = roots / total
-    return CompetitorResult(p, degenerate=bool(np.any(p == 0.0)))
+        return np.full(n, 1.0 / n)
+    return roots / total
 
 
-def dynamic_competitor(d_row: np.ndarray) -> CompetitorResult:
+def dynamic_competitor(d_row: np.ndarray) -> np.ndarray:
     """Best distribution for a single step: mass ~ sqrt of the per-slot losses."""
     d_row = np.asarray(d_row, dtype=np.float64)
     if d_row.ndim != 1:

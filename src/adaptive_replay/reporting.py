@@ -174,10 +174,6 @@ def metrics_text(rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> 
     return csv_text(METRICS_SCHEMA, METRICS_HEADER, flat)
 
 
-def write_metrics(path: Path, rows: Iterable[tuple[str, str, str, str, int, MetricsRow]]) -> None:
-    write_atomic(path, metrics_text(rows))
-
-
 def write_variance(path: Path, comparisons, metadata=None) -> None:
     rows = [
         (i, c.seed, c.loss_spread_orders, c.var_learned, c.var_uniform, c.improved)

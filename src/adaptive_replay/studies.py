@@ -58,23 +58,6 @@ def heteroscedastic_buffer(
     return store, sampler, policy
 
 
-def learn_distribution(
-    store: WeightedStore,
-    sampler: SamplerState,
-    policy: TabularSoftmaxPolicy,
-    rng: np.random.Generator,
-    steps: int = 300,
-) -> np.ndarray:
-    """Run the bandit feedback loop at fixed parameters; returns the learned distribution."""
-    d = trajectory_gradients(store, policy, GAMMA).d
-    for _ in range(steps):
-        p = sampler.distribution()
-        drawn = np.unique(store.sample_mixture(sampler.config.kappa, LEARN_BATCH, rng))
-        sampler.record_feedback(drawn, d[drawn], p[drawn])
-        store.update_scores(sampler, drawn)
-    return sampler.distribution()
-
-
 @dataclass
 class VarianceComparison:
     seed: int
@@ -105,8 +88,15 @@ def learned_vs_uniform_variance(
     store, sampler, policy = heteroscedastic_buffer(
         np.random.default_rng(build_ss), capacity=capacity, orders=orders
     )
-    learn_distribution(store, sampler, policy, np.random.default_rng(learn_ss), steps=learn_steps)
+    # Learn a distribution from bandit feedback at fixed parameters: the store's
+    # rows and the policy stay frozen, so one gradient pass serves every step.
     grads = trajectory_gradients(store, policy, GAMMA)
+    rng = np.random.default_rng(learn_ss)
+    for _ in range(learn_steps):
+        p = sampler.distribution()
+        drawn = np.unique(store.sample_mixture(sampler.config.kappa, LEARN_BATCH, rng))
+        sampler.record_feedback(drawn, grads.d[drawn], p[drawn])
+        store.update_scores(sampler, drawn)
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (

@@ -48,8 +48,6 @@ class SumTree:
         """Assign scores to distinct leaves and repair ancestor sums."""
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        if len(indices) == 0:
-            return
         nodes = self._n + indices
         delta = values - self._tree[nodes]
         self._tree[nodes] = values

@@ -64,7 +64,6 @@ class TrainingConfig:
     probe_every: int = 0
     probe_repeats: int = 200
     ratio_log_cap: float = 50.0
-    td_priority_exponent: float = 0.6
 
     def __post_init__(self) -> None:
         if self.selection_mode not in MODES:
@@ -75,12 +74,10 @@ class TrainingConfig:
             raise ValueError("buffer_capacity must be >= 1")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ValueError("batch_size must lie in [1, buffer_capacity]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.updates_per_episode < 1 and self.selection_mode != "adaptive_epoch":
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be a positive finite real, got {self.learning_rate}")
+        if self.updates_per_episode < 1:
             raise ValueError("updates_per_episode must be >= 1")
-        if self.updates_per_episode < 0:
-            raise ValueError("updates_per_episode must be >= 0")
         if self.selection_mode == "adaptive_epoch" and (
             self.updates_per_episode >= self.buffer_capacity / self.batch_size
         ):
@@ -180,14 +177,14 @@ class _TDPriorityStrategy:
     leaves hold ``(priority + eps) ** exponent``, sampled with no uniform mixing."""
 
     kappa = 0.0
+    exponent = 0.6
+    eps = 1e-6
 
-    def __init__(self, store: WeightedStore, env: TabularEnv, learning_rate: float, exponent: float):
+    def __init__(self, store: WeightedStore, env: TabularEnv, learning_rate: float):
         self.store = store
         self.env = env
         self.values = np.zeros(env.n_states)
         self.learning_rate = learning_rate
-        self.exponent = exponent
-        self.eps = 1e-6
 
     def _scores(self, priorities: list[float]) -> np.ndarray:
         return (np.array(priorities) + self.eps) ** self.exponent
@@ -255,9 +252,7 @@ class _LoopState:
         self.sampler = SamplerState(config.resolved_sampler())
         mode = config.selection_mode
         if mode == "td_priority":
-            self.strategy = _TDPriorityStrategy(
-                self.store, env, config.learning_rate, config.td_priority_exponent
-            )
+            self.strategy = _TDPriorityStrategy(self.store, env, config.learning_rate)
         else:
             self.strategy = _AccumulatorStrategy(
                 self.sampler, self.store, periodic_reset=(mode != "adaptive_epoch")
@@ -356,12 +351,6 @@ def _interleaved_loop(state: _LoopState) -> None:
 
 def _epoch_loop(state: _LoopState) -> None:
     cfg = state.config
-    if cfg.updates_per_episode == 0:
-        # Degenerate epoch budget: pure data collection, the policy never moves.
-        for t in range(1, cfg.total_steps + 1):
-            state.collect_episode()
-            state.maybe_eval(t)
-        return
     t = 0
     while t < cfg.total_steps:
         state.collect_episode()

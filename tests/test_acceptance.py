@@ -98,14 +98,14 @@ def test_criterion_02_competitor_closed_forms_match_oracle():
             lambda p: float(np.sum(sums / p)), n, grad=lambda p: -sums / p**2
         )
         worst_static = max(
-            worst_static, float(np.max(np.abs(static_competitor(d).p - oracle)))
+            worst_static, float(np.max(np.abs(static_competitor(d) - oracle)))
         )
         row = d[0]
         oracle_row = minimize_on_simplex(
             lambda p: float(np.sum(row / p)), n, grad=lambda p: -row / p**2
         )
         worst_dynamic = max(
-            worst_dynamic, float(np.max(np.abs(dynamic_competitor(row).p - oracle_row)))
+            worst_dynamic, float(np.max(np.abs(dynamic_competitor(row) - oracle_row)))
         )
     elapsed = time.time() - start
     report(

@@ -176,7 +176,7 @@ def enumerate_exact_gradient(env, policy):
     """Exhaustive oracle: sum p(traj) * grad log p(traj) * R(traj) over every
     realizable trajectory (deterministic transitions, H <= 4).  Enumeration
     stops at terminal states so each trajectory is counted exactly once."""
-    total = np.zeros(policy.n_params)
+    total = np.zeros(policy.weights.size)
 
     def recurse(s, depth, prob, score, ret, discount):
         nonlocal total
@@ -194,7 +194,7 @@ def enumerate_exact_gradient(env, policy):
                 discount * env.gamma,
             )
 
-    recurse(env.start_state, 0, 1.0, np.zeros(policy.n_params), 0.0, 1.0)
+    recurse(env.start_state, 0, 1.0, np.zeros(policy.weights.size), 0.0, 1.0)
     return total
 
 
@@ -214,7 +214,7 @@ class TestOnPolicyGradient:
         )
         exact = enumerate_exact_gradient(env, policy)
         episodes = 10_000
-        per_traj = np.empty((episodes, policy.n_params))
+        per_traj = np.empty((episodes, policy.weights.size))
         for i in range(episodes):
             traj = env.rollout(policy, rng)
             per_traj[i] = score_return_grad(traj, policy, env.gamma)

@@ -28,9 +28,9 @@ from adaptive_replay.reporting import (
     TRACE_HEADER,
     TRACE_SCHEMA,
     csv_text,
+    metrics_text,
     read_trace,
     write_atomic,
-    write_metrics,
 )
 from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance
 
@@ -80,15 +80,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="training.probe_every"):
             parse_config(write_spec(tmp_path, text))
 
-    def test_zero_updates_per_episode_needs_epoch_mode(self, tmp_path):
+    def test_zero_updates_per_episode_rejected_in_every_mode(self, tmp_path):
         base = "[experiment]\nfamily = rl_comparison\n[training]\nupdates_per_episode = 0\n"
-        with pytest.raises(ValueError, match="training.updates_per_episode"):
-            parse_config(write_spec(tmp_path, base))
-        epoch = base + "modes = adaptive_epoch\n"
-        assert parse_config(write_spec(tmp_path, epoch)).options["updates_per_episode"] == 0
-        mixed = epoch + "[sweep:mixed]\ntraining.modes = uniform,adaptive_epoch\n"
-        with pytest.raises(ValueError, match="training.updates_per_episode"):
-            parse_config(write_spec(tmp_path, mixed))
+        for text in (
+            base,
+            base + "modes = adaptive_epoch\n",
+            base + "[sweep:mixed]\ntraining.modes = uniform,adaptive_epoch\n",
+        ):
+            with pytest.raises(ValueError, match="training.updates_per_episode must be >= 1"):
+                parse_config(write_spec(tmp_path, text))
 
     def test_unknown_key_names_key(self, tmp_path):
         with pytest.raises(ValueError, match="sampler.foo"):
@@ -189,6 +189,8 @@ _REJECTED = [
     ("training", "eval_every", 0), ("training", "eval_episodes", 0),
     ("training", "probe_repeats", 0), ("training", "updates_per_episode", -1),
     ("variance", "capacity", 1),
+    # Non-finite numbers, which the positivity rules once let through.
+    ("training", "learning_rate", float("inf")), ("variance", "orders", float("inf")),
 ]
 
 # List keys that, left empty, gave a spec of zero cells that ran as a success.
@@ -292,6 +294,15 @@ def test_readme_spec_parses(tmp_path):
     spec = parse_config(write_spec(tmp_path, block))
     assert spec.family == "rl_comparison"
     assert spec.sweep == (("highmix", {"sampler.kappa": 0.5}),)
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quickstart = readme.split("## Quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README quickstart", "exec"), namespace)
+    assert np.isfinite(namespace["grad"]).all()
 
 
 class TestSeeding:
@@ -653,6 +664,16 @@ class TestCli:
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be positive, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_run_rejects_non_positive_workers(self, tmp_path, value, capsys):
+        spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(spec_path), "--out", str(out), "--workers", value])
+        assert exit_info.value.code == 2
+        assert f"argument --workers: must be positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_subcommand(self, capsys):
         status = cli_main(["bench", "--capacity", "256", "--batch", "16", "--rounds", "2"])
         assert status == 0
@@ -705,9 +726,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert METRICS_HEADER in out
 
-    def test_metrics_subcommand_prints_what_write_metrics_writes(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_metrics_subcommand_prints_metrics_text(self, tmp_path, capsys, monkeypatch):
         spec = rl_spec(seeds=(1,), modes=("uniform",))
         run_suite(spec, out=str(tmp_path))
         trace = next(tmp_path.glob("rl_*.csv"))
@@ -716,8 +735,8 @@ class TestCli:
         for printed in (row, replace(row, learning_stability=float("nan"))):
             monkeypatch.setattr(cli, "metrics_from_traces", lambda paths, window: printed)
             assert cli_main(["metrics", str(trace), "--window", "3"]) == 0
-            write_metrics(tmp_path / "metrics.csv", [("-", "-", "-", "-", 1, printed)])
-            assert capsys.readouterr().out == (tmp_path / "metrics.csv").read_text()
+            expected = metrics_text([("-", "-", "-", "-", 1, printed)])
+            assert capsys.readouterr().out == expected
 
 
 class TestVarianceStudyUnit:

@@ -25,24 +25,21 @@ from adaptive_replay.store import Trajectory
 
 class TestStaticCompetitor:
     def test_single_step_sqrt_rule(self):
-        result = static_competitor(np.array([[4.0, 1.0]]))
-        np.testing.assert_allclose(result.p, [2.0 / 3.0, 1.0 / 3.0])
-        assert not result.degenerate
+        p = static_competitor(np.array([[4.0, 1.0]]))
+        np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_equal_column_sums_give_uniform(self):
         d = np.array([[1.0, 3.0], [3.0, 1.0]])
-        np.testing.assert_allclose(static_competitor(d).p, [0.5, 0.5])
+        np.testing.assert_allclose(static_competitor(d), [0.5, 0.5])
 
-    def test_all_zero_matrix_flagged_uniform(self):
-        result = static_competitor(np.zeros((3, 4)))
-        assert result.degenerate
-        np.testing.assert_allclose(result.p, np.full(4, 0.25))
+    def test_all_zero_matrix_gives_uniform(self):
+        np.testing.assert_allclose(static_competitor(np.zeros((3, 4))), np.full(4, 0.25))
 
     def test_matches_numeric_minimizer_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             d = rng.uniform(0.05, 10.0, size=(20, 10))
-            closed = static_competitor(d).p
+            closed = static_competitor(d)
             sums = d.sum(axis=0)
             oracle = minimize_on_simplex(
                 lambda p: float(np.sum(sums / p)), 10, grad=lambda p: -sums / p**2
@@ -52,7 +49,7 @@ class TestStaticCompetitor:
     def test_best_static_cost_closed_form(self):
         d = np.array([[4.0, 1.0]])
         assert best_static_cost(d) == pytest.approx(9.0)
-        assert variance_cost(d.sum(axis=0), static_competitor(d).p) == pytest.approx(9.0)
+        assert variance_cost(d.sum(axis=0), static_competitor(d)) == pytest.approx(9.0)
 
 
 def variance_cost(d_row, p):
@@ -61,19 +58,18 @@ def variance_cost(d_row, p):
 
 class TestDynamicCompetitor:
     def test_sqrt_rule(self):
-        result = dynamic_competitor(np.array([4.0, 1.0]))
-        np.testing.assert_allclose(result.p, [2.0 / 3.0, 1.0 / 3.0])
+        p = dynamic_competitor(np.array([4.0, 1.0]))
+        np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0])
 
-    def test_one_nonzero_entry_concentrates_and_flags(self):
-        result = dynamic_competitor(np.array([0.0, 5.0, 0.0]))
-        np.testing.assert_allclose(result.p, [0.0, 1.0, 0.0])
-        assert result.degenerate
+    def test_one_nonzero_entry_concentrates(self):
+        p = dynamic_competitor(np.array([0.0, 5.0, 0.0]))
+        np.testing.assert_allclose(p, [0.0, 1.0, 0.0])
 
     def test_matches_numeric_minimizer(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             d = rng.uniform(0.05, 10.0, size=12)
-            closed = dynamic_competitor(d).p
+            closed = dynamic_competitor(d)
             oracle = minimize_on_simplex(
                 lambda p: float(np.sum(d / p)), 12, grad=lambda p: -d / p**2
             )
@@ -81,7 +77,7 @@ class TestDynamicCompetitor:
 
     def test_min_step_cost_matches_direct_evaluation(self):
         d = np.array([1.0, 3.0, 0.2])
-        assert min_step_cost(d) == pytest.approx(variance_cost(d, dynamic_competitor(d).p))
+        assert min_step_cost(d) == pytest.approx(variance_cost(d, dynamic_competitor(d)))
 
     def test_rejects_negative_losses(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -361,7 +361,7 @@ def fill_strategy(mode, capacity, rng):
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1000.0, kappa=0.1))
     sampler.w[:] = rng.uniform(0.0, 5.0, capacity)
     if mode == "td_priority":
-        return store, sampler, _TDPriorityStrategy(store, chain_env(5), 0.05, TD_EXPONENT)
+        return store, sampler, _TDPriorityStrategy(store, chain_env(5), 0.05)
     return store, sampler, _AccumulatorStrategy(sampler, store, periodic_reset=True)
 
 

@@ -100,7 +100,11 @@ class TestConfigValidation:
         "overrides, message",
         [
             pytest.param({"selection_mode": "adaptive_epoch", "updates_per_episode": -1},
-                         "updates_per_episode must be >= 0", id="epoch-negative-updates"),
+                         "updates_per_episode must be >= 1", id="epoch-negative-updates"),
+            pytest.param({"learning_rate": math.inf},
+                         "learning_rate must be a positive finite real, got inf", id="inf-learning-rate"),
+            pytest.param({"learning_rate": math.nan},
+                         "learning_rate must be a positive finite real, got nan", id="nan-learning-rate"),
             pytest.param({"eval_every": 50, "probe_every": 75},
                          "probe_every must be a multiple of eval_every", id="probe-off-schedule"),
         ],
@@ -109,13 +113,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, **overrides)
 
-    def test_zero_updates_per_episode_only_for_epoch_mode(self):
-        with pytest.raises(ValueError, match="updates_per_episode"):
-            TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, updates_per_episode=0)
-        TrainingConfig(
-            total_steps=10, batch_size=2, buffer_capacity=8,
-            selection_mode="adaptive_epoch", updates_per_episode=0,
-        )
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_updates_per_episode_rejected_in_every_mode(self, mode):
+        with pytest.raises(ValueError, match="updates_per_episode must be >= 1"):
+            TrainingConfig(
+                total_steps=10, batch_size=2, buffer_capacity=8,
+                selection_mode=mode, updates_per_episode=0,
+            )
 
     def test_uniform_mode_forces_full_mixing(self):
         config = TrainingConfig(
@@ -173,20 +177,6 @@ class TestModeSemantics:
         )
         trace = run_training(env, config)
         np.testing.assert_allclose(trace.entropies, 0.0, atol=1e-12)
-
-    def test_pure_collection_budget_keeps_policy_flat(self):
-        env = two_state_bandit_env()
-        config = TrainingConfig(
-            total_steps=60,
-            batch_size=4,
-            buffer_capacity=16,
-            selection_mode="adaptive_epoch",
-            updates_per_episode=0,
-            seed=3,
-            eval_every=20,
-        )
-        trace = run_training(env, config)
-        assert np.all(trace.returns == trace.returns[0])
 
     def test_epoch_loop_stops_inside_an_epoch(self, monkeypatch):
         # 10 updates at 3 per episode: the fourth epoch ends after one update.
