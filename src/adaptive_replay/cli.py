@@ -38,6 +38,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    try:
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"must name at least one seed, got {text!r}")
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptive-replay",
@@ -49,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment spec file")
     run_p.add_argument("spec", help="INI spec file (see README for the key schema)")
-    run_p.add_argument("--seed-list", help="comma-separated seed override", default=None)
+    run_p.add_argument("--seed-list", type=_seed_list, help="comma-separated seed override")
     run_p.add_argument("--out", help="output directory override", default=None)
     run_p.add_argument("--workers", type=_positive_int, default=1, help="parallel cell workers")
 
@@ -61,15 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_p = sub.add_parser("metrics", help="summarize trace CSVs (one seed group)")
     metrics_p.add_argument("traces", nargs="+", help="trace CSV files")
-    metrics_p.add_argument("--window", type=int, default=10, help="moving-average width")
+    metrics_p.add_argument("--window", type=_positive_int, default=10, help="moving-average width")
     return parser
 
 
 def _cmd_run(args) -> int:
     spec = parse_config(args.spec)
     if args.seed_list:
-        # Replacing, not assigning, re-checks the spec: an empty list is rejected.
-        spec = replace(spec, seeds=tuple(int(s) for s in args.seed_list.split(",") if s.strip()))
+        spec = replace(spec, seeds=args.seed_list)
     return run_suite(spec, out=args.out, workers=args.workers)
 
 

@@ -52,7 +52,7 @@ from .reporting import (
     write_variance,
 )
 from .sampler import SamplerConfig
-from .studies import learned_vs_uniform_variance
+from .studies import learned_vs_uniform_variance, max_orders
 from .training import MODES, TrainingConfig, run_training
 
 OUTPUT_ROOT_ENV = "ADAPTIVE_REPLAY_OUT"
@@ -457,6 +457,12 @@ def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: d
 def _variance_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
     if options["capacity"] < 2:
         raise ValueError(f"variance.capacity must be >= 2, got {options['capacity']}")
+    bound = max_orders(options["capacity"], options["repeats"])
+    if not options["orders"] <= bound:
+        raise ValueError(
+            f"variance.orders must be at most {bound:.6g} at this capacity and repeats count,"
+            f" or the study can overflow; got {options['orders']}"
+        )
     for seed in spec.seeds:
         yield f"variance_{label}_seed{seed}", {"label": label, "seed": seed, "options": options}
 

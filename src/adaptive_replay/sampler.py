@@ -12,9 +12,9 @@ probability simplex, blended with the uniform distribution.  The uniform
 mixture bounds the inverse-probability feedback terms and keeps every slot
 explored.  Periodic resets (hard zeroing or multiplicative forgetting) let
 the distribution track a buffer whose contents change over time.
-The dense O(n) :meth:`SamplerState.distribution` serves evaluations, oracles
-and analysis; a replay step reads its slots' probabilities from the store's
-index (``WeightedStore.probabilities``), and ``record_feedback`` only those.
+:meth:`SamplerState.scores` gives ``sqrt(w + nu)``, which the dense O(n)
+:meth:`SamplerState.distribution` normalizes and the store's index holds; a
+replay step reads its slots' p from that index, and ``record_feedback`` only those.
 """
 
 from __future__ import annotations
@@ -103,9 +103,12 @@ class SamplerState:
         cfg = self.config
         if not np.all(np.isfinite(self.w)):
             raise ValueError("invalid state: non-finite accumulator entries")
-        scores = np.sqrt(self.w + cfg.nu)
-        p = (1.0 - cfg.kappa) * scores / scores.sum() + cfg.kappa / cfg.capacity
-        return p
+        scores = self.scores()
+        return (1.0 - cfg.kappa) * scores / scores.sum() + cfg.kappa / cfg.capacity
+
+    def scores(self, slots=slice(None)):
+        """Unnormalized FTRL scores ``sqrt(w + nu)`` of ``slots`` (an int, array or slice)."""
+        return np.sqrt(self.w[slots] + self.config.nu)
 
     def record_feedback(self, slots, d, p_used) -> None:
         """Add ``d / p_used`` to the accumulators of ``slots``; advance the step counter.

@@ -1,15 +1,15 @@
 """Replay buffer of whole trajectories with weighted sampling and complement eviction.
 
 The store keeps its trajectories as padded ``(capacity, width)`` columns
-(see :class:`TrajectoryBatch`) and a sum-tree index over per-slot scores
-``sqrt(w(i) + nu)``, so sampling under the mixed FTRL distribution and
-score maintenance both cost O(log capacity), and ``p(i)`` is read from the
-index as ``(1 - kappa) * leaf(i) / total + kappa / n``.  When the buffer is
-full, a new trajectory overwrites a victim slot drawn from the complement
-``q(j) = (1 - p(j)) / (capacity - 1)``, by rejection under the ceiling
-``1 - kappa / n >= 1 - p(j)``, so each proposal reads only its own ``p(j)``:
-slots the sampler values least are evicted first.  The evicted slot's
-accumulator is zeroed, since the fresh trajectory has no feedback history.
+(:class:`TrajectoryBatch`) and a sum-tree index over per-slot scores (the
+sampler's ``sqrt(w(i) + nu)`` or a strategy's own), so sampling and score
+maintenance both cost O(log capacity).  Draws and evictions follow one
+mixture, ``p(i) = (1 - kappa) * leaf(i) / total + kappa / n`` with the
+store's own ``kappa``.  When full, a new trajectory overwrites a victim slot
+drawn from the complement ``q(j) = (1 - p(j)) / (capacity - 1)``, by
+rejection under the ceiling ``1 - kappa / n >= 1 - p(j)``, so each proposal
+reads only its own ``p(j)``: slots the sampler values least are evicted
+first.  The slot's accumulator is zeroed: a fresh trajectory has no history.
 """
 
 from __future__ import annotations
@@ -145,10 +145,12 @@ class TrajectoryBatch:
     def _write_rows(self, lo: int, trajs: Sequence[Episode]) -> None:
         """Store ``trajs`` in rows ``lo, lo + 1, ...``, as a ``write`` per row would.
 
-        Each column takes one ``np.fromiter`` over the trajectories' chained
-        lists and one assignment through the ``lengths`` mask, which visits
-        the cells row by row, in the order the steps were chained.
+        One trajectory takes ``write``.  More take, per column, one ``np.fromiter``
+        over their chained lists and one assignment through the ``lengths`` mask,
+        which visits the cells row by row, in the order the steps were chained.
         """
+        if len(trajs) == 1:
+            return self.write(lo, trajs[0])
         lengths = np.fromiter(map(len, trajs), dtype=np.int64, count=len(trajs))
         self._widen(int(lengths.max(initial=0)))
         mask = np.arange(self.width) < lengths[:, None]
@@ -174,27 +176,30 @@ class WeightedStore(TrajectoryBatch):
     Slots fill in order, so the filled rows are ``range(occupancy)``.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, kappa: float):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if not 0.0 <= kappa <= 1.0:  # NaN fails it too
+            raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
         super().__init__(capacity)
         self.capacity = int(capacity)
+        self.kappa = float(kappa)
         self.tree = SumTree(self.capacity)
         self.occupancy = 0
 
     def update_scores(self, sampler: SamplerState, slots: np.ndarray) -> None:
-        """Refresh index scores ``sqrt(w + nu)`` for the given slots.
+        """Refresh the index scores of the given slots from their accumulators.
 
         ``slots`` must be distinct, as ``record_feedback`` requires of the
         same slots; their order is the order of the index's additions.
         """
-        self.tree.set_many(slots, np.sqrt(sampler.w[slots] + sampler.config.nu))
+        self.set_scores(slots, sampler.scores(slots))
 
     def rebuild_index(self, sampler: SamplerState) -> None:
         """Recompute the whole index from the accumulators; exact, O(capacity)."""
-        self.tree.rebuild(np.sqrt(sampler.w + sampler.config.nu))
+        self.tree.rebuild(sampler.scores())
 
-    def sample_mixture(self, kappa: float, batch: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_mixture(self, batch: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``batch`` slot indices i.i.d. (with replacement) from the mixture.
 
         Each draw is uniform with probability ``kappa`` and proportional to
@@ -208,7 +213,7 @@ class WeightedStore(TrajectoryBatch):
                 f"buffer holds {self.occupancy}/{self.capacity} trajectories; warm up first"
             )
         out = np.empty(batch, dtype=np.int64)
-        uniform = rng.random(batch) < kappa
+        uniform = rng.random(batch) < self.kappa
         n_uniform = int(uniform.sum())
         if n_uniform:
             out[uniform] = rng.integers(0, self.capacity, n_uniform)
@@ -217,19 +222,21 @@ class WeightedStore(TrajectoryBatch):
             out[~uniform] = self.tree.sample(rng.random(n_prop) * self.tree.total)
         return out
 
-    def probabilities(self, slots: np.ndarray, kappa: float) -> np.ndarray:
+    def probabilities(self, slots: np.ndarray) -> np.ndarray:
         """Mixture probabilities of ``slots`` from the index, in O(len(slots))."""
+        kappa = self.kappa
         return (1.0 - kappa) * self.tree.get(slots) / self.tree.total + kappa / self.capacity
 
-    def set_scores(self, slots: np.ndarray, values: np.ndarray) -> None:
-        """Directly assign index scores for strategies that do not use the accumulators.
+    def set_scores(self, slots, values) -> None:
+        """Assign index scores; with ``rebuild_index``, the only writer of leaves.
 
-        A single slot takes the scalar ``SumTree.set`` path, several times
-        cheaper than a one-leaf ``set_many`` and bit-identical to it.
+        An int slot, or a one-slot array, takes the scalar ``SumTree.set`` path,
+        several times cheaper than a one-leaf ``set_many`` and bit-identical to it.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        if len(slots) == 1:
-            self.tree.set(int(slots[0]), float(np.asarray(values)[0]))
+        if isinstance(slots, int):
+            self.tree.set(slots, values)
+        elif len(slots) == 1:
+            self.tree.set(int(slots[0]), float(values[0]))
         else:
             self.tree.set_many(slots, values)
 
@@ -239,13 +246,13 @@ class WeightedStore(TrajectoryBatch):
         sampler: SamplerState,
         scores: np.ndarray | None = None,
     ) -> None:
-        """Store ``trajs`` in the next free slots, as one fill-phase ``insert`` each would.
+        """Store ``trajs`` in the next free slots; the one fill-phase writer.
 
         The rows are written in bulk, the slots' accumulators zeroed, and
-        their scores, ``scores`` or a fresh accumulator's ``sqrt(nu)``,
+        their scores, ``scores`` or the fresh accumulators' ``sqrt(nu)``,
         written in one leaf write.  Each ancestor of the fresh leaves
-        receives the same additions in the same leaf order as under
-        per-trajectory inserts, so the index is bit-identical to theirs.
+        receives the same additions in the same leaf order as under one
+        ``fill`` per trajectory, so the index does not depend on the blocks.
         """
         lo, hi = self.occupancy, self.occupancy + len(trajs)
         if hi > self.capacity:
@@ -254,7 +261,7 @@ class WeightedStore(TrajectoryBatch):
         self.occupancy = hi
         sampler.w[lo:hi] = 0.0
         if scores is None:
-            scores = np.full(hi - lo, np.sqrt(sampler.config.nu))
+            scores = sampler.scores(slice(lo, hi))
         self.set_scores(np.arange(lo, hi), scores)
 
     def insert(
@@ -262,37 +269,31 @@ class WeightedStore(TrajectoryBatch):
         traj: Episode,
         sampler: SamplerState,
         rng: np.random.Generator,
-        kappa: float | None = None,
         score: float | None = None,
     ) -> int:
         """Store a trajectory, evicting by complement probability when full.
 
-        During the fill phase slots are assigned sequentially.  Once full, the
-        victim is drawn from ``q(j) = (1 - p(j)) / (capacity - 1)`` with ``p``
-        the index's mixture with uniform weight ``kappa`` (the sampler's
-        ``kappa`` when not given).  The slot's accumulator is reset to zero
-        and its index score set, in one leaf write, to ``score``, or to a
-        fresh accumulator's ``sqrt(nu)`` when not given.  Returns the slot
-        written.
+        During the fill phase it is a one-trajectory ``fill``.  Once full, the
+        victim is drawn from ``q(j) = (1 - p(j)) / (capacity - 1)``; its
+        accumulator is zeroed and its leaf set, in one write, to ``score`` or
+        a fresh accumulator's ``sqrt(nu)``.  Returns the slot written.
         """
-        if self.occupancy < self.capacity:
-            slot = self.occupancy
-            self.occupancy += 1
-        elif self.capacity == 1:
-            slot = 0
-        else:
-            slot = self._sample_victim(sampler.config.kappa if kappa is None else kappa, rng)
+        slot = self.occupancy
+        if slot < self.capacity:
+            self.fill([traj], sampler, None if score is None else [score])
+            return slot
+        slot = self._sample_victim(rng) if self.capacity > 1 else 0
         self.write(slot, traj)
         sampler.w[slot] = 0.0
-        self.tree.set(slot, float(np.sqrt(sampler.config.nu)) if score is None else score)
+        self.set_scores(slot, sampler.scores(slot) if score is None else score)
         return slot
 
-    def _sample_victim(self, kappa: float, rng: np.random.Generator) -> int:
+    def _sample_victim(self, rng: np.random.Generator) -> int:
         # Rejection sampling from q ~ (1 - p): propose uniformly, accept with
         # probability (1 - p(j)) / (1 - kappa/n).  The mean acceptance is
         # (1 - 1/n) / (1 - kappa/n) >= 1/2 for n >= 2, so the loop ends.
-        ceiling = 1.0 - kappa / self.capacity
+        ceiling = 1.0 - self.kappa / self.capacity
         while True:
             j = int(rng.integers(0, self.capacity))
-            if rng.random() * ceiling < 1.0 - self.probabilities(j, kappa):
+            if rng.random() * ceiling < 1.0 - self.probabilities(j):
                 return j

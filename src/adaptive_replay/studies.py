@@ -8,6 +8,8 @@ uniform sampling with a shared probe stream.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,25 @@ from .store import Trajectory, WeightedStore
 # The synthetic MDP's shape: states, actions and steps per trajectory.
 N_STATES, N_ACTIONS, HORIZON = 4, 3, 3
 GAMMA = 0.99
-# Slots drawn per feedback step while the distribution is learned.
-LEARN_BATCH = 8
+# Slots drawn per feedback step while the distribution is learned, and the steps.
+LEARN_BATCH, LEARN_STEPS = 8, 300
+# The construction's bounds on one slot's loss d = omega^2 ||score||^2 R^2:
+# behavior probabilities >= 0.2 over HORIZON = 3 steps give omega <= 5^3 = 125;
+# a softmax step's score e_a - pi(.|s) has norm <= sqrt(2), so ||score||^2 <= 18;
+# rewards are at most 10^(orders/2), so R^2 <= 9 * 10^orders.
+_LOSS_BOUND = 125**2 * 18 * 9  # d <= _LOSS_BOUND * 10^orders
+
+
+def max_orders(capacity: int, repeats: int, learn_steps: int = LEARN_STEPS) -> float:
+    """Largest ``orders`` whose study no float overflow can break.
+
+    With ``kappa = 0.1``, ``p >= 0.1 / capacity``, so an accumulator gains at
+    most ``10 * capacity * d`` a step and ends below ``learn_steps`` times
+    that.  A probe estimate weighs each ``g`` by ``1 / (p n) <= 10``, so the
+    variance sums ``repeats`` squared deviations of at most ``400 * d`` each.
+    """
+    growth = max(10 * capacity * learn_steps, 400 * repeats)
+    return math.log10(sys.float_info.max / (_LOSS_BOUND * growth))
 
 
 def heteroscedastic_buffer(
@@ -38,8 +57,8 @@ def heteroscedastic_buffer(
     policy = TabularSoftmaxPolicy(
         N_STATES, N_ACTIONS, logits=rng.uniform(-0.5, 0.5, (N_STATES, N_ACTIONS))
     )
-    store = WeightedStore(capacity)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1.0, kappa=0.1, reset_period=10**9))
+    store = WeightedStore(capacity, sampler.config.kappa)
     trajs = []
     for i in range(capacity):
         scale = 10.0 ** (orders / 2.0 * i / (capacity - 1))
@@ -75,7 +94,7 @@ def learned_vs_uniform_variance(
     capacity: int = 32,
     batch: int = 4,
     repeats: int = 400,
-    learn_steps: int = 300,
+    learn_steps: int = LEARN_STEPS,
     orders: float = 3.5,
 ) -> VarianceComparison:
     """One paired construction: learn a distribution, then probe both sides.
@@ -83,6 +102,9 @@ def learned_vs_uniform_variance(
     The probe stream is shared between the learned and uniform measurements,
     so the comparison differs only through the sampling distribution.
     """
+    bound = max_orders(capacity, repeats, learn_steps)
+    if not orders <= bound:
+        raise ValueError(f"orders must be at most {bound:.6g} at this size, got {orders}")
     root = np.random.SeedSequence(int(seed))
     build_ss, learn_ss, probe_ss = root.spawn(3)
     store, sampler, policy = heteroscedastic_buffer(
@@ -94,7 +116,7 @@ def learned_vs_uniform_variance(
     rng = np.random.default_rng(learn_ss)
     for _ in range(learn_steps):
         p = sampler.distribution()
-        drawn = np.unique(store.sample_mixture(sampler.config.kappa, LEARN_BATCH, rng))
+        drawn = np.unique(store.sample_mixture(LEARN_BATCH, rng))
         sampler.record_feedback(drawn, grads.d[drawn], p[drawn])
         store.update_scores(sampler, drawn)
     spread = float(np.log10(grads.d.max() / grads.d.min()))

@@ -146,15 +146,13 @@ class TrainingTrace:
 class _AccumulatorStrategy:
     """FTRL accumulators drive both sampling scores and eviction; used by the
     adaptive modes and (with full uniform mixing) the uniform baseline.  A
-    strategy's ``kappa`` is the uniform weight of the store mixture it uses,
-    and its ``scores(episodes)`` the leaf scores of fresh slots (``None``: the
-    store's fresh-accumulator default)."""
+    strategy's ``scores(episodes)`` are the leaf scores of fresh slots
+    (``None``: the store's fresh-accumulator default)."""
 
     def __init__(self, sampler: SamplerState, store: WeightedStore, periodic_reset: bool):
         self.sampler = sampler
         self.store = store
         self.periodic_reset = periodic_reset
-        self.kappa = sampler.config.kappa
 
     def scores(self, episodes) -> None:
         return None
@@ -176,7 +174,6 @@ class _TDPriorityStrategy:
     """Proportional prioritization by summed |one-step TD error| per trajectory:
     leaves hold ``(priority + eps) ** exponent``, sampled with no uniform mixing."""
 
-    kappa = 0.0
     exponent = 0.6
     eps = 1e-6
 
@@ -248,9 +245,10 @@ class _LoopState:
         self.env = env
         self.config = config
         self.policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
-        self.store = WeightedStore(config.buffer_capacity)
         self.sampler = SamplerState(config.resolved_sampler())
         mode = config.selection_mode
+        kappa = 0.0 if mode == "td_priority" else self.sampler.config.kappa
+        self.store = WeightedStore(config.buffer_capacity, kappa)
         if mode == "td_priority":
             self.strategy = _TDPriorityStrategy(self.store, env, config.learning_rate)
         else:
@@ -280,16 +278,14 @@ class _LoopState:
         self.env_steps += len(episode)
         scores = self.strategy.scores([episode])
         self.store.insert(
-            episode, self.sampler, self.rng, kappa=self.strategy.kappa,
-            score=None if scores is None else float(scores[0]),
+            episode, self.sampler, self.rng, score=None if scores is None else float(scores[0])
         )
 
     def update_policy(self) -> None:
         cfg = self.config
-        kappa = self.strategy.kappa
-        indices = self.store.sample_mixture(kappa, cfg.batch_size, self.rng)
+        indices = self.store.sample_mixture(cfg.batch_size, self.rng)
         unique, drawn = np.unique(indices, return_inverse=True)
-        p_unique = self.store.probabilities(unique, kappa)
+        p_unique = self.store.probabilities(unique)
         grads = trajectory_gradients(
             self.store.take(unique), self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
         )
@@ -305,7 +301,7 @@ class _LoopState:
         cfg = self.config
         test_return = self.env.evaluate(self.policy, cfg.eval_episodes, self.eval_rng)
         n = self.store.capacity
-        p = self.store.probabilities(np.arange(n), self.strategy.kappa)
+        p = self.store.probabilities(np.arange(n))
         probe = probe_uniform = np.nan
         if cfg.probe_every and update_index % cfg.probe_every == 0:
             # Paired probe: identical frozen state, gradient terms and probe

@@ -142,7 +142,7 @@ def test_criterion_04_replay_gradient_unbiasedness():
     rng = np.random.default_rng(404)
     n, batch, repeats = 32, 4, 100_000
     policy = random_policy(rng)
-    store = WeightedStore(n)
+    store = WeightedStore(n, kappa=0.1)
     sampler = SamplerState(SamplerConfig(capacity=n, nu=1.0, kappa=0.1, reset_period=10**9))
     for i in range(n):
         store.insert(random_traj(rng, policy, 4, reward_scale=10.0 ** rng.uniform(0, 1.5)),
@@ -355,7 +355,7 @@ def test_criterion_11_store_correctness_and_speed():
     # Mixture sampling matches the closed-form distribution (chi-square, 1e5 draws).
     chi_ok = True
     for capacity in (16, 64):
-        store = WeightedStore(capacity)
+        store = WeightedStore(capacity, kappa=0.2)
         sampler = SamplerState(SamplerConfig(capacity=capacity, nu=0.5, kappa=0.2))
         policy = random_policy(rng)
         for _ in range(capacity):
@@ -363,14 +363,12 @@ def test_criterion_11_store_correctness_and_speed():
         sampler.w[:] = rng.uniform(0, 50, capacity)
         store.rebuild_index(sampler)
         p = sampler.distribution()
-        counts = np.bincount(
-            store.sample_mixture(sampler.config.kappa, 100_000, rng), minlength=capacity
-        )
+        counts = np.bincount(store.sample_mixture(100_000, rng), minlength=capacity)
         chi_ok &= stats.chisquare(counts, p * 100_000).pvalue > 0.01
 
     # Incremental index equals a full recomputation after 1e4 mixed operations.
     capacity = 48
-    store = WeightedStore(capacity)
+    store = WeightedStore(capacity, kappa=0.1)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=2.0, kappa=0.1))
     policy = random_policy(rng)
     for _ in range(capacity):

@@ -148,7 +148,7 @@ class TestRollout:
             fast, slow = np.random.default_rng(32), np.random.default_rng(32)
             insert_rng = np.random.default_rng(33)
             n = 40
-            store = WeightedStore(n)
+            store = WeightedStore(n, kappa=0.1)
             sampler = SamplerState(SamplerConfig(capacity=n))
             expected = []
             for _ in range(n):
@@ -163,7 +163,7 @@ class TestRollout:
 
             # One slot rewritten in turn: a shorter episode leaves the longer
             # one's steps as padding past its length, which readers mask.
-            single = WeightedStore(1)
+            single = WeightedStore(1, kappa=0.1)
             for _ in range(n):
                 previous = single.lengths[0]
                 single.insert(env.rollout(policy, fast, greedy=greedy), sampler, insert_rng)

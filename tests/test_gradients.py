@@ -397,7 +397,7 @@ class TestBatchedAgainstScalarReference:
         rng = np.random.default_rng(17)
         policy = random_policy(rng)
         trajs = [random_traj(rng, policy, length) for length in (1, 1, 2, 3, 3, 5, 8, 12)]
-        store = WeightedStore(len(trajs))
+        store = WeightedStore(len(trajs), kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=len(trajs)))
         widths = []
         for traj in trajs:
@@ -417,7 +417,7 @@ class TestBatchedAgainstScalarReference:
         # length still hold the old steps and must not reach the gradient.
         rng = np.random.default_rng(18)
         policy = random_policy(rng)
-        store = WeightedStore(4)
+        store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
         for _ in range(4):
             store.insert(random_traj(rng, policy, 12), sampler, rng)
@@ -434,7 +434,7 @@ class TestBatchedAgainstScalarReference:
     def test_unfilled_slot_rejected(self):
         rng = np.random.default_rng(19)
         policy = random_policy(rng)
-        store = WeightedStore(2)
+        store = WeightedStore(2, kappa=0.1)
         store.insert(random_traj(rng, policy, 3), SamplerState(SamplerConfig(capacity=2)), rng)
         with pytest.raises(ValueError, match="empty row"):
             trajectory_gradients(store, policy, 0.9)
@@ -442,7 +442,7 @@ class TestBatchedAgainstScalarReference:
 
 class TestEmpiricalVariance:
     def _filled_store(self, rng, capacity, policy, reward_scale=None):
-        store = WeightedStore(capacity)
+        store = WeightedStore(capacity, kappa=0.0)
         sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1.0, kappa=0.0))
         for i in range(capacity):
             traj = random_traj(rng, policy, 3)

@@ -32,7 +32,7 @@ from adaptive_replay.reporting import (
     read_trace,
     write_atomic,
 )
-from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance
+from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance, max_orders
 
 
 def write_spec(tmp_path, text):
@@ -191,6 +191,8 @@ _REJECTED = [
     ("variance", "capacity", 1),
     # Non-finite numbers, which the positivity rules once let through.
     ("training", "learning_rate", float("inf")), ("variance", "orders", float("inf")),
+    # Finite, but past what the study's floats hold at capacity 32 and 400 repeats.
+    ("variance", "orders", 310),
 ]
 
 # List keys that, left empty, gave a spec of zero cells that ran as a success.
@@ -649,12 +651,32 @@ class TestCli:
         assert len(list((tmp_path / "out").glob("regret_*seed5*.csv"))) == 1
         assert len(list((tmp_path / "out").glob("regret_*seed6*.csv"))) == 1
 
-    def test_run_empty_seed_list_rejected(self, tmp_path):
+    def test_run_empty_seed_list_rejected(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="experiment.seeds must not be empty"):
+        with pytest.raises(SystemExit) as exit_info:
             cli_main(["run", str(spec_path), "--out", str(out), "--seed-list", ","])
+        assert exit_info.value.code == 2
+        assert "argument --seed-list: must name at least one seed, got ','" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", "1,x", "1.5"])
+    def test_run_rejects_non_int_seed_list(self, tmp_path, value, capsys):
+        spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(spec_path), "--out", str(out), "--seed-list", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed-list: invalid comma-separated int list: {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_metrics_rejects_bad_window(self, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(tmp_path / "trace.csv"), "--window", value])
+        assert exit_info.value.code == 2
+        assert "argument --window: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--capacity", "--batch", "--rounds"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -753,6 +775,16 @@ class TestVarianceStudyUnit:
         store.rebuild_index(sampler)
         assert tree.tobytes() == store.tree._tree.tobytes()
         assert store.tree.total == capacity
+
+    @pytest.mark.parametrize("capacity", [32, 200])
+    def test_largest_accepted_orders_runs(self, capacity):
+        # Warnings are errors here, so an overflow anywhere in the study fails.
+        orders = max_orders(capacity, 400)
+        for seed in range(5):
+            comp = learned_vs_uniform_variance(seed, capacity=capacity, orders=orders)
+            assert np.isfinite([comp.var_learned, comp.var_uniform, comp.loss_spread_orders]).all()
+        with pytest.raises(ValueError, match="orders must be at most"):
+            learned_vs_uniform_variance(0, capacity=capacity, orders=np.nextafter(orders, 400))
 
     def test_one_slot_buffer_rejected_by_name(self):
         # Log-spaced reward scales need two slots to span their decades.

@@ -31,7 +31,7 @@ def check_index(store, expected, kappa):
     leaves = store.tree.leaves()
     assert np.max(np.abs(leaves - expected) / np.maximum(expected, 1.0)) <= TOLERANCE
     assert store.tree.consistency_error() < TOLERANCE
-    assert store.probabilities(np.arange(store.capacity), kappa).min() >= kappa / store.capacity
+    assert store.probabilities(np.arange(store.capacity)).min() >= kappa / store.capacity
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -48,23 +48,21 @@ class StoreMachine(RuleBasedStateMachine):
                 capacity=CAPACITY, nu=NU, kappa=KAPPA, reset_period=3, reset_mode="soft", rho=0.5
             )
         )
-        self.store = WeightedStore(CAPACITY)
+        self.store = WeightedStore(CAPACITY, self.kappa)
         # What the td leaves must hold; the accumulator leaves are sqrt(w + nu).
         self.scores = np.zeros(CAPACITY)
         for _ in range(CAPACITY):
             self.insert(1.0)
 
     def draw_slots(self, batch):
-        drawn = self.store.sample_mixture(self.kappa, batch, self.rng)
+        drawn = self.store.sample_mixture(batch, self.rng)
         assert ((drawn >= 0) & (drawn < CAPACITY)).all()
         return np.unique(drawn)
 
     @rule(score=st.floats(1e-3, 1e3))
     def insert(self, score):
         if self.td:
-            slot = self.store.insert(
-                one_step_episode(), self.sampler, self.rng, kappa=0.0, score=score
-            )
+            slot = self.store.insert(one_step_episode(), self.sampler, self.rng, score=score)
             self.scores[slot] = score
         else:
             slot = self.store.insert(one_step_episode(), self.sampler, self.rng)
@@ -78,7 +76,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(batch=st.integers(1, 16), losses=st.lists(st.floats(0.0, 1e4), min_size=16, max_size=16))
     def feedback(self, batch, losses):
         slots = self.draw_slots(batch)
-        p_used = self.store.probabilities(slots, self.kappa)
+        p_used = self.store.probabilities(slots)
         np.testing.assert_allclose(p_used, self.sampler.distribution()[slots], rtol=1e-12)
         self.sampler.record_feedback(slots, np.array(losses[: len(slots)]), p_used)
         self.store.update_scores(self.sampler, slots)
@@ -118,13 +116,13 @@ def test_million_slot_feedback_run_keeps_invariants():
             capacity=capacity, nu=1000.0, kappa=KAPPA, reset_period=50, reset_mode="soft", rho=0.9
         )
     )
-    store = WeightedStore(capacity)
+    store = WeightedStore(capacity, KAPPA)
     episode = one_step_episode()
     for _ in range(capacity):
         store.insert(episode, sampler, rng)
     for step in range(1, updates + 1):
-        slots = np.unique(store.sample_mixture(KAPPA, 8, rng))
-        p_used = store.probabilities(slots, KAPPA)
+        slots = np.unique(store.sample_mixture(8, rng))
+        p_used = store.probabilities(slots)
         sampler.record_feedback(slots, 10.0 ** rng.uniform(-2, 3, len(slots)), p_used)
         store.update_scores(sampler, slots)
         if sampler.maybe_reset():

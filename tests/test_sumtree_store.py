@@ -22,7 +22,7 @@ def make_traj(rng, length=3):
 
 
 def filled_store(rng, capacity, nu=1.0, kappa=0.0, **kwargs):
-    store = WeightedStore(capacity)
+    store = WeightedStore(capacity, kappa)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=nu, kappa=kappa, **kwargs))
     for _ in range(capacity):
         store.insert(make_traj(rng), sampler, rng)
@@ -214,22 +214,22 @@ class TestSumTree:
 class TestMixtureSampling:
     def test_requires_warmed_buffer(self):
         rng = np.random.default_rng(0)
-        store = WeightedStore(4)
+        store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
         store.insert(make_traj(rng), sampler, rng)
         with pytest.raises(NotReadyError):
-            store.sample_mixture(sampler.config.kappa, 8, rng)
+            store.sample_mixture(8, rng)
 
     def test_zero_batch_gives_empty(self):
         rng = np.random.default_rng(0)
         store, sampler = filled_store(rng, 3)
-        assert len(store.sample_mixture(sampler.config.kappa, 0, rng)) == 0
+        assert len(store.sample_mixture(0, rng)) == 0
 
     def test_equal_weights_sample_uniformly(self):
         rng = np.random.default_rng(5)
         store, sampler = filled_store(rng, 16, nu=2.0, kappa=0.3)
         draws = 100_000
-        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=16)
+        counts = np.bincount(store.sample_mixture(draws, rng), minlength=16)
         chi2 = stats.chisquare(counts)  # uniform expectation
         assert chi2.pvalue > 0.01
 
@@ -243,7 +243,7 @@ class TestMixtureSampling:
             p, np.array([2.0, 1.0, np.sqrt(2.0)]) / (3.0 + np.sqrt(2.0)), rtol=1e-12
         )
         draws = 100_000
-        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=3)
+        counts = np.bincount(store.sample_mixture(draws, rng), minlength=3)
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) <= 3.0 * sigma)
 
@@ -253,7 +253,7 @@ class TestMixtureSampling:
         sampler.w = np.arange(8.0) * 100.0
         store.rebuild_index(sampler)
         draws = 100_000
-        counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=8)
+        counts = np.bincount(store.sample_mixture(draws, rng), minlength=8)
         chi2 = stats.chisquare(counts)
         assert chi2.pvalue > 0.01
 
@@ -265,7 +265,7 @@ class TestMixtureSampling:
             store.rebuild_index(sampler)
             p = sampler.distribution()
             draws = 100_000
-            counts = np.bincount(store.sample_mixture(sampler.config.kappa, draws, rng), minlength=capacity)
+            counts = np.bincount(store.sample_mixture(draws, rng), minlength=capacity)
             chi2 = stats.chisquare(counts, p * draws)
             assert chi2.pvalue > 0.01, f"capacity {capacity}"
 
@@ -273,7 +273,7 @@ class TestMixtureSampling:
 class TestInsertOverwrite:
     def test_fill_phase_is_sequential(self):
         rng = np.random.default_rng(9)
-        store = WeightedStore(4)
+        store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
         slots = [store.insert(make_traj(rng), sampler, rng) for _ in range(4)]
         assert slots == [0, 1, 2, 3]
@@ -286,17 +286,41 @@ class TestInsertOverwrite:
         counts = np.zeros(2)
         draws = 100_000
         for _ in range(draws):
-            counts[store._sample_victim(0.0, rng)] += 1
+            counts[store._sample_victim(rng)] += 1
         expected = np.array([0.1, 0.9]) * draws
         chi2 = stats.chisquare(counts, expected)
         assert chi2.pvalue > 0.01
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    def test_eviction_follows_the_stores_own_mixture(self, kappa):
+        # The sampler passed to insert mixes with 0.1; the victims must follow
+        # the store's kappa.  Each victim's leaf is restored after its insert.
+        rng = np.random.default_rng(26)
+        n, draws = 4, 40_000
+        leaves = np.array([27.0, 9.0, 3.0, 1.0])
+        store = WeightedStore(n, kappa)
+        sampler = SamplerState(SamplerConfig(capacity=n, kappa=0.1))
+        store.fill([make_traj(rng) for _ in range(n)], sampler, leaves)
+        episode = Episode([0], [1], [0.5], [1.0], [1])
+        counts = np.zeros(n)
+        for _ in range(draws):
+            victim = store.insert(episode, sampler, rng)
+            store.set_scores(victim, leaves[victim])
+            counts[victim] += 1
+        p = (1 - kappa) * leaves / leaves.sum() + kappa / n
+        assert stats.chisquare(counts, (1 - p) / (n - 1) * draws).pvalue > 0.01
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, float("nan")])
+    def test_store_rejects_kappa_outside_unit_interval(self, kappa):
+        with pytest.raises(ValueError, match=r"kappa must lie in \[0, 1\], got"):
+            WeightedStore(4, kappa)
 
     def test_uniform_distribution_evicts_uniformly(self):
         rng = np.random.default_rng(11)
         store, sampler = filled_store(rng, 8)  # equal leaves: p = 1/8 at kappa 0
         counts = np.zeros(8)
         for _ in range(80_000):
-            counts[store._sample_victim(0.0, rng)] += 1
+            counts[store._sample_victim(rng)] += 1
         chi2 = stats.chisquare(counts)
         assert chi2.pvalue > 0.01
 
@@ -320,7 +344,7 @@ class TestInsertOverwrite:
 
     def test_longer_insert_widens_columns_and_pads(self):
         rng = np.random.default_rng(24)
-        store = WeightedStore(3)
+        store = WeightedStore(3, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=3))
         short, long = make_traj(rng, length=2), make_traj(rng, length=5)
         store.insert(short, sampler, rng)
@@ -357,7 +381,7 @@ def random_rollouts(rng, lengths, kind):
 
 def fill_strategy(mode, capacity, rng):
     """An empty store, accumulators holding stale values, and a training strategy over them."""
-    store = WeightedStore(capacity)
+    store = WeightedStore(capacity, 0.0 if mode == "td_priority" else 0.1)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=1000.0, kappa=0.1))
     sampler.w[:] = rng.uniform(0.0, 5.0, capacity)
     if mode == "td_priority":
@@ -388,8 +412,7 @@ class TestBlockFill:
         for rollout in rollouts:
             scores = strategy.scores([rollout])
             store.insert(
-                rollout, sampler, insert_rng, kappa=strategy.kappa,
-                score=None if scores is None else float(scores[0]),
+                rollout, sampler, insert_rng, score=None if scores is None else float(scores[0])
             )
         want = store, sampler
         store, sampler, strategy = fill_strategy(mode, capacity, np.random.default_rng(0))
@@ -452,7 +475,7 @@ class TestBlockFill:
 
     def test_rejects_more_than_the_free_slots(self):
         rng = np.random.default_rng(42)
-        store = WeightedStore(3)
+        store = WeightedStore(3, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=3))
         store.fill(random_rollouts(rng, [1, 2], "episode"), sampler)
         with pytest.raises(ValueError, match="do not fit 1 free slots"):
@@ -479,7 +502,7 @@ class TestIndexMaintenance:
                 if sampler.maybe_reset():
                     store.rebuild_index(sampler)
         incremental = store.tree.leaves()
-        reference = WeightedStore(capacity)
+        reference = WeightedStore(capacity, kappa=0.1)
         reference.tree.rebuild(np.sqrt(sampler.w + sampler.config.nu))
         np.testing.assert_allclose(incremental, reference.tree.leaves(), rtol=1e-9)
         assert store.tree.consistency_error() < 1e-9
@@ -506,12 +529,11 @@ class TestStoreProbabilities:
         store, sampler = filled_store(
             rng, capacity, nu=2.0, kappa=0.15, reset_period=7, reset_mode="soft", rho=0.5
         )
-        kappa = sampler.config.kappa
         for _ in range(3_000):
             op = rng.integers(0, 3)
             if op == 0:
-                slots = np.unique(store.sample_mixture(kappa, 4, rng))
-                p_used = store.probabilities(slots, kappa)
+                slots = np.unique(store.sample_mixture(4, rng))
+                p_used = store.probabilities(slots)
                 np.testing.assert_allclose(p_used, sampler.distribution()[slots], rtol=1e-12)
                 losses = np.array([rng.uniform(0, 50) for _ in slots])
                 sampler.record_feedback(slots, losses, p_used)
@@ -521,7 +543,7 @@ class TestStoreProbabilities:
             elif sampler.maybe_reset():
                 store.rebuild_index(sampler)
         np.testing.assert_allclose(
-            store.probabilities(np.arange(capacity), kappa), sampler.distribution(), rtol=1e-12
+            store.probabilities(np.arange(capacity)), sampler.distribution(), rtol=1e-12
         )
 
     def test_td_probabilities_equal_dense_priority_formula(self):
@@ -532,14 +554,14 @@ class TestStoreProbabilities:
         store.set_scores(np.arange(capacity), td_scores(priorities))
         for _ in range(3_000):
             if rng.random() < 0.7:
-                slots = np.unique(store.sample_mixture(0.0, 4, rng))
+                slots = np.unique(store.sample_mixture(4, rng))
             else:
-                slots = np.array([store.insert(make_traj(rng), sampler, rng, kappa=0.0)])
+                slots = np.array([store.insert(make_traj(rng), sampler, rng)])
             priorities[slots] = rng.uniform(0, 10, len(slots))
             store.set_scores(slots, td_scores(priorities[slots]))
             dense = td_scores(priorities) / td_scores(priorities).sum()
             np.testing.assert_allclose(
-                store.probabilities(np.arange(capacity), 0.0), dense, rtol=1e-12
+                store.probabilities(np.arange(capacity)), dense, rtol=1e-12
             )
 
     def test_full_mixing_is_exactly_uniform(self):
@@ -547,7 +569,7 @@ class TestStoreProbabilities:
         store, sampler = filled_store(rng, 5, kappa=1.0)
         sampler.w[:] = rng.uniform(0, 100, 5)
         store.rebuild_index(sampler)
-        np.testing.assert_array_equal(store.probabilities(np.arange(5), 1.0), np.full(5, 1 / 5))
+        np.testing.assert_array_equal(store.probabilities(np.arange(5)), np.full(5, 1 / 5))
 
 
 class TestLongRunInvariants:
@@ -563,7 +585,7 @@ class TestLongRunInvariants:
         error = np.max(np.abs(leaves - expected_leaves) / np.maximum(expected_leaves, 1.0))
         assert error <= 1e-9
         assert store.tree.consistency_error() < 1e-9
-        p = store.probabilities(np.arange(store.capacity), kappa)
+        p = store.probabilities(np.arange(store.capacity))
         assert p.min() >= kappa / store.capacity
         assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -578,8 +600,8 @@ class TestLongRunInvariants:
         for step in range(1, self.OPERATIONS + 1):
             op = rng.random()
             if op < 0.6:  # one replay update: sample, feedback, index update, reset
-                slots = np.unique(store.sample_mixture(kappa, 8, rng))
-                p_used = store.probabilities(slots, kappa)
+                slots = np.unique(store.sample_mixture(8, rng))
+                p_used = store.probabilities(slots)
                 losses = 10.0 ** rng.uniform(-2, 3, len(slots))
                 sampler.record_feedback(slots, losses, p_used)
                 store.update_scores(sampler, slots)
@@ -601,10 +623,10 @@ class TestLongRunInvariants:
         pool = [make_traj(rng) for _ in range(16)]
         for step in range(1, self.OPERATIONS + 1):
             if rng.random() < 0.6:
-                slots = np.unique(store.sample_mixture(0.0, 8, rng))
-                store.probabilities(slots, 0.0)
+                slots = np.unique(store.sample_mixture(8, rng))
+                store.probabilities(slots)
             else:
-                slots = np.array([store.insert(pool[step % len(pool)], sampler, rng, kappa=0.0)])
+                slots = np.array([store.insert(pool[step % len(pool)], sampler, rng)])
             priorities[slots] = 10.0 ** rng.uniform(-2, 2, len(slots))
             store.set_scores(slots, td_scores(priorities[slots]))
             if step % self.CHECK_EVERY == 0:
