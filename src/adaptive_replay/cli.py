@@ -7,12 +7,15 @@ Subcommands::
     adaptive-replay metrics <trace..>  summarize trace CSVs forming a seed group
 
 Output locations honor ``--out`` first and the ``ADAPTIVE_REPLAY_OUT``
-environment variable as the output root otherwise.
+environment variable as the output root otherwise.  A spec or trace file
+that cannot be read or fails its checks exits with status 2, as a bad flag
+value does.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +29,15 @@ from .harness import (
     run_suite,
 )
 from .reporting import metrics_text, write_bench
+
+
+# What reading a spec or trace file raises on bad input: a missing file, text
+# that is not INI, or a value that fails its checks.
+_INPUT_ERRORS = (OSError, ValueError, configparser.Error)
+
+
+class _InputError(Exception):
+    """A spec or trace file the command cannot use; reported as exit 2."""
 
 
 def _positive_int(text: str) -> int:
@@ -76,9 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    spec = parse_config(args.spec)
-    if args.seed_list:
-        spec = replace(spec, seeds=args.seed_list)
+    try:
+        spec = parse_config(args.spec)
+        if args.seed_list:
+            spec = replace(spec, seeds=args.seed_list)
+    except _INPUT_ERRORS as exc:
+        raise _InputError(exc) from exc
     return run_suite(spec, out=args.out, workers=args.workers)
 
 
@@ -95,7 +110,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    row = metrics_from_traces(args.traces, window=args.window)
+    try:
+        row = metrics_from_traces(args.traces, window=args.window)
+    except _INPUT_ERRORS as exc:
+        raise _InputError(exc) from exc
     sys.stdout.write(metrics_text([("-", "-", "-", "-", len(args.traces), row)]))
     return 0
 
@@ -108,8 +126,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

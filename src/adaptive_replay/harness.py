@@ -178,7 +178,7 @@ def parse_config(path) -> ExperimentSpec:
     the values.  An empty file yields the full-default spec.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(Path(path).read_text())
+    parser.read_string(Path(path).read_text(), source=str(path))
 
     sections: dict[str, dict] = {}
     sweep: list[tuple[str, dict]] = []

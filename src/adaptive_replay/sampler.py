@@ -14,7 +14,9 @@ explored.  Periodic resets (hard zeroing or multiplicative forgetting) let
 the distribution track a buffer whose contents change over time.
 :meth:`SamplerState.scores` gives ``sqrt(w + nu)``, which the dense O(n)
 :meth:`SamplerState.distribution` normalizes and the store's index holds; a
-replay step reads its slots' p from that index, and ``record_feedback`` only those.
+replay step reads its slots' p from that index (``WeightedStore.draw``), and
+``WeightedStore.update_scores`` calls ``record_feedback`` for only those
+slots before it refreshes their leaves.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ drawn from the complement ``q(j) = (1 - p(j)) / (capacity - 1)``, by
 rejection under the ceiling ``1 - kappa / n >= 1 - p(j)``, so each proposal
 reads only its own ``p(j)``: slots the sampler values least are evicted
 first.  The slot's accumulator is zeroed: a fresh trajectory has no history.
+A replay step is one call each way: ``draw(batch, rng)`` gives the distinct
+slots drawn, the inverse that rebuilds the draws and the slots' ``p``, and
+``update_scores(sampler, slots, d, p_used)`` feeds back their losses and
+refreshes their leaves.
 """
 
 from __future__ import annotations
@@ -187,12 +191,23 @@ class WeightedStore(TrajectoryBatch):
         self.tree = SumTree(self.capacity)
         self.occupancy = 0
 
-    def update_scores(self, sampler: SamplerState, slots: np.ndarray) -> None:
-        """Refresh the index scores of the given slots from their accumulators.
+    def draw(self, batch: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """One replay draw: ``(slots, drawn, p)`` for ``batch`` mixture draws.
 
-        ``slots`` must be distinct, as ``record_feedback`` requires of the
-        same slots; their order is the order of the index's additions.
+        ``slots`` are the distinct slots drawn, sorted; ``slots[drawn]`` are
+        the draws in order; ``p`` is each slot's mixture probability.
         """
+        slots, drawn = np.unique(self.sample_mixture(batch, rng), return_inverse=True)
+        return slots, drawn, self.probabilities(slots)
+
+    def update_scores(self, sampler: SamplerState, slots, d, p_used) -> None:
+        """Feed back the losses ``d`` of ``slots`` drawn with ``p_used``; refresh their leaves.
+
+        ``sampler.record_feedback`` checks the slots (distinct, in range) and
+        the losses before anything is written; the slots' order is the order
+        of the index's additions.
+        """
+        sampler.record_feedback(slots, d, p_used)
         self.set_scores(slots, sampler.scores(slots))
 
     def rebuild_index(self, sampler: SamplerState) -> None:

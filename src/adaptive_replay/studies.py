@@ -117,8 +117,7 @@ def learned_vs_uniform_variance(
     for _ in range(learn_steps):
         p = sampler.distribution()
         drawn = np.unique(store.sample_mixture(LEARN_BATCH, rng))
-        sampler.record_feedback(drawn, grads.d[drawn], p[drawn])
-        store.update_scores(sampler, drawn)
+        store.update_scores(sampler, drawn, grads.d[drawn], p[drawn])
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (

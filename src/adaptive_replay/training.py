@@ -1,20 +1,23 @@
-"""Tabular policy-gradient training loops over the weighted replay buffer.
+"""Tabular policy-gradient training over the weighted replay buffer.
 
-Four slot-selection modes share one update rule (bias-corrected replay
-gradient, plain gradient ascent on the logits):
+One loop over updates runs every mode.  Each update draws its slots in one
+store call (``WeightedStore.draw``) and takes one bias-corrected replay
+gradient step (plain gradient ascent on the logits); the modes differ in
+how slots are scored and when episodes are collected:
 
 ``adaptive``
-    Interleaved loop: each policy update samples under the learned FTRL
-    distribution, feeds the realized squared-gradient losses back into the
-    accumulators, resets them every ``reset_period`` updates, then collects a
-    fresh episode that overwrites a victim slot drawn from the complement
-    distribution.
+    Each update samples under the learned FTRL distribution and feeds the
+    realized squared-gradient losses back into the accumulators in one call
+    (``WeightedStore.update_scores``), resetting them every ``reset_period``
+    updates.  After every ``updates_per_episode``-th update a fresh episode
+    overwrites a victim slot drawn from the complement distribution.
 ``adaptive_epoch``
-    Epoch variant: collect one episode, zero the accumulators, then run a
-    fixed number of updates before the next collection.  The per-episode
-    update count must stay below ``buffer_capacity / batch_size``.
+    Epoch variant: before the first update of each epoch of
+    ``updates_per_episode`` updates, collect one episode and zero the
+    accumulators; there is no periodic reset.  The per-episode update count
+    must stay below ``buffer_capacity / batch_size``.
 ``uniform``
-    The same interleaved loop with the uniform-mixing coefficient forced to
+    The ``adaptive`` schedule with the uniform-mixing coefficient forced to
     1, which fixes the sampling distribution to uniform throughout.
 ``td_priority``
     Proportional prioritization by summed absolute one-step TD errors under
@@ -158,8 +161,7 @@ class _AccumulatorStrategy:
         return None
 
     def after_update(self, unique_slots, d, p_used) -> bool:
-        self.sampler.record_feedback(unique_slots, d, p_used)
-        self.store.update_scores(self.sampler, unique_slots)
+        self.store.update_scores(self.sampler, unique_slots, d, p_used)
         if self.periodic_reset and self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
             return True
@@ -227,10 +229,15 @@ def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
     # Warm-up episodes past the capacity already evict, one insert each.
     for _ in range((config.warmup_episodes or config.buffer_capacity) - config.buffer_capacity):
         state.collect_episode()
-    if config.selection_mode == "adaptive_epoch":
-        _epoch_loop(state)
-    else:
-        _interleaved_loop(state)
+    epochs, every = config.selection_mode == "adaptive_epoch", config.updates_per_episode
+    for t in range(1, config.total_steps + 1):
+        if epochs and (t - 1) % every == 0:
+            state.collect_episode()
+            state.strategy.epoch_reset()
+        state.update_policy()
+        if not epochs and t % every == 0:
+            state.collect_episode()
+        state.maybe_eval(t)
     state.flush_rows()
     return state.trace
 
@@ -283,9 +290,7 @@ class _LoopState:
 
     def update_policy(self) -> None:
         cfg = self.config
-        indices = self.store.sample_mixture(cfg.batch_size, self.rng)
-        unique, drawn = np.unique(indices, return_inverse=True)
-        p_unique = self.store.probabilities(unique)
+        unique, drawn, p_unique = self.store.draw(cfg.batch_size, self.rng)
         grads = trajectory_gradients(
             self.store.take(unique), self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
         )
@@ -334,26 +339,3 @@ class _LoopState:
         self.trace.probes_uniform = np.array([r[3] for r in rows])
         self.trace.entropies = np.array([r[4] for r in rows])
         self.trace.reset_counts = np.array([r[5] for r in rows], dtype=np.int64)
-
-
-def _interleaved_loop(state: _LoopState) -> None:
-    cfg = state.config
-    for t in range(1, cfg.total_steps + 1):
-        state.update_policy()
-        if t % cfg.updates_per_episode == 0:
-            state.collect_episode()
-        state.maybe_eval(t)
-
-
-def _epoch_loop(state: _LoopState) -> None:
-    cfg = state.config
-    t = 0
-    while t < cfg.total_steps:
-        state.collect_episode()
-        state.strategy.epoch_reset()
-        for _ in range(cfg.updates_per_episode):
-            if t >= cfg.total_steps:
-                break
-            t += 1
-            state.update_policy()
-            state.maybe_eval(t)

@@ -379,8 +379,7 @@ def test_criterion_11_store_correctness_and_speed():
             slots = np.unique(rng.integers(0, capacity, 4))
             p = sampler.distribution()
             losses = np.array([rng.uniform(0, 5) for _ in slots])
-            sampler.record_feedback(slots, losses, p[slots])
-            store.update_scores(sampler, slots)
+            store.update_scores(sampler, slots, losses, p[slots])
         else:
             store.insert(random_traj(rng, policy, 3), sampler, rng)
     expected = np.sqrt(sampler.w + sampler.config.nu)

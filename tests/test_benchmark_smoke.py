@@ -3,7 +3,9 @@ of each workload exits 0 with every check passing.
 
 A change that renames or drops something the benchmark reads (a tracer hook,
 an argument position the invariant check captures, a config field) fails
-here.  Bytecode writing is off, so nothing is written under ``perfbench/``.
+here, and so does one that keeps a hooked name but stops calling it on the
+replay path, which would leave its per-layer row reading 0.  Bytecode
+writing is off, so nothing is written under ``perfbench/``.
 """
 
 import json
@@ -28,6 +30,22 @@ KNOWN_ABSENT = {
     "gradients.ratio_cap_activations",
 }
 
+# Per-layer rows each workload's replay path must reach: a traced warm-up
+# rep reads each of them above 0.
+CALLED = {
+    "grid32_adaptive": (),
+    "bandit65k_adaptive": (
+        "store.sample_mixture.self_s",
+        "sumtree.sample.self_s",
+        "sampler.record_feedback.self_s",
+        "store.update_scores.self_s",
+        "sampler.resets",
+        "sumtree.rebuild.calls",
+        "store.insert.calls",
+    ),
+    "bandit65k_td": ("store.set_scores.self_s", "sumtree.set_many.calls"),
+}
+
 
 @pytest.mark.parametrize("workload", ["grid32_adaptive", "bandit65k_adaptive", "bandit65k_td"])
 def test_traced_warmup_rep_passes_its_checks(tmp_path, workload):
@@ -45,3 +63,5 @@ def test_traced_warmup_rep_passes_its_checks(tmp_path, workload):
     if workload == "bandit65k_adaptive":
         assert "invariants" in result["checks"]
     assert set(result["absent"]) <= KNOWN_ABSENT
+    idle = [name for name in CALLED[workload] if not result["layers"][name] > 0]
+    assert not idle, idle

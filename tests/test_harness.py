@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptive_replay import cli
+from adaptive_replay import cli, harness
 from adaptive_replay.bench import run_bench
 from adaptive_replay.cli import main as cli_main
 from adaptive_replay.harness import (
@@ -670,6 +670,73 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument --seed-list: invalid comma-separated int list: {value!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[experiment]\nfamily = variance_study\n[variance]\norders = 305\n",
+                "variance.orders must be at most 296.647",
+            ),
+            (
+                "[experiment]\nfamily = rl_comparison\n[training]\nbatch_size = 40\n",
+                "training.batch_size must lie in [1, buffer_capacity]",
+            ),
+            ("capacity = 4\n", "File contains no section headers"),
+            (
+                "[regret]\ncapacity = 4\ncapacity = 5\n",
+                "option 'capacity' in section 'regret' already exists",
+            ),
+        ],
+        ids=["failed-check", "batch-above-capacity", "no-section-header", "repeated-key"],
+    )
+    def test_run_rejects_bad_spec(self, tmp_path, text, message, capsys):
+        spec_path = write_spec(tmp_path, text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(spec_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptive-replay run: error: ")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_rejects_missing_spec(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(tmp_path / "nope.ini"), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptive-replay run: error: [Errno 2] No such file or directory")
+        assert not out.exists()
+
+    def test_run_cell_failing_at_run_time_still_exits_1(self, tmp_path, monkeypatch):
+        # Only loading the spec reports exit 2; a cell's own error is its marker.
+        def broken(*args, **kwargs):
+            raise ValueError("cell broke")
+
+        monkeypatch.setattr(harness, "run_regret_experiment", broken)
+        spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(spec_path), "--out", str(out), "--seed-list", "3"]) == 1
+        marker = out / "regret_stationary_base_T20_seed3.FAILED"
+        assert "ValueError: cell broke" in marker.read_text()
+
+    def test_metrics_rejects_missing_trace(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(tmp_path / "nope.csv")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptive-replay metrics: error: [Errno 2] No such file or directory")
+
+    def test_metrics_rejects_malformed_trace(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("hello\n1,2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(trace)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"adaptive-replay metrics: error: unexpected trace header in {trace}: 'hello'\n"
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_metrics_rejects_bad_window(self, tmp_path, value, capsys):

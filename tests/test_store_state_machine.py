@@ -78,8 +78,7 @@ class StoreMachine(RuleBasedStateMachine):
         slots = self.draw_slots(batch)
         p_used = self.store.probabilities(slots)
         np.testing.assert_allclose(p_used, self.sampler.distribution()[slots], rtol=1e-12)
-        self.sampler.record_feedback(slots, np.array(losses[: len(slots)]), p_used)
-        self.store.update_scores(self.sampler, slots)
+        self.store.update_scores(self.sampler, slots, np.array(losses[: len(slots)]), p_used)
 
     @precondition(lambda self: not self.td)
     @rule()
@@ -121,10 +120,8 @@ def test_million_slot_feedback_run_keeps_invariants():
     for _ in range(capacity):
         store.insert(episode, sampler, rng)
     for step in range(1, updates + 1):
-        slots = np.unique(store.sample_mixture(8, rng))
-        p_used = store.probabilities(slots)
-        sampler.record_feedback(slots, 10.0 ** rng.uniform(-2, 3, len(slots)), p_used)
-        store.update_scores(sampler, slots)
+        slots, _, p_used = store.draw(8, rng)
+        store.update_scores(sampler, slots, 10.0 ** rng.uniform(-2, 3, len(slots)), p_used)
         if sampler.maybe_reset():
             store.rebuild_index(sampler)
         if step % 4 == 0:

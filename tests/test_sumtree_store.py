@@ -494,8 +494,7 @@ class TestIndexMaintenance:
                 slots = np.unique(rng.integers(0, capacity, 4))
                 p = sampler.distribution()
                 losses = np.array([rng.uniform(0, 5) for _ in slots])
-                sampler.record_feedback(slots, losses, p[slots])
-                store.update_scores(sampler, slots)
+                store.update_scores(sampler, slots, losses, p[slots])
             elif op == 1:
                 store.insert(make_traj(rng), sampler, rng)
             else:
@@ -511,13 +510,56 @@ class TestIndexMaintenance:
         rng = np.random.default_rng(15)
         store, sampler = filled_store(rng, 4)
         before = store.tree.leaves()
-        store.update_scores(sampler, np.empty(0, dtype=np.int64))
+        store.update_scores(sampler, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
         np.testing.assert_array_equal(before, store.tree.leaves())
 
     def test_single_slot_root_equals_score(self):
         rng = np.random.default_rng(16)
         store, sampler = filled_store(rng, 1, nu=4.0)
         assert store.tree.total == pytest.approx(2.0)
+
+
+class TestReplayStep:
+    """``draw`` and ``update_scores``: one store call for each side of a replay step."""
+
+    @staticmethod
+    def learned_store(capacity=37):
+        rng = np.random.default_rng(24)
+        store, sampler = filled_store(rng, capacity, nu=2.0, kappa=0.2)
+        sampler.w[:] = 10.0 ** rng.uniform(-2, 3, capacity)
+        store.rebuild_index(sampler)
+        return store, sampler
+
+    @pytest.mark.parametrize("batch", [8, 4 * SCALAR_DESCENT_MAX])
+    def test_draw_is_sample_mixture_deduplicated(self, batch):
+        store, _ = self.learned_store()
+        rng, reference_rng = np.random.default_rng(25), np.random.default_rng(25)
+        draws = store.sample_mixture(batch, reference_rng)
+        slots, drawn, p = store.draw(batch, rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert (np.diff(slots) > 0).all()
+        np.testing.assert_array_equal(slots[drawn], draws)
+        np.testing.assert_array_equal(p, store.probabilities(slots))
+
+    def test_draw_before_full_raises(self):
+        store = WeightedStore(8, kappa=0.1)
+        sampler = SamplerState(SamplerConfig(capacity=8, kappa=0.1))
+        store.fill([make_traj(np.random.default_rng(26)) for _ in range(7)], sampler)
+        with pytest.raises(NotReadyError):
+            store.draw(4, np.random.default_rng(27))
+
+    @pytest.mark.parametrize(
+        "slots, message", [([3, 3], "duplicate slot 3 in slots"), ([1, 8], "slot index 8 out of range")]
+    )
+    def test_bad_slots_rejected_before_any_write(self, slots, message):
+        store, sampler = self.learned_store(capacity=8)
+        w, leaves, total, step = sampler.w.copy(), store.tree.leaves(), store.tree.total, sampler.step
+        with pytest.raises(ValueError, match=message):
+            store.update_scores(sampler, np.array(slots), np.ones(2), np.full(2, 0.5))
+        np.testing.assert_array_equal(sampler.w, w)
+        np.testing.assert_array_equal(store.tree.leaves(), leaves)
+        assert store.tree.total == total and sampler.step == step
+        assert store.tree.consistency_error() < 1e-12
 
 
 class TestStoreProbabilities:
@@ -532,12 +574,10 @@ class TestStoreProbabilities:
         for _ in range(3_000):
             op = rng.integers(0, 3)
             if op == 0:
-                slots = np.unique(store.sample_mixture(4, rng))
-                p_used = store.probabilities(slots)
+                slots, _, p_used = store.draw(4, rng)
                 np.testing.assert_allclose(p_used, sampler.distribution()[slots], rtol=1e-12)
                 losses = np.array([rng.uniform(0, 50) for _ in slots])
-                sampler.record_feedback(slots, losses, p_used)
-                store.update_scores(sampler, slots)
+                store.update_scores(sampler, slots, losses, p_used)
             elif op == 1:
                 store.insert(make_traj(rng), sampler, rng)
             elif sampler.maybe_reset():
@@ -600,11 +640,9 @@ class TestLongRunInvariants:
         for step in range(1, self.OPERATIONS + 1):
             op = rng.random()
             if op < 0.6:  # one replay update: sample, feedback, index update, reset
-                slots = np.unique(store.sample_mixture(8, rng))
-                p_used = store.probabilities(slots)
+                slots, _, p_used = store.draw(8, rng)
                 losses = 10.0 ** rng.uniform(-2, 3, len(slots))
-                sampler.record_feedback(slots, losses, p_used)
-                store.update_scores(sampler, slots)
+                store.update_scores(sampler, slots, losses, p_used)
                 if sampler.maybe_reset():
                     store.rebuild_index(sampler)
             elif op < 0.99:
@@ -623,8 +661,7 @@ class TestLongRunInvariants:
         pool = [make_traj(rng) for _ in range(16)]
         for step in range(1, self.OPERATIONS + 1):
             if rng.random() < 0.6:
-                slots = np.unique(store.sample_mixture(8, rng))
-                store.probabilities(slots)
+                slots, _, _ = store.draw(8, rng)
             else:
                 slots = np.array([store.insert(pool[step % len(pool)], sampler, rng)])
             priorities[slots] = 10.0 ** rng.uniform(-2, 2, len(slots))

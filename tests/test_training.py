@@ -39,6 +39,21 @@ RECORDED_DIGESTS = {
     "adaptive": "456f76dbe79a5cfe04cb2ff2d6c42a592fbbc6248adb70f9bad012358ba51914",
     "adaptive_epoch": "eb9f23b6b1ff2affa06c2bec2d0517ddea06190d469c3a7d3390d6f89ae16c17",
 }
+# The same runs collecting once every three updates, which pins where the
+# loop collects: after every third update, or before each epoch's first.
+RECORDED_DIGESTS_EVERY_3 = {
+    "uniform": "17d169ae7a2cfaf6f549ba7f9f21406fddab39277e70a2a9b572323bf2b1d077",
+    "td_priority": "1851c0a5762f2a249778acd139e61763042f2a2ba79c1ee18fcd281fd923cd15",
+    "adaptive": "dfff727a44e0a41e2c220c0a8a943b6c6bc3b49877ae8432b15475f86c0f45d6",
+    "adaptive_epoch": "fac49682e29375c00805b52726d64b16983bb3d48f9be9d4731b09dda6358145",
+}
+RECORDED_CASES = [
+    pytest.param(mode, 2 if mode == "adaptive_epoch" else 1, RECORDED_DIGESTS[mode], id=mode)
+    for mode in MODES
+] + [
+    pytest.param(mode, 3, digest, id=f"{mode}-every3")
+    for mode, digest in RECORDED_DIGESTS_EVERY_3.items()
+]
 
 
 def trace_digest(trace):
@@ -391,15 +406,15 @@ class TestCollectionPath:
         assert counts["__init__"] == 0
 
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_trace_digest_recorded(self, mode):
+    @pytest.mark.parametrize("mode, updates_per_episode, digest", RECORDED_CASES)
+    def test_trace_digest_recorded(self, mode, updates_per_episode, digest):
         sampler = SamplerConfig(capacity=16, reset_period=25, reset_mode="soft", kappa=0.1)
         config = bandit_config(
             mode, seed=12, total_steps=60, eval_every=10, warmup_episodes=16 + 5,
             probe_every=20, probe_repeats=20, sampler=sampler,
-            updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+            updates_per_episode=updates_per_episode,
         )
-        assert trace_digest(run_training(chain_env(5), config)) == RECORDED_DIGESTS[mode]
+        assert trace_digest(run_training(chain_env(5), config)) == digest
 
     @pytest.mark.parametrize("mode", MODES)
     def test_block_fill_equals_per_episode_inserts(self, monkeypatch, mode):
