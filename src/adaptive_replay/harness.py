@@ -13,9 +13,12 @@ Three families share one runner:
     Paired learned-vs-uniform gradient variance comparisons on synthetic
     heteroscedastic buffers.
 
-Every stochastic choice descends from ``(seed, cell_id)`` through a SHA-256
-hash into a numpy PCG64 generator, recorded in the run manifest, so any cell
-rerun with the same spec and seed reproduces its artifacts byte for byte.
+In rl and variance cells every stochastic choice descends from the seed and
+the cell's id through a SHA-256 hash into a numpy PCG64 generator, recorded
+in the run manifest.  A regret cell seeds ``SeedSequence(seed)`` directly,
+without its id, so every learner config on one seed faces the same loss
+sequence.  Either way any cell rerun with the same spec and seed reproduces
+its artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -90,8 +93,9 @@ class ExperimentSpec:
     Construction holds a spec to every rule, whether it was built here or by
     ``parse_config``, and names the offending ``section.key``: unknown keys,
     values that no spec text parses to, family and scenario names, positive
-    numbers, non-empty lists, and, for every cell of every sweep, the sampler
-    and training configs the cell will run with.
+    numbers, non-empty lists of distinct entries, distinct non-negative seeds,
+    distinct sweep labels and cell ids, and, for every cell of every sweep,
+    the sampler and training configs the cell will run with.
     """
 
     family: str = "regret_synthetic"
@@ -116,8 +120,13 @@ class ExperimentSpec:
                 _check_value(*dotted.partition(".")[::2], value, kind="sweep override")
         if len(self.seeds) == 0:
             raise ValueError("experiment.seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"experiment.seeds must be non-negative, got {min(self.seeds)}")
+        _check_distinct("experiment.seeds", self.seeds)
+        _check_distinct("sweep label", [label for label, _ in self.sweep])
         self.sampler = {**_defaults(_SAMPLER), **self.sampler}
         self.options = {**_defaults(family.keys), **self.options}
+        cell_ids = set()
         for label, overrides in self.sweep:
             sampler, options = _apply_sweep(self, overrides)
             for key, value in options.items():
@@ -125,12 +134,19 @@ class ExperimentSpec:
                 number = convert in (int, float) and family.section in _POSITIVE_SECTIONS
                 if number and not 0 < value < np.inf:
                     raise ValueError(f"{family.section}.{key}={value} must be positive and finite")
-                if convert in (_parse_int_list, _parse_str_list) and len(value) == 0:
-                    raise ValueError(f"{family.section}.{key} must not be empty")
+                if convert in (_parse_int_list, _parse_str_list):
+                    if len(value) == 0:
+                        raise ValueError(f"{family.section}.{key} must not be empty")
+                    _check_distinct(f"{family.section}.{key}", value)
             # Scenarios may override some sampler values, so check the section
             # as written too; no sampler rule depends on the capacity.
             _build("sampler", SamplerConfig, **sampler, capacity=1)
-            for _, params in family.cells(self, label, sampler, options):
+            for cell_id, params in family.cells(self, label, sampler, options):
+                # Distinct entries can still spell one id through the labels'
+                # underscores: mode adaptive with label epoch_x, and adaptive_epoch with x.
+                if cell_id in cell_ids:
+                    raise ValueError(f"sweep:{label} repeats the cell id {cell_id!r}")
+                cell_ids.add(cell_id)
                 if family.configs is not None:
                     family.configs(params)
 
@@ -157,6 +173,14 @@ def _echo_value(value) -> str:
 
 def _defaults(keys: dict) -> dict:
     return {key: default for key, (_, default) in keys.items() if default is not None}
+
+
+def _check_distinct(name: str, values) -> None:
+    """Reject a repeated entry of ``values`` by ``name``: two equal entries
+    would give two cells one id, and so one file."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} {value!r} repeats; entries must be distinct")
 
 
 def _check_value(section: str, key: str, value, kind: str = "key") -> None:

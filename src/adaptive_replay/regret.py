@@ -161,7 +161,7 @@ def _run_single(
         row = d_matrix[t]
         realized[t] = variance_objective(row, p)
         if feedback == "full":
-            state.record_full(row)
+            state.record_feedback(np.arange(capacity), row, np.ones(capacity))
         else:
             sampled = np.unique(rng.choice(capacity, size=batch, p=p))
             state.record_feedback(sampled, row[sampled], p[sampled])

@@ -106,8 +106,9 @@ def read_trace(path: Path) -> dict:
     """Parse a trace CSV back into arrays (missing probes become nan)."""
     meta: dict[str, str] = {}
     rows = []
+    width = len(TRACE_HEADER.split(","))
     header_seen = False
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
@@ -120,7 +121,10 @@ def read_trace(path: Path) -> dict:
             header_seen = True
             continue
         if line:
-            rows.append(line.split(","))
+            row = line.split(",")
+            if len(row) != width:
+                raise ValueError(f"trace {path} line {number}: expected {width} fields, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"trace {path} contains no rows")
     return {

@@ -88,12 +88,17 @@ class SamplerConfig:
 
 
 class SamplerState:
-    """Mutable accumulator state.  Single-writer; reads are side-effect free."""
+    """Mutable accumulator state and its reset count; reads are side-effect free.
+
+    ``record_feedback``, ``maybe_reset`` and ``clear`` are the only writes to
+    ``w``, ``step`` and ``resets``; no other module assigns to them.
+    """
 
     def __init__(self, config: SamplerConfig):
         self.config = config
         self.w = np.zeros(config.capacity)
         self.step = 0
+        self.resets = 0
 
     def distribution(self) -> np.ndarray:
         """Current sampling distribution over slots.
@@ -117,7 +122,8 @@ class SamplerState:
 
         Aligned 1-d arrays: distinct in-range slots, their finite non-negative
         losses, and the probabilities they were drawn with, which makes the
-        update an unbiased estimate of the full loss vector.
+        update an unbiased estimate of the full loss vector.  Full-information
+        feedback is every slot at probability 1.
         """
         slots = np.asarray(slots, dtype=np.int64)
         d, p_used = np.asarray(d, dtype=np.float64), np.asarray(p_used, dtype=np.float64)
@@ -142,16 +148,6 @@ class SamplerState:
         self.w[slots] += d / p_used
         self.step += 1
 
-    def record_full(self, d: np.ndarray) -> None:
-        """Full-information feedback: add the entire loss row to the accumulators."""
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != self.w.shape:
-            raise ValueError(f"expected {self.w.shape} losses, got {d.shape}")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise ValueError("losses must be finite and non-negative")
-        self.w += d
-        self.step += 1
-
     def current_rho(self) -> float:
         """Forgetting factor in effect at the current step (annealed if configured)."""
         cfg = self.config
@@ -165,16 +161,21 @@ class SamplerState:
     def maybe_reset(self) -> bool:
         """Apply the configured reset if the step counter hit the period.
 
-        Returns True when a reset was applied.  Hard mode zeroes the
-        accumulators; soft modes multiply them by the current forgetting
-        factor.
+        Returns True when a reset was applied, and counts it in ``resets``.
+        Hard mode zeroes the accumulators; soft modes multiply them by the
+        current forgetting factor.
         """
         cfg = self.config
         if self.step == 0 or self.step % cfg.reset_period != 0:
             return False
         if cfg.reset_mode == RESET_HARD:
-            self.w[:] = 0.0
+            self.clear()
         else:
             self.w *= self.current_rho()
+        self.resets += 1
         return True
+
+    def clear(self, slots=slice(None)) -> None:
+        """Zero the accumulators of ``slots`` (an int, array or slice; all by default)."""
+        self.w[slots] = 0.0
 

@@ -274,7 +274,7 @@ class WeightedStore(TrajectoryBatch):
             raise ValueError(f"{len(trajs)} trajectories do not fit {self.capacity - lo} free slots")
         self._write_rows(lo, trajs)
         self.occupancy = hi
-        sampler.w[lo:hi] = 0.0
+        sampler.clear(slice(lo, hi))
         if scores is None:
             scores = sampler.scores(slice(lo, hi))
         self.set_scores(np.arange(lo, hi), scores)
@@ -299,7 +299,7 @@ class WeightedStore(TrajectoryBatch):
             return slot
         slot = self._sample_victim(rng) if self.capacity > 1 else 0
         self.write(slot, traj)
-        sampler.w[slot] = 0.0
+        sampler.clear(slot)
         self.set_scores(slot, sampler.scores(slot) if score is None else score)
         return slot
 

@@ -103,10 +103,10 @@ class TrainingConfig:
             raise ValueError("sampler capacity must match buffer_capacity")
 
     def resolved_sampler(self) -> SamplerConfig:
+        """The sampler config the run uses: ``uniform`` mixes fully, ``td_priority`` not at all."""
         base = self.sampler or SamplerConfig(capacity=self.buffer_capacity)
-        if self.selection_mode == "uniform":
-            return replace(base, kappa=1.0)
-        return base
+        kappa = {"uniform": 1.0, "td_priority": 0.0}.get(self.selection_mode, base.kappa)
+        return replace(base, kappa=kappa)
 
     def hash(self, env_name: str) -> str:
         payload = {"env": env_name, **asdict(self)}
@@ -160,15 +160,13 @@ class _AccumulatorStrategy:
     def scores(self, episodes) -> None:
         return None
 
-    def after_update(self, unique_slots, d, p_used) -> bool:
+    def after_update(self, unique_slots, d, p_used) -> None:
         self.store.update_scores(self.sampler, unique_slots, d, p_used)
         if self.periodic_reset and self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
-            return True
-        return False
 
     def epoch_reset(self) -> None:
-        self.sampler.w[:] = 0.0
+        self.sampler.clear()
         self.store.rebuild_index(self.sampler)
 
 
@@ -206,7 +204,7 @@ class _TDPriorityStrategy:
             [self._sweep(e.states, e.rewards, e.next_states, learn=False) for e in episodes]
         )
 
-    def after_update(self, unique_slots, d, p_used) -> bool:
+    def after_update(self, unique_slots, d, p_used) -> None:
         store = self.store
         slots = np.asarray(unique_slots, dtype=np.int64)
         priorities = [
@@ -219,7 +217,6 @@ class _TDPriorityStrategy:
             for i, n in zip(slots.tolist(), store.lengths[slots].tolist())
         ]
         store.set_scores(slots, self._scores(priorities))
-        return False
 
 
 def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
@@ -254,8 +251,7 @@ class _LoopState:
         self.policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
         self.sampler = SamplerState(config.resolved_sampler())
         mode = config.selection_mode
-        kappa = 0.0 if mode == "td_priority" else self.sampler.config.kappa
-        self.store = WeightedStore(config.buffer_capacity, kappa)
+        self.store = WeightedStore(config.buffer_capacity, self.sampler.config.kappa)
         if mode == "td_priority":
             self.strategy = _TDPriorityStrategy(self.store, env, config.learning_rate)
         else:
@@ -266,7 +262,6 @@ class _LoopState:
             seed=config.seed, mode=mode, env_name=env.name, config_hash=config.hash(env.name)
         )
         self.env_steps = 0
-        self.reset_count = 0
         self._rows: list[tuple] = []
 
     def fill_buffer(self) -> None:
@@ -299,8 +294,7 @@ class _LoopState:
             grads.omega[drawn], grads.g[drawn], p_unique[drawn], self.store.capacity
         )
         self.policy.set_params(self.policy.get_params() + cfg.learning_rate * grad)
-        if self.strategy.after_update(unique, grads.d, p_unique):
-            self.reset_count += 1
+        self.strategy.after_update(unique, grads.d, p_unique)
 
     def record_eval(self, update_index: int) -> None:
         cfg = self.config
@@ -324,7 +318,7 @@ class _LoopState:
             )
         entropy = float(-(p * np.log(p)).sum())
         self._rows.append(
-            (self.env_steps, test_return, probe, probe_uniform, entropy, self.reset_count)
+            (self.env_steps, test_return, probe, probe_uniform, entropy, self.sampler.resets)
         )
 
     def maybe_eval(self, update_index: int) -> None:

@@ -220,12 +220,29 @@ _CELL_FAILURES = [
 ]
 
 
+# List entries that, repeated, gave two cells one id and so one file.
+_REPEATED_ENTRIES = [
+    ("regret", "horizons", (50, 50)), ("training", "envs", ("chain5", "chain5")),
+    ("training", "modes", ("adaptive", "adaptive")),
+]
+
+# Seeds that collided the same way, or failed in every cell at run time.
+_BAD_SEEDS = [
+    pytest.param(RL + "seeds = 1,1\n[training]\nmodes = adaptive,adaptive\n",
+                 "experiment.seeds 1 repeats", id="repeated-seed-and-mode"),
+    pytest.param("[experiment]\nseeds = 0,-1\n", "experiment.seeds must be non-negative, got -1",
+                 id="negative-seed"),
+]
+
+
 @pytest.mark.parametrize(
     "text, key",
     [case for args in _REJECTED for case in set_both_ways(*args)]
     + [case for args in _EMPTY_LISTS for case in set_both_ways(*args, "")]
     + [case for args in _UNKNOWN_NAMES for case in set_both_ways(*args)]
-    + _CELL_FAILURES,
+    + _CELL_FAILURES
+    + [case for s, k, v in _REPEATED_ENTRIES for case in set_both_ways(s, k, ",".join(map(str, v)))]
+    + _BAD_SEEDS,
 )
 def test_rejected_values_name_their_key(tmp_path, text, key):
     with pytest.raises(ValueError, match=re.escape(key)):
@@ -252,6 +269,7 @@ _FAMILY_OF = {
     "section, key, value",
     _REJECTED + _DIRECT_ONLY
     + [pytest.param(*args, (), id=f"{args[0]}-{args[1]}-empty") for args in _EMPTY_LISTS]
+    + [pytest.param(*args, id=f"{args[0]}-{args[1]}-repeated") for args in _REPEATED_ENTRIES]
     + [pytest.param(s, k, (name,), id=f"{s}-{k}-{name}") for s, k, name in _UNKNOWN_NAMES],
 )
 def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
@@ -264,11 +282,28 @@ def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("seeds", 5), ("seeds", ("1",)), ("seeds", (1.5,)), ("output_dir", 5)]
+    "key, value",
+    [("seeds", 5), ("seeds", ("1",)), ("seeds", (1.5,)), ("output_dir", 5), ("seeds", (-1,)),
+     ("seeds", (1, 1))],
 )
 def test_directly_built_experiment_values_rejected_by_key(key, value):
     with pytest.raises(ValueError, match=re.escape(f"experiment.{key}")):
         ExperimentSpec(family="rl_comparison", **{key: value})
+
+
+def test_directly_built_repeated_sweep_label_rejected():
+    # Both sweeps would write the same four files; the last cell to finish won.
+    sweep = (("x", {}), ("x", {"sampler.kappa": 0.5}))
+    with pytest.raises(ValueError, match="sweep label 'x' repeats"):
+        ExperimentSpec(family="rl_comparison", sweep=sweep)
+
+
+def test_cell_ids_spelled_alike_by_a_label_rejected():
+    # Mode adaptive under label epoch_x and mode adaptive_epoch under x spell one id.
+    options = {"modes": ("adaptive", "adaptive_epoch")}
+    with pytest.raises(ValueError, match="sweep:epoch_x repeats the cell id "
+                       "'rl_two_state_bandit_adaptive_epoch_x_seed0'"):
+        ExperimentSpec(family="rl_comparison", sweep=(("x", {}), ("epoch_x", {})), options=options)
 
 
 def test_directly_built_lists_and_numbers_accepted():
@@ -594,6 +629,8 @@ class TestTraceRoundtrip:
                          "unexpected trace header", id="wrong-header"),
             pytest.param(f"# schema={TRACE_SCHEMA}\n{TRACE_HEADER}\n", "contains no rows",
                          id="no-rows"),
+            pytest.param(f"# schema={TRACE_SCHEMA}\n{TRACE_HEADER}\n1,uniform,chain5,12\n",
+                         "line 3: expected 8 fields, got 4", id="truncated-row"),
         ],
     )
     def test_malformed_trace_rejected_by_message(self, tmp_path, text, message):
@@ -672,6 +709,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "value, message",
+        [("1,1", "experiment.seeds 1 repeats"), ("-1", "experiment.seeds must be non-negative, got -1")],
+        ids=["repeated", "negative"],
+    )
+    def test_run_rejects_bad_seed_list(self, tmp_path, value, message, capsys):
+        spec_path = write_spec(tmp_path, "[regret]\nscenario = stationary\ncapacity = 4\nhorizons = 20\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", str(spec_path), "--out", str(out), f"--seed-list={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptive-replay run: error: ")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (
@@ -737,6 +790,12 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err == f"adaptive-replay metrics: error: unexpected trace header in {trace}: 'hello'\n"
+        trace.write_text(f"{TRACE_HEADER}\n1,uniform,chain5,12\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(trace)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"adaptive-replay metrics: error: trace {trace} line 2: expected 8 fields, got 4\n"
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_metrics_rejects_bad_window(self, tmp_path, value, capsys):

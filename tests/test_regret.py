@@ -1,5 +1,7 @@
 """Competitor closed forms against the numeric oracle, ledgers, and bound checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from adaptive_replay.regret import (
 from adaptive_replay.sampler import SamplerConfig
 from adaptive_replay.simplex import minimize_on_simplex
 from adaptive_replay.store import Trajectory
+from adaptive_replay.studies import learned_vs_uniform_variance
 
 
 class TestStaticCompetitor:
@@ -268,3 +271,49 @@ class TestSlopeFit:
 def test_invalid_competitor_input_rejected_by_message(act, message):
     with pytest.raises(ValueError, match=message):
         act()
+
+
+# Recorded digests of regret ledgers and variance studies.  Any change to the
+# learner's draws, feedback, resets or arithmetic moves them, and with them
+# the bytes of the regret and variance CSVs.
+RECORDED_REGRET = [
+    pytest.param(stationary_sequence(), {"kappa": 0.0, "reset_mode": "hard", "reset_period": 40},
+                 "full", "ab1b14b938472d7692408fd6654c2fb70d315a5025bcedba9561eb542fb7c156",
+                 id="full-hard"),
+    pytest.param(stationary_sequence(), {"kappa": 0.0, "reset_mode": "soft", "reset_period": 40},
+                 "full", "a03168bc2ec70abcbec427f877172e77348f7451a3d6ee962dc119b59b808f28",
+                 id="full-soft"),
+    pytest.param(stationary_sequence(),
+                 {"kappa": 0.0, "reset_mode": "annealed_soft", "reset_period": 40, "anneal_steps": 100},
+                 "full", "675f9c3794601b29c83c4df168aaf185e50ff0341e03669adff851fd5c633cde",
+                 id="full-annealed"),
+    pytest.param(scaled_noise_sequence(orders=2.0),
+                 {"kappa": 0.3, "reset_mode": "soft", "reset_period": 40},
+                 "bandit", "b587f75735cf194aeb80b19b9c326441ed6dc04de3348a9782373f46fa9761e5",
+                 id="bandit-soft"),
+    pytest.param(drifting_sequence(interval=10, n_replace=2),
+                 {"kappa": 0.0, "reset_mode": "hard", "reset_period": 10},
+                 "bandit", "ff229ab05a6dd346a71af4389bec842358a81445fb5dcee40143aca19f5cbe85",
+                 id="drift-hard"),
+]
+RECORDED_VARIANCE = "0414c1f047a1492d3e364107e003f7f42cab1e2b2fbf03fc3ad4715b645320a9"
+
+
+@pytest.mark.parametrize("generator, sampler, feedback, digest", RECORDED_REGRET)
+def test_regret_ledgers_match_their_recorded_digest(generator, sampler, feedback, digest):
+    config = SamplerConfig(capacity=16, nu=1.0, **sampler)
+    ledgers = run_regret_experiment(generator, config, 300, [0, 1], feedback=feedback, batch=8)
+    h = hashlib.sha256()
+    for ledger in ledgers:
+        for series in (ledger.realized, ledger.static_opt_cum, ledger.dynamic_opt_cum):
+            h.update(series.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_variance_studies_match_their_recorded_digest():
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        c = learned_vs_uniform_variance(seed, capacity=16, repeats=50)
+        h.update(np.array([c.var_learned, c.var_uniform, c.loss_spread_orders]).tobytes())
+    assert h.hexdigest() == RECORDED_VARIANCE
+

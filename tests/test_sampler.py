@@ -1,5 +1,8 @@
 """Closed-form distribution, feedback accumulation, resets, and their invariants."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,7 +198,7 @@ class TestFeedback:
 
     def test_full_information_feedback(self):
         state = make_state([1.0, 2.0])
-        state.record_full(np.array([0.5, 1.5]))
+        state.record_feedback(np.arange(2), np.array([0.5, 1.5]), np.ones(2))
         np.testing.assert_allclose(state.w, [1.5, 3.5])
         assert state.step == 1
 
@@ -206,6 +209,23 @@ class TestResets:
         state.step = 3
         assert state.maybe_reset()
         np.testing.assert_array_equal(state.w, [0.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_applied_resets_are_counted(self, mode):
+        state = make_state([5.0, 2.0], reset_period=2, reset_mode=mode)
+        for _ in range(5):
+            state.record_feedback(np.array([0]), np.ones(1), np.ones(1))
+            state.maybe_reset()
+        assert (state.step, state.resets) == (5, 2)
+
+    def test_clear_zeroes_only_the_given_slots(self):
+        state = make_state([1.0, 2.0, 3.0, 4.0])
+        state.clear(2)
+        state.clear(slice(0, 1))
+        np.testing.assert_array_equal(state.w, [0.0, 2.0, 0.0, 4.0])
+        state.clear()
+        np.testing.assert_array_equal(state.w, np.zeros(4))
+        assert (state.step, state.resets) == (0, 0)
 
     def test_soft_reset_multiplies_by_forgetting_factor(self):
         state = make_state([10.0, 0.0], reset_period=2, reset_mode="soft", rho=0.9)
@@ -291,17 +311,49 @@ class TestConfigValidation:
         assert config.rho == 0.9
 
 
-@pytest.mark.parametrize(
-    "act, message",
-    [
-        pytest.param(lambda config: SamplerState(config).record_full(np.zeros(3)),
-                     r"expected \(4,\) losses, got \(3,\)", id="full-shape"),
-        pytest.param(
-            lambda config: SamplerState(config).record_full(np.array([0.0, -1.0, 0.0, 0.0])),
-            "losses must be finite and non-negative", id="full-negative",
-        ),
-    ],
-)
-def test_invalid_state_and_full_feedback_rejected_by_message(act, message):
-    with pytest.raises(ValueError, match=message):
-        act(SamplerConfig(capacity=4))
+# The sampler's state: its accumulators, its feedback step count and its reset count.
+SAMPLER_STATE = {"w", "step", "resets"}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptive_replay"
+
+
+def state_writes(path):
+    """``(line, text)`` of each assignment in ``path`` to an attribute named in
+    ``SAMPLER_STATE``, or to a subscript of one, augmented assignments included."""
+    tree = ast.parse(path.read_text())
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    writes = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+            continue
+        if isinstance(target, ast.Starred):
+            targets.append(target.value)
+            continue
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr in SAMPLER_STATE:
+            writes.append((target.lineno, ast.unparse(target)))
+    return sorted(writes)
+
+
+def test_only_the_sampler_module_writes_the_sampler_state():
+    # record_feedback, maybe_reset and clear are every write to w, step and resets.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "sampler.py" in modules
+    writes = {
+        path.name: state_writes(path) for path in modules if path.name != "sampler.py"
+    }
+    assert {name: found for name, found in writes.items() if found} == {}
+
+
+def test_state_writes_finds_every_assignment_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("a.w[3] = 0\nb.step += 1\nc, d.resets = 1, 2\ne.w[:][0] *= 2\nx = a.w\na.w2 = 1\n")
+    assert state_writes(path) == [(1, "a.w"), (2, "b.step"), (3, "d.resets"), (4, "e.w")]
+

@@ -142,6 +142,17 @@ class TestConfigValidation:
         )
         assert config.resolved_sampler().kappa == 1.0
 
+    @pytest.mark.parametrize(
+        "mode, kappa", [("uniform", 1.0), ("td_priority", 0.0), ("adaptive", 0.3), ("adaptive_epoch", 0.3)]
+    )
+    def test_each_mode_fixes_its_mixture_weight_in_the_resolved_sampler(self, mode, kappa):
+        config = TrainingConfig(
+            total_steps=10, batch_size=2, buffer_capacity=8, selection_mode=mode,
+            sampler=SamplerConfig(capacity=8, kappa=0.3),
+        )
+        assert config.resolved_sampler().kappa == kappa
+        assert config.sampler.kappa == 0.3
+
 
 class TestTraceSchema:
     @pytest.mark.parametrize("mode", MODES)
