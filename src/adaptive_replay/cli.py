@@ -22,12 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .bench import run_bench
-from .harness import (
-    OUTPUT_ROOT_ENV,
-    metrics_from_traces,
-    parse_config,
-    run_suite,
-)
+from .harness import OUTPUT_ROOT_ENV, _parse_int_list, metrics_from_traces, parse_config, run_suite
+from .metrics import DEFAULT_WINDOW
 from .reporting import metrics_text, write_bench
 
 
@@ -52,7 +48,7 @@ def _positive_int(text: str) -> int:
 
 def _seed_list(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(s) for s in text.split(",") if s.strip())
+        seeds = _parse_int_list(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
     if not seeds:
@@ -83,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_p = sub.add_parser("metrics", help="summarize trace CSVs (one seed group)")
     metrics_p.add_argument("traces", nargs="+", help="trace CSV files")
-    metrics_p.add_argument("--window", type=_positive_int, default=10, help="moving-average width")
+    metrics_p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
+                           help="moving-average width")
     return parser
 
 

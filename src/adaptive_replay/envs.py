@@ -44,6 +44,18 @@ class TabularEnv:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.terminal = np.asarray(self.terminal, dtype=bool)
+        shape = self.transitions.shape
+        if len(shape) != 3 or shape[2] != shape[0]:
+            raise ValueError(f"transitions must have shape (S, A, S), got {shape}")
+        tables = {"rewards": shape[:2], "terminal": shape[:1]}
+        if self.start_dist is not None:
+            self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
+            tables["start_dist"] = shape[:1]
+        for name, expected in tables.items():
+            if (got := getattr(self, name).shape) != expected:
+                raise ValueError(f"{name} must have shape {expected}, got {got}")
+        if not 0 <= self.start_state < shape[0]:
+            raise ValueError(f"start_state must lie in [0, {shape[0]}), got {self.start_state}")
         if not np.isfinite(self.rewards).all():
             raise ValueError("rewards must be finite")
         if np.any(self.transitions < 0):
@@ -53,7 +65,6 @@ class TabularEnv:
         if self.terminal[self.start_state]:
             raise ValueError("start state cannot be terminal")
         if self.start_dist is not None:
-            self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
             if np.any(self.start_dist < 0):
                 raise ValueError("start distribution must be non-negative")
             if not np.isclose(self.start_dist.sum(), 1.0, atol=1e-12):

@@ -26,6 +26,8 @@ import numpy as np
 
 from .store import Episode, TrajectoryBatch
 
+RATIO_LOG_CAP = 50.0  # default clamp on a log importance ratio: omega <= e^50 ~ 5e21
+
 
 @dataclass
 class TrajectoryGradients:
@@ -46,7 +48,7 @@ class TrajectoryGradients:
 
 
 def trajectory_gradients(
-    batch: TrajectoryBatch, target, gamma: float, log_cap: float = 50.0
+    batch: TrajectoryBatch, target, gamma: float, log_cap: float = RATIO_LOG_CAP
 ) -> TrajectoryGradients:
     """Importance ratios, score-return gradients and losses of a batch of trajectories.
 
@@ -86,21 +88,22 @@ def trajectory_return(traj: Episode, gamma: float) -> float:
 
 
 def replay_gradient(
-    omega: np.ndarray, g: np.ndarray, p_drawn: np.ndarray, n: int
+    omega: np.ndarray, g: np.ndarray, p: np.ndarray, n: int, draws: np.ndarray
 ) -> np.ndarray:
-    """Bias-corrected batch mean ``(1/|batch|) sum_k omega_k g_k / (p_k n)``.
+    """Bias-corrected batch mean ``(1/B) sum_k omega_k g_k / (p_k n)`` over ``draws``.
 
-    Row ``k`` of ``omega``, ``g`` and ``p_drawn`` belongs to the ``k``-th
-    draw, ``p_k`` being the probability its slot was drawn with from a buffer
-    of ``n`` slots; a slot drawn twice appears twice.
+    Rows of ``omega``, ``g`` and ``p`` (its probability in a buffer of ``n``)
+    are slots, each weighed once.  The int array ``draws`` indexes them: its
+    last axis is one batch of ``B`` draws (a slot drawn twice appears twice),
+    and each leading index gives one estimate.
     """
-    if len(omega) == 0:
+    if draws.shape[-1] == 0:
         raise ValueError("cannot estimate a gradient from an empty batch")
-    p_drawn = np.asarray(p_drawn, dtype=np.float64)
-    if np.any(p_drawn <= 0.0):
-        raise ValueError(f"draw {int(np.argmax(p_drawn <= 0.0))} has zero probability")
-    lam = omega / (p_drawn * n)
-    return (lam[:, None] * g).sum(axis=0) / len(omega)
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p <= 0.0):
+        raise ValueError(f"slot {int(np.argmax(p <= 0.0))} has zero probability")
+    weighted = (omega / (p * n))[:, None] * g
+    return weighted[draws].sum(axis=-2) / draws.shape[-1]
 
 
 def variance_objective(d: np.ndarray, p: np.ndarray) -> float:
@@ -124,9 +127,7 @@ def gradient_variance(grads: TrajectoryGradients, p, batch: int, repeats: int, r
     slot), so one gradient pass serves several distributions on a frozen buffer."""
     if repeats < 2:
         raise ValueError("variance estimation requires at least 2 repeats")
-    p = np.asarray(p, dtype=np.float64)
     n = len(p)
-    weighted = (grads.omega / (p * n))[:, None] * grads.g
-    indices = rng.choice(n, size=(repeats, batch), p=p)
-    estimates = weighted[indices].mean(axis=1)
+    draws = rng.choice(n, size=(repeats, batch), p=p)
+    estimates = replay_gradient(grads.omega, grads.g, p, n, draws)
     return float(estimates.var(axis=0, ddof=1).sum())

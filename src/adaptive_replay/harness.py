@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .envs import ENVIRONMENTS
-from .metrics import compute_metrics
+from .metrics import DEFAULT_WINDOW, compute_metrics
 from .regret import (
     drifting_sequence,
     run_regret_experiment,
@@ -55,7 +55,7 @@ from .reporting import (
     write_variance,
 )
 from .sampler import SamplerConfig
-from .studies import learned_vs_uniform_variance, max_orders
+from .studies import check_study, learned_vs_uniform_variance
 from .training import MODES, TrainingConfig, run_training
 
 OUTPUT_ROOT_ENV = "ADAPTIVE_REPLAY_OUT"
@@ -245,10 +245,10 @@ def _convert(section: str, key: str, raw: str, kind: str = "key"):
 
 
 def _build(section: str, config_type, **values):
-    """Construct a config; a rule it breaks is re-raised as ``section.<message>``.
+    """Build a config or run a check; a broken rule is re-raised as ``section.<message>``.
 
-    The config messages a spec can trigger start with the offending field, so
-    the re-raised error names the spec key.
+    The messages a spec can trigger start with the offending field, so the
+    re-raised error names the spec key.
     """
     try:
         return config_type(**values)
@@ -388,22 +388,10 @@ def _rl_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
 
 def _rl_config(params: dict) -> TrainingConfig:
     """The TrainingConfig, with its SamplerConfig, that an rl cell trains with."""
-    options = params["options"]
-    config = _build(
-        "training",
-        TrainingConfig,
-        total_steps=options["total_steps"],
-        batch_size=options["batch_size"],
-        buffer_capacity=options["buffer_capacity"],
-        learning_rate=options["learning_rate"],
-        selection_mode=params["mode"],
-        seed=cell_seed(params["seed"], f"rl_{params['env']}_{params['mode']}_{params['label']}"),
-        updates_per_episode=options["updates_per_episode"],
-        eval_every=options["eval_every"],
-        eval_episodes=options["eval_episodes"],
-        probe_every=options["probe_every"],
-        probe_repeats=options["probe_repeats"],
-    )
+    # Every [training] key but envs and modes is a TrainingConfig field.
+    fields = {k: v for k, v in params["options"].items() if k not in ("envs", "modes")}
+    seed = cell_seed(params["seed"], f"rl_{params['env']}_{params['mode']}_{params['label']}")
+    config = _build("training", TrainingConfig, **fields, selection_mode=params["mode"], seed=seed)
     sampler = _build("sampler", SamplerConfig, **params["sampler"], capacity=config.buffer_capacity)
     return replace(config, sampler=sampler)
 
@@ -479,14 +467,7 @@ def _run_regret_cell(spec: ExperimentSpec, outdir: Path, cell_id: str, params: d
 
 
 def _variance_cells(spec: ExperimentSpec, label: str, sampler: dict, options: dict):
-    if options["capacity"] < 2:
-        raise ValueError(f"variance.capacity must be >= 2, got {options['capacity']}")
-    bound = max_orders(options["capacity"], options["repeats"])
-    if not options["orders"] <= bound:
-        raise ValueError(
-            f"variance.orders must be at most {bound:.6g} at this capacity and repeats count,"
-            f" or the study can overflow; got {options['orders']}"
-        )
+    _build("variance", check_study, **{k: options[k] for k in ("capacity", "repeats", "orders")})
     for seed in spec.seeds:
         yield f"variance_{label}_seed{seed}", {"label": label, "seed": seed, "options": options}
 
@@ -571,7 +552,7 @@ def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[
     return ["metrics.csv"]
 
 
-def metrics_from_traces(paths, window: int = 10):
+def metrics_from_traces(paths, window: int = DEFAULT_WINDOW):
     """Compute one MetricsRow from trace CSVs forming a seed group."""
     traces = [read_trace(Path(p)) for p in paths]
     return compute_metrics(

@@ -87,6 +87,24 @@ class SamplerConfig:
             raise ValueError("anneal_steps must be set for the annealed_soft reset")
 
 
+def check_slots(slots, capacity: int) -> None:
+    """Reject, by name, a slot outside ``[0, capacity)`` or a repeated one, of which a
+    fancy-index write would keep one value; ``slots`` is an int or a 1-d int array."""
+    if isinstance(slots, int):
+        lo = hi = slots
+        repeated = ()
+    else:
+        ordered = np.sort(slots)
+        if len(ordered) == 0:
+            return
+        lo, hi = ordered[0], ordered[-1]
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not 0 <= lo <= hi < capacity:
+        raise ValueError(f"slot index {lo if lo < 0 else hi} out of range")
+    if len(repeated):
+        raise ValueError(f"duplicate slot {repeated[0]} in slots")
+
+
 class SamplerState:
     """Mutable accumulator state and its reset count; reads are side-effect free.
 
@@ -130,13 +148,7 @@ class SamplerState:
         if slots.ndim != 1 or not d.shape == p_used.shape == slots.shape:
             shapes = f"{slots.shape}, {d.shape} and {p_used.shape}"
             raise ValueError(f"slots, d and p_used must be aligned 1-d arrays, got {shapes}")
-        ordered = np.sort(slots)
-        if len(ordered) and not 0 <= ordered[0] <= ordered[-1] < self.config.capacity:
-            i = ordered[0] if ordered[0] < 0 else ordered[-1]
-            raise ValueError(f"slot index {i} out of range")
-        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if len(repeated):
-            raise ValueError(f"duplicate slot {repeated[0]} in slots")
+        check_slots(slots, self.config.capacity)
         bad = ~(np.isfinite(d) & (d >= 0))
         if bad.any():
             i = bad.argmax()

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampler import SamplerState
+from .sampler import SamplerState, check_slots
 from .sumtree import SumTree
 
 
@@ -208,7 +208,7 @@ class WeightedStore(TrajectoryBatch):
         of the index's additions.
         """
         sampler.record_feedback(slots, d, p_used)
-        self.set_scores(slots, sampler.scores(slots))
+        self._write_leaves(slots, sampler.scores(slots))
 
     def rebuild_index(self, sampler: SamplerState) -> None:
         """Recompute the whole index from the accumulators; exact, O(capacity)."""
@@ -245,9 +245,16 @@ class WeightedStore(TrajectoryBatch):
     def set_scores(self, slots, values) -> None:
         """Assign index scores; with ``rebuild_index``, the only writer of leaves.
 
-        An int slot, or a one-slot array, takes the scalar ``SumTree.set`` path,
-        several times cheaper than a one-leaf ``set_many`` and bit-identical to it.
+        A repeated or out-of-range slot is rejected before anything is
+        written (``update_scores``, whose feedback call has checked its slots,
+        writes without the second check).  An int slot, or a one-slot array,
+        takes the scalar ``SumTree.set`` path, several times cheaper than a
+        one-leaf ``set_many`` and bit-identical to it.
         """
+        check_slots(slots, self.capacity)
+        self._write_leaves(slots, values)
+
+    def _write_leaves(self, slots, values) -> None:
         if isinstance(slots, int):
             self.tree.set(slots, values)
         elif len(slots) == 1:

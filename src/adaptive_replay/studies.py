@@ -43,6 +43,19 @@ def max_orders(capacity: int, repeats: int, learn_steps: int = LEARN_STEPS) -> f
     return math.log10(sys.float_info.max / (_LOSS_BOUND * growth))
 
 
+def _check_capacity(capacity: int) -> None:
+    if capacity < 2:  # log-spaced reward scales need two slots to span their decades
+        raise ValueError(f"capacity must be >= 2, got {capacity}")
+
+
+def check_study(capacity: int, repeats: int, orders: float, learn_steps: int = LEARN_STEPS) -> None:
+    """Reject, by name, a study size that cannot be built or whose numbers can overflow."""
+    _check_capacity(capacity)
+    if not orders <= (bound := max_orders(capacity, repeats, learn_steps)):
+        raise ValueError(f"orders must be at most {bound:.6g} at this capacity and repeats count,"
+                         f" or the study can overflow; got {orders}")
+
+
 def heteroscedastic_buffer(
     rng: np.random.Generator, capacity: int = 32, orders: float = 3.5
 ) -> tuple[WeightedStore, SamplerState, TabularSoftmaxPolicy]:
@@ -52,8 +65,7 @@ def heteroscedastic_buffer(
     spread over roughly ``orders`` orders of magnitude regardless of the
     (random) states, actions and behavior probabilities.
     """
-    if capacity < 2:
-        raise ValueError(f"capacity must be >= 2, got {capacity}")
+    _check_capacity(capacity)
     policy = TabularSoftmaxPolicy(
         N_STATES, N_ACTIONS, logits=rng.uniform(-0.5, 0.5, (N_STATES, N_ACTIONS))
     )
@@ -102,9 +114,7 @@ def learned_vs_uniform_variance(
     The probe stream is shared between the learned and uniform measurements,
     so the comparison differs only through the sampling distribution.
     """
-    bound = max_orders(capacity, repeats, learn_steps)
-    if not orders <= bound:
-        raise ValueError(f"orders must be at most {bound:.6g} at this size, got {orders}")
+    check_study(capacity, repeats, orders, learn_steps)
     root = np.random.SeedSequence(int(seed))
     build_ss, learn_ss, probe_ss = root.spawn(3)
     store, sampler, policy = heteroscedastic_buffer(
@@ -116,8 +126,8 @@ def learned_vs_uniform_variance(
     rng = np.random.default_rng(learn_ss)
     for _ in range(learn_steps):
         p = sampler.distribution()
-        drawn = np.unique(store.sample_mixture(LEARN_BATCH, rng))
-        store.update_scores(sampler, drawn, grads.d[drawn], p[drawn])
+        slots = store.draw(LEARN_BATCH, rng)[0]
+        store.update_scores(sampler, slots, grads.d[slots], p[slots])
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (

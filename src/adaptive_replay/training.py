@@ -14,8 +14,9 @@ how slots are scored and when episodes are collected:
 ``adaptive_epoch``
     Epoch variant: before the first update of each epoch of
     ``updates_per_episode`` updates, collect one episode and zero the
-    accumulators; there is no periodic reset.  The per-episode update count
-    must stay below ``buffer_capacity / batch_size``.
+    accumulators.  Its resolved sampler has no periodic reset: its reset
+    period, ``total_steps + 1``, lies past the last update.  The per-episode
+    update count must stay below ``buffer_capacity / batch_size``.
 ``uniform``
     The ``adaptive`` schedule with the uniform-mixing coefficient forced to
     1, which fixes the sampling distribution to uniform throughout.
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .envs import TabularEnv
-from .gradients import gradient_variance, replay_gradient, trajectory_gradients
+from .gradients import RATIO_LOG_CAP, gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import WeightedStore
@@ -66,7 +67,7 @@ class TrainingConfig:
     eval_episodes: int = 20
     probe_every: int = 0
     probe_repeats: int = 200
-    ratio_log_cap: float = 50.0
+    ratio_log_cap: float = RATIO_LOG_CAP
 
     def __post_init__(self) -> None:
         if self.selection_mode not in MODES:
@@ -99,14 +100,18 @@ class TrainingConfig:
             raise ValueError("probe_every must be >= 0")
         if self.probe_every and self.probe_every % self.eval_every != 0:
             raise ValueError("probe_every must be a multiple of eval_every")
+        if not self.ratio_log_cap >= 0:  # NaN fails it too; inf disables the clamp
+            raise ValueError(f"ratio_log_cap must be non-negative or inf, got {self.ratio_log_cap}")
         if self.sampler is not None and self.sampler.capacity != self.buffer_capacity:
             raise ValueError("sampler capacity must match buffer_capacity")
 
     def resolved_sampler(self) -> SamplerConfig:
-        """The sampler config the run uses: ``uniform`` mixes fully, ``td_priority`` not at all."""
+        """The sampler config the run uses, the one place a mode changes it: ``uniform``
+        mixes fully, ``td_priority`` not at all; ``adaptive_epoch`` never resets."""
         base = self.sampler or SamplerConfig(capacity=self.buffer_capacity)
-        kappa = {"uniform": 1.0, "td_priority": 0.0}.get(self.selection_mode, base.kappa)
-        return replace(base, kappa=kappa)
+        changes = {"uniform": {"kappa": 1.0}, "td_priority": {"kappa": 0.0},
+                   "adaptive_epoch": {"reset_period": self.total_steps + 1}}
+        return replace(base, **changes.get(self.selection_mode, {}))
 
     def hash(self, env_name: str) -> str:
         payload = {"env": env_name, **asdict(self)}
@@ -152,17 +157,16 @@ class _AccumulatorStrategy:
     strategy's ``scores(episodes)`` are the leaf scores of fresh slots
     (``None``: the store's fresh-accumulator default)."""
 
-    def __init__(self, sampler: SamplerState, store: WeightedStore, periodic_reset: bool):
+    def __init__(self, sampler: SamplerState, store: WeightedStore):
         self.sampler = sampler
         self.store = store
-        self.periodic_reset = periodic_reset
 
     def scores(self, episodes) -> None:
         return None
 
     def after_update(self, unique_slots, d, p_used) -> None:
         self.store.update_scores(self.sampler, unique_slots, d, p_used)
-        if self.periodic_reset and self.sampler.maybe_reset():
+        if self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
 
     def epoch_reset(self) -> None:
@@ -255,9 +259,7 @@ class _LoopState:
         if mode == "td_priority":
             self.strategy = _TDPriorityStrategy(self.store, env, config.learning_rate)
         else:
-            self.strategy = _AccumulatorStrategy(
-                self.sampler, self.store, periodic_reset=(mode != "adaptive_epoch")
-            )
+            self.strategy = _AccumulatorStrategy(self.sampler, self.store)
         self.trace = TrainingTrace(
             seed=config.seed, mode=mode, env_name=env.name, config_hash=config.hash(env.name)
         )
@@ -290,9 +292,7 @@ class _LoopState:
             self.store.take(unique), self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
         )
         self.trace.ratio_cap_hits += grads.cap_hits
-        grad = replay_gradient(
-            grads.omega[drawn], grads.g[drawn], p_unique[drawn], self.store.capacity
-        )
+        grad = replay_gradient(grads.omega, grads.g, p_unique, self.store.capacity, drawn)
         self.policy.set_params(self.policy.get_params() + cfg.learning_rate * grad)
         self.strategy.after_update(unique, grads.d, p_unique)
 

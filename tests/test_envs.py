@@ -426,3 +426,29 @@ def three_state_env(**overrides):
 def test_invalid_env_rejected_by_message(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"rewards": np.zeros((4, 1))},
+                     r"rewards must have shape \(3, 1\), got \(4, 1\)", id="reward-extra-row"),
+        pytest.param({"terminal": np.array([False, True])},
+                     r"terminal must have shape \(3,\), got \(2,\)", id="terminal-short"),
+        pytest.param({"start_dist": np.array([0.5, 0.5])},
+                     r"start_dist must have shape \(3,\), got \(2,\)", id="start-dist-short"),
+        pytest.param({"start_state": -2},
+                     r"start_state must lie in \[0, 3\), got -2", id="start-negative"),
+        pytest.param({"start_state": 3},
+                     r"start_state must lie in \[0, 3\), got 3", id="start-past-end"),
+        pytest.param({"transitions": np.ones((3, 1))},
+                     r"transitions must have shape \(S, A, S\), got \(3, 1\)", id="transitions-2d"),
+        pytest.param({"transitions": np.full((3, 1, 2), 0.5)},
+                     r"transitions must have shape \(S, A, S\), got \(3, 1, 2\)",
+                     id="transitions-not-square"),
+    ],
+)
+def test_mismatched_table_shapes_rejected_by_name(overrides, message):
+    # Each table is valid on its own; only its shape against transitions is wrong.
+    with pytest.raises(ValueError, match=message):
+        three_state_env(**overrides)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adaptive_replay import gradients
 from adaptive_replay.gradients import (
     gradient_variance,
     replay_gradient,
@@ -138,7 +139,7 @@ class TestReplayGradient:
         trajs = [random_traj(rng, policy, 3) for _ in range(n)]
         grads = trajectory_gradients(TrajectoryBatch.of(trajs), policy, 0.9)
         p = np.full(n, 1.0 / n)
-        estimate = replay_gradient(grads.omega, grads.g, p, n)
+        estimate = replay_gradient(grads.omega, grads.g, p, n, np.arange(n))
         np.testing.assert_allclose(
             estimate, (grads.omega[:, None] * grads.g).mean(axis=0), rtol=1e-12
         )
@@ -148,7 +149,7 @@ class TestReplayGradient:
         policy = random_policy(rng)
         grads = trajectory_gradients(TrajectoryBatch.of([random_traj(rng, policy, 3)]), policy, 0.9)
         drawn = np.zeros(3, dtype=np.int64)
-        estimate = replay_gradient(grads.omega[drawn], grads.g[drawn], np.ones(3), 1)
+        estimate = replay_gradient(grads.omega, grads.g, np.ones(1), 1, drawn)
         np.testing.assert_allclose(estimate, grads.omega[0] * grads.g[0], rtol=1e-12)
 
     def test_monte_carlo_mean_is_p_free(self):
@@ -169,7 +170,9 @@ class TestReplayGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            replay_gradient(np.empty(0), np.empty((0, 2)), np.empty(0), 1)
+            replay_gradient(
+                np.empty(0), np.empty((0, 2)), np.empty(0), 1, np.empty(0, dtype=np.int64)
+            )
 
 
 def enumerate_exact_gradient(env, policy):
@@ -479,6 +482,32 @@ class TestEmpiricalVariance:
         sq = ((rows[idx] - mean) ** 2).sum(axis=1)
         sem = sq.std(ddof=1) / np.sqrt(repeats)
         assert abs(estimate - analytic) <= 3.0 * sem
+
+    @pytest.mark.parametrize("batch", [1, 4, 8, 13])
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "uniform"])
+    def test_probe_is_the_sample_variance_of_replay_gradients(self, batch, learned, monkeypatch):
+        # The probe measures the estimator the update runs: one replay_gradient
+        # call over all its repeats, equal bit for bit to a call per repeat.
+        rng = np.random.default_rng(14)
+        policy = random_policy(rng)
+        n, repeats = 12, 300
+        scales = 10.0 ** np.linspace(0, 1.5, n)
+        store, sampler = self._filled_store(rng, n, policy, reward_scale=scales)
+        grads = trajectory_gradients(store, policy, 0.9)
+        sampler.w[:] = grads.d * 50.0
+        p = sampler.distribution() if learned else np.full(n, 1.0 / n)
+        draws = np.random.default_rng(15).choice(n, size=(repeats, batch), p=p)
+        loop = np.array([replay_gradient(grads.omega, grads.g, p, n, row) for row in draws])
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1].shape)
+            return replay_gradient(*args)
+
+        monkeypatch.setattr(gradients, "replay_gradient", spy)
+        value = gradient_variance(grads, p, batch, repeats, np.random.default_rng(15))
+        assert calls == [(repeats, batch)]
+        assert value == float(loop.var(axis=0, ddof=1).sum())
 
     def test_requires_two_repeats(self):
         rng = np.random.default_rng(12)

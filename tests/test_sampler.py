@@ -273,7 +273,8 @@ class TestResets:
 def lambda_ratio(p, k):
     """The weight ``1 / (p(k) n)`` that the replay gradient gives one draw of
     slot ``k`` (unit ratio and gradient) to undo non-uniform slot sampling."""
-    return replay_gradient(np.ones(1), np.ones((1, 1)), np.array([p[k]]), len(p))[0]
+    draws = np.zeros(1, dtype=np.int64)
+    return replay_gradient(np.ones(1), np.ones((1, 1)), np.array([p[k]]), len(p), draws)[0]
 
 
 class TestLambdaRatio:

@@ -386,7 +386,7 @@ def fill_strategy(mode, capacity, rng):
     sampler.w[:] = rng.uniform(0.0, 5.0, capacity)
     if mode == "td_priority":
         return store, sampler, _TDPriorityStrategy(store, chain_env(5), 0.05)
-    return store, sampler, _AccumulatorStrategy(sampler, store, periodic_reset=True)
+    return store, sampler, _AccumulatorStrategy(sampler, store)
 
 
 def assert_same_store(got, want):
@@ -548,17 +548,49 @@ class TestReplayStep:
         with pytest.raises(NotReadyError):
             store.draw(4, np.random.default_rng(27))
 
+    # The two leaf writers a caller can hand slots to: the feedback step, whose
+    # check is record_feedback's, and the direct score write.
+    WRITERS = {
+        "update_scores": lambda store, sampler, slots: store.update_scores(
+            sampler, slots, np.ones(len(slots)), np.full(len(slots), 0.5)
+        ),
+        "set_scores": lambda store, sampler, slots: store.set_scores(slots, np.full(len(slots), 5.0)),
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
     @pytest.mark.parametrize(
         "slots, message", [([3, 3], "duplicate slot 3 in slots"), ([1, 8], "slot index 8 out of range")]
     )
-    def test_bad_slots_rejected_before_any_write(self, slots, message):
+    def test_bad_slots_rejected_before_any_write(self, writer, slots, message):
         store, sampler = self.learned_store(capacity=8)
         w, leaves, total, step = sampler.w.copy(), store.tree.leaves(), store.tree.total, sampler.step
         with pytest.raises(ValueError, match=message):
-            store.update_scores(sampler, np.array(slots), np.ones(2), np.full(2, 0.5))
+            self.WRITERS[writer](store, sampler, np.array(slots))
         np.testing.assert_array_equal(sampler.w, w)
         np.testing.assert_array_equal(store.tree.leaves(), leaves)
         assert store.tree.total == total and sampler.step == step
+        assert store.tree.consistency_error() < 1e-12
+
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        [
+            ([6, 7], "slot index 7 out of range"),
+            ([-1, 2], "slot index -1 out of range"),
+            (5, "slot index 5 out of range"),
+            (-1, "slot index -1 out of range"),
+        ],
+    )
+    def test_set_scores_never_writes_padding_leaves(self, slots, message):
+        # Capacity 5 pads the tree to 8 leaves; a padding leaf written through
+        # set_scores would raise total while the real leaves kept their sum.
+        store, sampler = self.learned_store(capacity=5)
+        leaves, total = store.tree.leaves(), store.tree.total
+        values = 10.0 if isinstance(slots, int) else np.full(len(slots), 10.0)
+        with pytest.raises(ValueError, match=message):
+            store.set_scores(slots, values)
+        np.testing.assert_array_equal(store.tree.leaves(), leaves)
+        assert store.tree.total == total
         assert store.tree.consistency_error() < 1e-12
 
 

@@ -122,11 +122,20 @@ class TestConfigValidation:
                          "learning_rate must be a positive finite real, got nan", id="nan-learning-rate"),
             pytest.param({"eval_every": 50, "probe_every": 75},
                          "probe_every must be a multiple of eval_every", id="probe-off-schedule"),
+            pytest.param({"ratio_log_cap": math.nan},
+                         "ratio_log_cap must be non-negative or inf, got nan", id="nan-ratio-cap"),
+            pytest.param({"ratio_log_cap": -5.0},
+                         "ratio_log_cap must be non-negative or inf, got -5.0", id="negative-ratio-cap"),
         ],
     )
     def test_invalid_schedule_rejected_by_message(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, **overrides)
+
+    def test_infinite_ratio_cap_accepted(self):
+        # inf turns the clamp off; only NaN and negative caps are rejected.
+        config = TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, ratio_log_cap=math.inf)
+        assert config.ratio_log_cap == math.inf
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_updates_per_episode_rejected_in_every_mode(self, mode):
@@ -152,6 +161,9 @@ class TestConfigValidation:
         )
         assert config.resolved_sampler().kappa == kappa
         assert config.sampler.kappa == 0.3
+        # adaptive_epoch's sampler counts at most total_steps steps, so it never resets.
+        period = 11 if mode == "adaptive_epoch" else config.sampler.reset_period
+        assert config.resolved_sampler().reset_period == period
 
 
 class TestTraceSchema:
