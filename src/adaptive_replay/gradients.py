@@ -64,7 +64,7 @@ def trajectory_gradients(
         raise ValueError("batch holds an empty row")
     # Row-major masking keeps each row's steps in order, row after row.
     mask = np.arange(batch.width) < lengths[:, None]
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    starts = np.cumsum(lengths) - lengths
     states = batch.states[mask]
     actions = batch.actions[mask]
     behavior = batch.behavior_probs[mask]
@@ -79,7 +79,7 @@ def trajectory_gradients(
     score = np.add.reduceat(target.scores(states, actions), starts, axis=0)
     g = score * returns[:, None]
     d = omega**2 * np.einsum("kp,kp->k", g, g)
-    return TrajectoryGradients(omega, score, returns, g, d, int(capped.sum()))
+    return TrajectoryGradients(omega, score, returns, g, d, int(np.count_nonzero(capped)))
 
 
 def trajectory_return(traj: Episode, gamma: float) -> float:
@@ -100,7 +100,7 @@ def replay_gradient(
     if draws.shape[-1] == 0:
         raise ValueError("cannot estimate a gradient from an empty batch")
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0.0):
+    if (p <= 0.0).any():
         raise ValueError(f"slot {int(np.argmax(p <= 0.0))} has zero probability")
     weighted = (omega / (p * n))[:, None] * g
     return weighted[draws].sum(axis=-2) / draws.shape[-1]

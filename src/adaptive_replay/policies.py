@@ -6,7 +6,11 @@ identity-features case (one logit per state-action pair).  Every action gets
 strictly positive probability.  The score function of a step,
 ``grad log pi(a|s) = features[s] (x) (onehot(a) - pi(s))``, is produced for
 whole batches of steps by :meth:`LinearSoftmaxPolicy.scores`, in flat
-parameter coordinates, so trajectory-level gradients are segment sums.
+parameter coordinates, so trajectory-level gradients are segment sums.  On a
+replay step's small batch (a few dozen steps) the cost is numpy's calls, not
+arithmetic, so the tabular policy builds its rows with fewer: it places each
+step's residual in its state's row of a zeroed array, the identity outer
+product without the feature gather and the multiplications.
 """
 
 from __future__ import annotations
@@ -88,11 +92,12 @@ class LinearSoftmaxPolicy:
             e = np.exp(z)
             total = e.sum(axis=1, keepdims=True)
             probs = e / total
-            if not np.isfinite(probs).all():
-                raise ValueError("policy probabilities are not finite: the weights hold NaN or inf")
             # Rollouts record these as behavior probabilities, which importance
-            # ratios divide by; a logit gap past ~745 underflows one to 0.
-            if not (probs > 0).all():
+            # ratios divide by; a logit gap past ~745 underflows one to 0.  One
+            # test passes valid tables: a NaN minimum fails it too.
+            if not probs.min() > 0:
+                if not np.isfinite(probs).all():
+                    raise ValueError("policy probabilities are not finite: the weights hold NaN or inf")
                 raise ValueError("policy probabilities must lie in (0, 1]: one underflowed to 0")
             log_probs = z - np.log(total)
             probs.flags.writeable = log_probs.flags.writeable = False
@@ -111,11 +116,16 @@ class LinearSoftmaxPolicy:
 
     def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step score functions ``grad log pi(a_t|s_t)``, one flat row per step."""
+        states, residual = self._residuals(states, actions)
+        phi = self.features[states]
+        return (phi[:, :, None] * residual[:, None, :]).reshape(len(states), -1)
+
+    def _residuals(self, states, actions) -> tuple[np.ndarray, np.ndarray]:
+        """``states`` as ints and each step's ``onehot(a_t) - pi(s_t)``, from the log table."""
         states = np.asarray(states, dtype=np.int64)
         residual = -np.exp(self.log_prob_table()[states])
         residual[np.arange(len(states)), actions] += 1.0
-        phi = self.features[states]
-        return (phi[:, :, None] * residual[:, None, :]).reshape(len(states), -1)
+        return states, residual
 
     def max_score_norm(self) -> float:
         """Largest ``||grad log pi(a|s)||`` over all (state, action) pairs.
@@ -143,3 +153,12 @@ class TabularSoftmaxPolicy(LinearSoftmaxPolicy):
         if logits is not None and np.shape(logits) != (n_states, n_actions):
             raise ValueError("logits shape must be (n_states, n_actions)")
         super().__init__(np.eye(int(n_states)), n_actions, logits)
+
+    def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The base class's rows, built by placement: step ``t``'s residual goes into
+        row ``states[t]`` of a zeroed ``(steps, n_states, n_actions)`` array.  Entry for
+        entry it equals the identity outer product, except that a zero is never -0.0."""
+        states, residual = self._residuals(states, actions)
+        out = np.zeros((len(states), self.n_states, self.n_actions))
+        out[np.arange(len(states)), states] = residual
+        return out.reshape(len(states), -1)

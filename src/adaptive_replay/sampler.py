@@ -21,9 +21,12 @@ slots before it refreshes their leaves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sumtree import SCALAR_DESCENT_MAX
 
 RESET_HARD = "hard"
 RESET_SOFT = "soft"
@@ -89,20 +92,43 @@ class SamplerConfig:
 
 def check_slots(slots, capacity: int) -> None:
     """Reject, by name, a slot outside ``[0, capacity)`` or a repeated one, of which a
-    fancy-index write would keep one value; ``slots`` is an int or a 1-d int array."""
-    if isinstance(slots, int):
-        lo = hi = slots
-        repeated = ()
+    fancy-index write would keep one value; ``slots`` is an int (Python or numpy) or a
+    1-d int array.  Up to ``SCALAR_DESCENT_MAX`` slots are sorted as a list, cheaper
+    than numpy's calls at a few slots."""
+    if isinstance(slots, (int, np.integer)):
+        ordered, repeated = [slots], []
+    elif np.ndim(slots) != 1:
+        raise ValueError(f"slots must be an int or a 1-d int array, got shape {np.shape(slots)}")
+    elif len(slots) <= SCALAR_DESCENT_MAX:
+        ordered = sorted(np.asarray(slots).tolist())
+        repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
     else:
         ordered = np.sort(slots)
-        if len(ordered) == 0:
-            return
-        lo, hi = ordered[0], ordered[-1]
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(ordered) == 0:
+        return
+    lo, hi = ordered[0], ordered[-1]
     if not 0 <= lo <= hi < capacity:
         raise ValueError(f"slot index {lo if lo < 0 else hi} out of range")
     if len(repeated):
         raise ValueError(f"duplicate slot {repeated[0]} in slots")
+
+
+def check_finite_non_negative(values, slots, name: str) -> None:
+    """Reject, by name, the first of ``values`` (a float, or an array with one entry
+    per slot of ``slots``) that is negative or not finite.  Valid values pass one
+    comparison chain, over two reductions for an array: a NaN fails it."""
+    if isinstance(values, float):
+        lo = hi = values
+    else:
+        lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    if not 0.0 <= lo <= hi < math.inf:
+        values = np.asarray(values)
+        i = np.argmax(~(np.isfinite(values) & (values >= 0)))
+        raise ValueError(
+            f"{name} for slot {np.ravel(slots)[i]} must be finite and non-negative, "
+            f"got {values.ravel()[i]}"
+        )
 
 
 class SamplerState:
@@ -149,14 +175,10 @@ class SamplerState:
             shapes = f"{slots.shape}, {d.shape} and {p_used.shape}"
             raise ValueError(f"slots, d and p_used must be aligned 1-d arrays, got {shapes}")
         check_slots(slots, self.config.capacity)
-        bad = ~(np.isfinite(d) & (d >= 0))
-        if bad.any():
-            i = bad.argmax()
-            raise ValueError(f"loss for slot {slots[i]} must be finite and non-negative, got {d[i]}")
+        check_finite_non_negative(d, slots, "loss")
         # A NaN fails the comparison, so it is rejected with the zeros.
-        bad = ~(p_used > 0)
-        if bad.any():
-            raise ValueError(f"sampled slot {slots[bad.argmax()]} has zero probability in p_used")
+        if not p_used.min(initial=1.0) > 0.0:
+            raise ValueError(f"sampled slot {slots[np.argmax(~(p_used > 0))]} has zero probability in p_used")
         self.w[slots] += d / p_used
         self.step += 1
 

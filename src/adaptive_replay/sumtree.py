@@ -40,6 +40,11 @@ class SumTree:
         """Leaf score at ``index``, an int or an integer array of leaf indices."""
         return self._tree[self._n + np.asarray(index)]
 
+    def get_list(self, indices: list[int]) -> list[float]:
+        """Leaf scores at the ints ``indices`` as Python floats, for a few leaves."""
+        tree, n = self._tree.data, self._n
+        return [tree[n + i] for i in indices]
+
     def leaves(self) -> np.ndarray:
         """Copy of the real leaf scores (padding excluded)."""
         return self._tree[self._n : self._n + self.capacity].copy()
@@ -54,7 +59,7 @@ class SumTree:
         # Level by level, leaf order within a level: each ancestor receives
         # the same deltas in the same order as a per-level loop would add them.
         ancestors = (nodes >> self._shifts[:, None]).ravel()
-        np.add.at(self._tree, ancestors, np.tile(delta, self._depth))
+        np.add.at(self._tree, ancestors, delta[None].repeat(self._depth, axis=0).ravel())
 
     def set(self, index: int, value: float) -> None:
         node = self._n + index

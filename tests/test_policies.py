@@ -1,11 +1,14 @@
 """Softmax policy families: probabilities, score functions, measured bounds."""
 
 from bisect import bisect_right
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from adaptive_replay.gradients import TrajectoryGradients, trajectory_gradients
 from adaptive_replay.policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
+from adaptive_replay.store import Episode, TrajectoryBatch
 
 
 def finite_difference_log_prob_grad(policy, state, action, h=1e-6):
@@ -99,6 +102,44 @@ class TestTabularSpecifics:
         cdf = policy.tables().cdfs[0]
         draws = np.array([bisect_right(cdf, rng.random()) for _ in range(20_000)])
         assert np.mean(draws == 0) == pytest.approx(0.75, abs=0.01)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_placed_rows_equal_identity_features(self, seed):
+        # The override against the base class on identity features: scores
+        # and every trajectory_gradients field, on batches of 1-12 step rows
+        # over 5 states, so rows revisit states.
+        rng = np.random.default_rng(60 + seed)
+        n_states, n_actions = 5, 3
+        logits = rng.uniform(-3, 3, (n_states, n_actions))
+        tabular = TabularSoftmaxPolicy(n_states, n_actions, logits)
+        linear = LinearSoftmaxPolicy(np.eye(n_states), n_actions, logits)
+        lengths = rng.integers(1, 13, rng.integers(1, 9))
+        episodes = [
+            Episode(
+                rng.integers(0, n_states, n).tolist(), rng.integers(0, n_actions, n).tolist(),
+                rng.uniform(0.1, 1.0, n).tolist(), rng.normal(size=n).tolist(),
+                rng.integers(0, n_states, n).tolist(),
+            )
+            for n in lengths
+        ]
+        states = np.concatenate([e.states for e in episodes])
+        actions = np.concatenate([e.actions for e in episodes])
+        assert len(np.unique(states)) < len(states)
+        np.testing.assert_array_equal(
+            tabular.scores(states, actions), linear.scores(states, actions)
+        )
+        batch = TrajectoryBatch.of(episodes)
+        got, want = (trajectory_gradients(batch, policy, 0.9) for policy in (tabular, linear))
+        for field in fields(TrajectoryGradients):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_nan_is_named_before_an_underflow():
+    # One minimum test passes valid tables; on failure the NaN check still
+    # comes first, as when each check ran on its own.
+    policy = TabularSoftmaxPolicy(2, 2, logits=np.array([[np.nan, 0.0], [0.0, 800.0]]))
+    with pytest.raises(ValueError, match="probabilities are not finite"):
+        policy.tables()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
 """Sum-tree index, mixture sampling, eviction, and the columnar trajectory rows."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from adaptive_replay import sampler as sampler_module
+from adaptive_replay import store as store_module
 from adaptive_replay.envs import chain_env
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.store import Episode, NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
@@ -523,20 +527,27 @@ class TestReplayStep:
     """``draw`` and ``update_scores``: one store call for each side of a replay step."""
 
     @staticmethod
-    def learned_store(capacity=37):
+    def learned_store(capacity=37, kappa=0.2):
         rng = np.random.default_rng(24)
-        store, sampler = filled_store(rng, capacity, nu=2.0, kappa=0.2)
+        store, sampler = filled_store(rng, capacity, nu=2.0, kappa=kappa)
         sampler.w[:] = 10.0 ** rng.uniform(-2, 3, capacity)
         store.rebuild_index(sampler)
         return store, sampler
 
-    @pytest.mark.parametrize("batch", [8, 4 * SCALAR_DESCENT_MAX])
-    def test_draw_is_sample_mixture_deduplicated(self, batch):
-        store, _ = self.learned_store()
+    # A padded capacity and a power of two; batches on both sides of the
+    # small-batch path's bound.
+    @pytest.mark.parametrize("capacity", [37, 32])
+    @pytest.mark.parametrize("kappa", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize(
+        "batch", [1, 8, SCALAR_DESCENT_MAX, SCALAR_DESCENT_MAX + 1, 4 * SCALAR_DESCENT_MAX]
+    )
+    def test_draw_is_sample_mixture_deduplicated(self, capacity, kappa, batch):
+        store, _ = self.learned_store(capacity, kappa)
         rng, reference_rng = np.random.default_rng(25), np.random.default_rng(25)
         draws = store.sample_mixture(batch, reference_rng)
         slots, drawn, p = store.draw(batch, rng)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert slots.dtype == drawn.dtype == np.int64
         assert (np.diff(slots) > 0).all()
         np.testing.assert_array_equal(slots[drawn], draws)
         np.testing.assert_array_equal(p, store.probabilities(slots))
@@ -570,6 +581,87 @@ class TestReplayStep:
         np.testing.assert_array_equal(store.tree.leaves(), leaves)
         assert store.tree.total == total and sampler.step == step
         assert store.tree.consistency_error() < 1e-12
+
+    @pytest.mark.parametrize(
+        "slots, values, message",
+        [
+            pytest.param([1, 2], [np.nan, 1.0], "score for slot 1 must be finite and non-negative, got nan",
+                         id="nan"),
+            pytest.param([1, 2], [1.0, np.inf], "score for slot 2 must be finite and non-negative, got inf",
+                         id="inf"),
+            pytest.param([1, 2], [-5.0, 1.0], "score for slot 1 must be finite and non-negative, got -5.0",
+                         id="negative"),
+            pytest.param([1, 2], [3.0], "scores of shape (1,) do not align with slots of shape (2,)",
+                         id="one-value-two-slots"),
+            pytest.param(np.int64(3), [1.0, 2.0], "scores of shape (2,) do not align with slots of shape ()",
+                         id="two-values-one-slot"),
+            pytest.param(np.int64(8), 1.0, "slot index 8 out of range", id="numpy-int-out-of-range"),
+            pytest.param([[1, 2]], [[1.0, 2.0]], "slots must be an int or a 1-d int array, got shape (1, 2)",
+                         id="2d-slots"),
+        ],
+    )
+    def test_bad_scores_rejected_by_name_before_any_write(self, slots, values, message):
+        store, _ = self.learned_store(capacity=8)
+        leaves, total = store.tree.leaves(), store.tree.total
+        slots = slots if isinstance(slots, np.integer) else np.array(slots)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            store.set_scores(slots, np.asarray(values))
+        np.testing.assert_array_equal(store.tree.leaves(), leaves)
+        assert store.tree.total == total
+        assert store.tree.consistency_error() < 1e-12
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_bad_given_score_rejected_before_any_write(self, full):
+        # ``insert`` with a score: a one-trajectory fill, or an eviction.
+        rng = np.random.default_rng(29)
+        store, sampler = filled_store(rng, 4, nu=2.0, kappa=0.2)
+        if not full:
+            store = WeightedStore(5, kappa=0.2)
+            sampler = SamplerState(SamplerConfig(capacity=5, nu=2.0, kappa=0.2))
+            store.fill([make_traj(rng) for _ in range(4)], sampler)
+        sampler.w[:] = 1.0
+        rows, occupancy = store.take(np.arange(store.capacity)), store.occupancy
+        leaves, total = store.tree.leaves(), store.tree.total
+        with pytest.raises(ValueError, match="score for slot .* must be finite and non-negative, got nan"):
+            store.insert(make_traj(rng, length=5), sampler, rng, score=np.nan)
+        assert store.occupancy == occupancy and store.width == rows.width
+        for name in ("states", "rewards", "lengths"):
+            np.testing.assert_array_equal(getattr(store.take(np.arange(store.capacity)), name),
+                                          getattr(rows, name))
+        np.testing.assert_array_equal(sampler.w, 1.0)
+        np.testing.assert_array_equal(store.tree.leaves(), leaves)
+        assert store.tree.total == total
+        assert store.tree.consistency_error() < 1e-12
+
+    def test_numpy_int_slot_takes_the_scalar_path(self, monkeypatch):
+        store, _ = self.learned_store(capacity=8)
+        reference, _ = self.learned_store(capacity=8)
+        reference.set_scores(3, 2.5)
+        calls = []
+        for name in ("set", "set_many"):
+            original = getattr(SumTree, name)
+            monkeypatch.setattr(
+                SumTree, name,
+                lambda tree, *args, name=name, original=original: calls.append(name) or original(tree, *args),
+            )
+        store.set_scores(np.int64(3), 2.5)
+        assert calls == ["set"]
+        assert store.tree._tree.tobytes() == reference.tree._tree.tobytes()
+
+    def test_update_scores_checks_once(self, monkeypatch):
+        # The feedback call checks the slots and losses; the leaf write that
+        # follows does not check them again.
+        store, sampler = self.learned_store(capacity=8)
+        calls = []
+        for module in (sampler_module, store_module):
+            for name in ("check_slots", "check_finite_non_negative"):
+                original = getattr(sampler_module, name)
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *args, name=name, original=original: calls.append(name) or original(*args),
+                )
+        store.update_scores(sampler, np.array([1, 4, 6]), np.ones(3), np.full(3, 0.5))
+        assert sorted(calls) == ["check_finite_non_negative", "check_slots"]
 
 
     @pytest.mark.parametrize(
