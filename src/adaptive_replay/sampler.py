@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sumtree import SCALAR_DESCENT_MAX
-
 RESET_HARD = "hard"
 RESET_SOFT = "soft"
 RESET_ANNEALED_SOFT = "annealed_soft"
@@ -93,15 +91,11 @@ class SamplerConfig:
 def check_slots(slots, capacity: int) -> None:
     """Reject, by name, a slot outside ``[0, capacity)`` or a repeated one, of which a
     fancy-index write would keep one value; ``slots`` is an int (Python or numpy) or a
-    1-d int array.  Up to ``SCALAR_DESCENT_MAX`` slots are sorted as a list, cheaper
-    than numpy's calls at a few slots."""
+    1-d int array."""
     if isinstance(slots, (int, np.integer)):
         ordered, repeated = [slots], []
     elif np.ndim(slots) != 1:
         raise ValueError(f"slots must be an int or a 1-d int array, got shape {np.shape(slots)}")
-    elif len(slots) <= SCALAR_DESCENT_MAX:
-        ordered = sorted(np.asarray(slots).tolist())
-        repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
     else:
         ordered = np.sort(slots)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
@@ -114,16 +108,11 @@ def check_slots(slots, capacity: int) -> None:
         raise ValueError(f"duplicate slot {repeated[0]} in slots")
 
 
-def check_finite_non_negative(values, slots, name: str) -> None:
-    """Reject, by name, the first of ``values`` (a float, or an array with one entry
-    per slot of ``slots``) that is negative or not finite.  Valid values pass one
-    comparison chain, over two reductions for an array: a NaN fails it."""
-    if isinstance(values, float):
-        lo = hi = values
-    else:
-        lo, hi = values.min(initial=0.0), values.max(initial=0.0)
-    if not 0.0 <= lo <= hi < math.inf:
-        values = np.asarray(values)
+def check_finite_non_negative(values: np.ndarray, slots, name: str) -> None:
+    """Reject, by name, the first of ``values`` (an array with one entry per slot of
+    ``slots``) that is negative or not finite.  Valid values pass one comparison
+    chain over two reductions: a NaN fails it."""
+    if not 0.0 <= values.min(initial=0.0) <= values.max(initial=0.0) < math.inf:
         i = np.argmax(~(np.isfinite(values) & (values >= 0)))
         raise ValueError(
             f"{name} for slot {np.ravel(slots)[i]} must be finite and non-negative, "

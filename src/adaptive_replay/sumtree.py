@@ -40,11 +40,6 @@ class SumTree:
         """Leaf score at ``index``, an int or an integer array of leaf indices."""
         return self._tree[self._n + np.asarray(index)]
 
-    def get_list(self, indices: list[int]) -> list[float]:
-        """Leaf scores at the ints ``indices`` as Python floats, for a few leaves."""
-        tree, n = self._tree.data, self._n
-        return [tree[n + i] for i in indices]
-
     def leaves(self) -> np.ndarray:
         """Copy of the real leaf scores (padding excluded)."""
         return self._tree[self._n : self._n + self.capacity].copy()

@@ -10,7 +10,14 @@ from adaptive_replay import sampler as sampler_module
 from adaptive_replay import store as store_module
 from adaptive_replay.envs import chain_env
 from adaptive_replay.sampler import SamplerConfig, SamplerState
-from adaptive_replay.store import Episode, NotReadyError, Trajectory, TrajectoryBatch, WeightedStore
+from adaptive_replay.store import (
+    SET_DEDUP_MAX,
+    Episode,
+    NotReadyError,
+    Trajectory,
+    TrajectoryBatch,
+    WeightedStore,
+)
 from adaptive_replay.sumtree import SCALAR_DESCENT_MAX, SumTree
 from adaptive_replay.training import FILL_BLOCK, _AccumulatorStrategy, _TDPriorityStrategy
 
@@ -534,12 +541,14 @@ class TestReplayStep:
         store.rebuild_index(sampler)
         return store, sampler
 
-    # A padded capacity and a power of two; batches on both sides of the
-    # small-batch path's bound.
+    # A padded capacity and a power of two; batches on both sides of the sum
+    # tree's Python-descent bound and of the set deduplication's bound.
     @pytest.mark.parametrize("capacity", [37, 32])
     @pytest.mark.parametrize("kappa", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize(
-        "batch", [1, 8, SCALAR_DESCENT_MAX, SCALAR_DESCENT_MAX + 1, 4 * SCALAR_DESCENT_MAX]
+        "batch",
+        [1, 8, SCALAR_DESCENT_MAX, SCALAR_DESCENT_MAX + 1, SET_DEDUP_MAX, SET_DEDUP_MAX + 1,
+         4 * SCALAR_DESCENT_MAX],
     )
     def test_draw_is_sample_mixture_deduplicated(self, capacity, kappa, batch):
         store, _ = self.learned_store(capacity, kappa)
