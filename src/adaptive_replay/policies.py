@@ -87,7 +87,7 @@ class LinearSoftmaxPolicy:
     def tables(self) -> PolicyTables:
         """Every table derived from the weights, built on first use after a change."""
         if self._cache is None:
-            logits = self.features @ self.weights
+            logits = self._logits()
             z = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(z)
             total = e.sum(axis=1, keepdims=True)
@@ -105,6 +105,9 @@ class LinearSoftmaxPolicy:
                 probs, log_probs, probs.tolist(), cdf_rows(probs), logits.argmax(axis=1).tolist()
             )
         return self._cache
+
+    def _logits(self) -> np.ndarray:
+        return self.features @ self.weights
 
     def prob_table(self) -> np.ndarray:
         """``pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
@@ -153,6 +156,11 @@ class TabularSoftmaxPolicy(LinearSoftmaxPolicy):
         if logits is not None and np.shape(logits) != (n_states, n_actions):
             raise ValueError("logits shape must be (n_states, n_actions)")
         super().__init__(np.eye(int(n_states)), n_actions, logits)
+
+    def _logits(self) -> np.ndarray:
+        # ``weights`` is the logit table: the identity matmul would give the
+        # same finite bits, but turns an infinite logit's column NaN (0 * inf).
+        return self.weights
 
     def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """The base class's rows, built by placement: step ``t``'s residual goes into

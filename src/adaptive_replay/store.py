@@ -1,15 +1,15 @@
-"""Replay buffer of whole trajectories with weighted sampling and complement eviction.
+"""Replay buffer of whole trajectories with weighted sampling and FIFO eviction.
 
 The store keeps its trajectories as padded ``(capacity, width)`` columns
 (:class:`TrajectoryBatch`) and a sum-tree index over per-slot scores (the
 sampler's ``sqrt(w(i) + nu)`` or a strategy's own), so sampling and score
-maintenance both cost O(log capacity).  Draws and evictions follow one
-mixture, ``p(i) = (1 - kappa) * leaf(i) / total + kappa / n`` with the
-store's own ``kappa``.  When full, a new trajectory overwrites a victim slot
-drawn from the complement ``q(j) = (1 - p(j)) / (capacity - 1)``, by
-rejection under the ceiling ``1 - kappa / n >= 1 - p(j)``, so each proposal
-reads only its own ``p(j)``: slots the sampler values least are evicted
-first.  The slot's accumulator is zeroed: a fresh trajectory has no history.
+maintenance both cost O(log capacity).  Draws follow the mixture
+``p(i) = (1 - kappa) * leaf(i) / total + kappa / n`` with the store's own
+``kappa``.  When full, a new trajectory overwrites the oldest slot, in the
+order ``0, 1, ..., capacity - 1, 0, ...``, as the FIFO buffers of DDPG and SAC
+do; eviction reads neither the index nor the mixture, so every mode evicts
+alike and the modes differ only in how they sample.  The slot's accumulator
+is zeroed: a fresh trajectory has no history.
 A replay step is one call each way: ``draw(batch, rng)`` gives the distinct
 slots drawn, the inverse that rebuilds the draws and the slots' ``p``, and
 ``update_scores(sampler, slots, d, p_used)`` feeds back their losses and
@@ -215,6 +215,7 @@ class WeightedStore(TrajectoryBatch):
         self.kappa = float(kappa)
         self.tree = SumTree(self.capacity)
         self.occupancy = 0
+        self._oldest = 0  # the slot the next insert into a full store overwrites
 
     def draw(self, batch: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """One replay draw: ``(slots, drawn, p)`` for ``batch`` mixture draws.
@@ -324,38 +325,24 @@ class WeightedStore(TrajectoryBatch):
             scores = sampler.scores(slice(lo, hi))
         self._write_leaves(slots, scores)
 
-    def insert(
-        self,
-        traj: Episode,
-        sampler: SamplerState,
-        rng: np.random.Generator,
-        score: float | None = None,
-    ) -> int:
-        """Store a trajectory, evicting by complement probability when full.
+    def insert(self, traj: Episode, sampler: SamplerState, *, score: float | None = None) -> int:
+        """Store a trajectory, overwriting the oldest slot when full.
 
-        During the fill phase it is a one-trajectory ``fill``.  Once full, the
-        victim is drawn from ``q(j) = (1 - p(j)) / (capacity - 1)``; its
-        accumulator is zeroed and its leaf set, in one write, to ``score`` or
-        a fresh accumulator's ``sqrt(nu)``.  Returns the slot written.
+        During the fill phase it is a one-trajectory ``fill``.  Once full, it
+        overwrites the slots in the order they were filled, ``0, 1, ...,
+        capacity - 1, 0, ...``; the slot's accumulator is zeroed and its leaf
+        set, in one write, to ``score`` or a fresh accumulator's ``sqrt(nu)``.
+        Returns the slot written.
         """
         slot = self.occupancy
         if slot < self.capacity:
             self.fill([traj], sampler, None if score is None else [score])
             return slot
-        slot = self._sample_victim(rng) if self.capacity > 1 else 0
+        slot = self._oldest
         if score is not None:
             _check_scores(slot, score)
         self.write(slot, traj)
+        self._oldest = (slot + 1) % self.capacity
         sampler.clear(slot)
         self._write_leaves(slot, sampler.scores(slot) if score is None else score)
         return slot
-
-    def _sample_victim(self, rng: np.random.Generator) -> int:
-        # Rejection sampling from q ~ (1 - p): propose uniformly, accept with
-        # probability (1 - p(j)) / (1 - kappa/n).  The mean acceptance is
-        # (1 - 1/n) / (1 - kappa/n) >= 1/2 for n >= 2, so the loop ends.
-        ceiling = 1.0 - self.kappa / self.capacity
-        while True:
-            j = int(rng.integers(0, self.capacity))
-            if rng.random() * ceiling < 1.0 - self.probabilities(j):
-                return j

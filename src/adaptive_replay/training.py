@@ -10,7 +10,7 @@ how slots are scored and when episodes are collected:
     realized squared-gradient losses back into the accumulators in one call
     (``WeightedStore.update_scores``), resetting them every ``reset_period``
     updates.  After every ``updates_per_episode``-th update a fresh episode
-    overwrites a victim slot drawn from the complement distribution.
+    overwrites the oldest slot, as in every mode.
 ``adaptive_epoch``
     Epoch variant: before the first update of each epoch of
     ``updates_per_episode`` updates, collect one episode and zero the
@@ -152,7 +152,7 @@ class TrainingTrace:
 
 
 class _AccumulatorStrategy:
-    """FTRL accumulators drive both sampling scores and eviction; used by the
+    """FTRL accumulators drive the sampling scores; used by the
     adaptive modes and (with full uniform mixing) the uniform baseline.  A
     strategy's ``scores(episodes)`` are the leaf scores of fresh slots
     (``None``: the store's fresh-accumulator default)."""
@@ -281,9 +281,8 @@ class _LoopState:
         episode = self.env.rollout(self.policy, self.rng)
         self.env_steps += len(episode)
         scores = self.strategy.scores([episode])
-        self.store.insert(
-            episode, self.sampler, self.rng, score=None if scores is None else float(scores[0])
-        )
+        score = None if scores is None else float(scores[0])
+        self.store.insert(episode, self.sampler, score=score)
 
     def update_policy(self) -> None:
         cfg = self.config

@@ -146,7 +146,7 @@ def test_criterion_04_replay_gradient_unbiasedness():
     sampler = SamplerState(SamplerConfig(capacity=n, nu=1.0, kappa=0.1, reset_period=10**9))
     for i in range(n):
         store.insert(random_traj(rng, policy, 4, reward_scale=10.0 ** rng.uniform(0, 1.5)),
-                     sampler, rng)
+                     sampler)
     grads = trajectory_gradients(store, policy, 0.99)
     target = np.mean(grads.omega[:, None] * grads.g, axis=0)
     d = grads.d
@@ -359,7 +359,7 @@ def test_criterion_11_store_correctness_and_speed():
         sampler = SamplerState(SamplerConfig(capacity=capacity, nu=0.5, kappa=0.2))
         policy = random_policy(rng)
         for _ in range(capacity):
-            store.insert(random_traj(rng, policy, 3), sampler, rng)
+            store.insert(random_traj(rng, policy, 3), sampler)
         sampler.w[:] = rng.uniform(0, 50, capacity)
         store.rebuild_index(sampler)
         p = sampler.distribution()
@@ -372,7 +372,7 @@ def test_criterion_11_store_correctness_and_speed():
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=2.0, kappa=0.1))
     policy = random_policy(rng)
     for _ in range(capacity):
-        store.insert(random_traj(rng, policy, 3), sampler, rng)
+        store.insert(random_traj(rng, policy, 3), sampler)
     for _ in range(10_000):
         op = rng.integers(0, 2)
         if op == 0:
@@ -381,7 +381,7 @@ def test_criterion_11_store_correctness_and_speed():
             losses = np.array([rng.uniform(0, 5) for _ in slots])
             store.update_scores(sampler, slots, losses, p[slots])
         else:
-            store.insert(random_traj(rng, policy, 3), sampler, rng)
+            store.insert(random_traj(rng, policy, 3), sampler)
     expected = np.sqrt(sampler.w + sampler.config.nu)
     tree_ok = bool(
         np.allclose(store.tree.leaves(), expected, rtol=1e-9)

@@ -146,13 +146,12 @@ class TestRollout:
         for env in rollout_envs():
             policy = random_logits_policy(env, np.random.default_rng(31))
             fast, slow = np.random.default_rng(32), np.random.default_rng(32)
-            insert_rng = np.random.default_rng(33)
             n = 40
             store = WeightedStore(n, kappa=0.1)
             sampler = SamplerState(SamplerConfig(capacity=n))
             expected = []
             for _ in range(n):
-                store.insert(env.rollout(policy, fast, greedy=greedy), sampler, insert_rng)
+                store.insert(env.rollout(policy, fast, greedy=greedy), sampler)
                 expected.append(reference_trajectory(env, policy, slow, greedy=greedy))
             want = TrajectoryBatch.of(expected)
             np.testing.assert_array_equal(store.lengths, want.lengths, err_msg=env.name)
@@ -166,7 +165,7 @@ class TestRollout:
             single = WeightedStore(1, kappa=0.1)
             for _ in range(n):
                 previous = single.lengths[0]
-                single.insert(env.rollout(policy, fast, greedy=greedy), sampler, insert_rng)
+                single.insert(env.rollout(policy, fast, greedy=greedy), sampler)
                 ref = TrajectoryBatch.of([reference_trajectory(env, policy, slow, greedy=greedy)])
                 length = ref.lengths[0]
                 shorter += length < previous

@@ -404,7 +404,7 @@ class TestBatchedAgainstScalarReference:
         sampler = SamplerState(SamplerConfig(capacity=len(trajs)))
         widths = []
         for traj in trajs:
-            store.insert(traj, sampler, rng)
+            store.insert(traj, sampler)
             widths.append(store.width)
         assert widths == [1, 1, 2, 3, 3, 5, 8, 12]
         omega, g, d, _ = reference_gradients(trajs, policy, 0.9, 50.0)
@@ -423,10 +423,10 @@ class TestBatchedAgainstScalarReference:
         store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
         for _ in range(4):
-            store.insert(random_traj(rng, policy, 12), sampler, rng)
+            store.insert(random_traj(rng, policy, 12), sampler)
         for length in (1, 2, 5, 11):
             short = random_traj(rng, policy, length)
-            slot = store.insert(short, sampler, rng)
+            slot = store.insert(short, sampler)
             fresh = trajectory_gradients(TrajectoryBatch.of([short]), policy, 0.9)
             for row, batch in ((0, store.take(np.array([slot]))), (slot, store)):
                 grads = trajectory_gradients(batch, policy, 0.9)
@@ -438,7 +438,7 @@ class TestBatchedAgainstScalarReference:
         rng = np.random.default_rng(19)
         policy = random_policy(rng)
         store = WeightedStore(2, kappa=0.1)
-        store.insert(random_traj(rng, policy, 3), SamplerState(SamplerConfig(capacity=2)), rng)
+        store.insert(random_traj(rng, policy, 3), SamplerState(SamplerConfig(capacity=2)))
         with pytest.raises(ValueError, match="empty row"):
             trajectory_gradients(store, policy, 0.9)
 
@@ -451,7 +451,7 @@ class TestEmpiricalVariance:
             traj = random_traj(rng, policy, 3)
             if reward_scale is not None:
                 traj = with_rewards(traj, np.multiply(traj.rewards, reward_scale[i]))
-            store.insert(traj, sampler, rng)
+            store.insert(traj, sampler)
         return store, sampler
 
     def test_single_slot_estimator_is_deterministic(self):

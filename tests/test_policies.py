@@ -142,6 +142,15 @@ def test_nan_is_named_before_an_underflow():
         policy.tables()
 
 
+def test_infinite_logit_is_named_not_a_matmul_warning():
+    # The tabular logits are the weights themselves: an identity matmul would
+    # turn the -inf column NaN with a RuntimeWarning, which the suite makes an
+    # error.  The zero probability it gives is rejected by name.
+    policy = TabularSoftmaxPolicy(2, 2, logits=[[0.0, 1.0], [-np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"policy probabilities must lie in \(0, 1\]"):
+        policy.tables()
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

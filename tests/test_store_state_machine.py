@@ -51,6 +51,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = WeightedStore(CAPACITY, self.kappa)
         # What the td leaves must hold; the accumulator leaves are sqrt(w + nu).
         self.scores = np.zeros(CAPACITY)
+        self.order = []  # filled slots, oldest write first
         for _ in range(CAPACITY):
             self.insert(1.0)
 
@@ -61,12 +62,16 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(score=st.floats(1e-3, 1e3))
     def insert(self, score):
+        full = self.store.occupancy == CAPACITY
         if self.td:
-            slot = self.store.insert(one_step_episode(), self.sampler, self.rng, score=score)
+            slot = self.store.insert(one_step_episode(), self.sampler, score=score)
             self.scores[slot] = score
         else:
-            slot = self.store.insert(one_step_episode(), self.sampler, self.rng)
+            slot = self.store.insert(one_step_episode(), self.sampler)
             assert self.sampler.w[slot] == 0.0
+        # A full store overwrites its oldest slot; a filling one the next free slot.
+        assert slot == (self.order.pop(0) if full else len(self.order))
+        self.order.append(slot)
 
     @rule(batch=st.integers(1, 16))
     def sample(self, batch):
@@ -118,14 +123,14 @@ def test_million_slot_feedback_run_keeps_invariants():
     store = WeightedStore(capacity, KAPPA)
     episode = one_step_episode()
     for _ in range(capacity):
-        store.insert(episode, sampler, rng)
+        store.insert(episode, sampler)
     for step in range(1, updates + 1):
         slots, _, p_used = store.draw(8, rng)
         store.update_scores(sampler, slots, 10.0 ** rng.uniform(-2, 3, len(slots)), p_used)
         if sampler.maybe_reset():
             store.rebuild_index(sampler)
         if step % 4 == 0:
-            store.insert(episode, sampler, rng)
+            store.insert(episode, sampler)
         # Checks alternate between just after a reset rebuild and 25 updates past one.
         if step % check_every == 0:
             check_index(store, np.sqrt(sampler.w + sampler.config.nu), KAPPA)

@@ -36,7 +36,7 @@ def filled_store(rng, capacity, nu=1.0, kappa=0.0, **kwargs):
     store = WeightedStore(capacity, kappa)
     sampler = SamplerState(SamplerConfig(capacity=capacity, nu=nu, kappa=kappa, **kwargs))
     for _ in range(capacity):
-        store.insert(make_traj(rng), sampler, rng)
+        store.insert(make_traj(rng), sampler)
     return store, sampler
 
 
@@ -227,7 +227,7 @@ class TestMixtureSampling:
         rng = np.random.default_rng(0)
         store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
-        store.insert(make_traj(rng), sampler, rng)
+        store.insert(make_traj(rng), sampler)
         with pytest.raises(NotReadyError):
             store.sample_mixture(8, rng)
 
@@ -286,54 +286,40 @@ class TestInsertOverwrite:
         rng = np.random.default_rng(9)
         store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
-        slots = [store.insert(make_traj(rng), sampler, rng) for _ in range(4)]
+        slots = [store.insert(make_traj(rng), sampler) for _ in range(4)]
         assert slots == [0, 1, 2, 3]
         assert store.occupancy == 4
 
-    def test_victim_follows_complement_distribution(self):
-        rng = np.random.default_rng(10)
-        store, sampler = filled_store(rng, 2)
-        store.set_scores(np.arange(2), np.array([0.9, 0.1]))  # p = [0.9, 0.1] at kappa 0
-        counts = np.zeros(2)
-        draws = 100_000
-        for _ in range(draws):
-            counts[store._sample_victim(rng)] += 1
-        expected = np.array([0.1, 0.9]) * draws
-        chi2 = stats.chisquare(counts, expected)
-        assert chi2.pvalue > 0.01
-
-    @pytest.mark.parametrize("kappa", [0.0, 0.3])
-    def test_eviction_follows_the_stores_own_mixture(self, kappa):
-        # The sampler passed to insert mixes with 0.1; the victims must follow
-        # the store's kappa.  Each victim's leaf is restored after its insert.
+    @pytest.mark.parametrize("given", [False, True])
+    def test_full_store_overwrites_the_oldest_slot(self, given):
+        # Past the fill, inserts overwrite slots in the order they were filled,
+        # whatever the leaves and the mixture say: the heaviest leaf (slot 0)
+        # goes first.  Each victim's accumulator is zeroed and its leaf set to
+        # sqrt(nu) or the given score.
         rng = np.random.default_rng(26)
-        n, draws = 4, 40_000
-        leaves = np.array([27.0, 9.0, 3.0, 1.0])
-        store = WeightedStore(n, kappa)
-        sampler = SamplerState(SamplerConfig(capacity=n, kappa=0.1))
-        store.fill([make_traj(rng) for _ in range(n)], sampler, leaves)
-        episode = Episode([0], [1], [0.5], [1.0], [1])
-        counts = np.zeros(n)
-        for _ in range(draws):
-            victim = store.insert(episode, sampler, rng)
-            store.set_scores(victim, leaves[victim])
-            counts[victim] += 1
-        p = (1 - kappa) * leaves / leaves.sum() + kappa / n
-        assert stats.chisquare(counts, (1 - p) / (n - 1) * draws).pvalue > 0.01
+        n, nu = 5, 4.0
+        store = WeightedStore(n, kappa=0.3)
+        sampler = SamplerState(SamplerConfig(capacity=n, nu=nu, kappa=0.3))
+        store.fill([make_traj(rng) for _ in range(n)], sampler)
+        sampler.w[:] = [80.0, 5.0, 20.0, 0.5, 9.0]
+        store.rebuild_index(sampler)
+        victims = []
+        for i in range(2 * n):
+            traj = make_traj(rng)
+            score = 0.25 * (i + 1) if given else None
+            victim = store.insert(traj, sampler, score=score)
+            victims.append(victim)
+            assert sampler.w[victim] == 0.0
+            assert store.tree.get(victim) == (score if given else np.sqrt(nu))
+            assert_row_holds(store, victim, traj)
+        assert victims == [0, 1, 2, 3, 4] * 2
+        assert store.occupancy == n
+        assert store.tree.consistency_error() < 1e-12
 
     @pytest.mark.parametrize("kappa", [-0.1, 1.5, float("nan")])
     def test_store_rejects_kappa_outside_unit_interval(self, kappa):
         with pytest.raises(ValueError, match=r"kappa must lie in \[0, 1\], got"):
             WeightedStore(4, kappa)
-
-    def test_uniform_distribution_evicts_uniformly(self):
-        rng = np.random.default_rng(11)
-        store, sampler = filled_store(rng, 8)  # equal leaves: p = 1/8 at kappa 0
-        counts = np.zeros(8)
-        for _ in range(80_000):
-            counts[store._sample_victim(rng)] += 1
-        chi2 = stats.chisquare(counts)
-        assert chi2.pvalue > 0.01
 
     def test_eviction_resets_accumulated_weight(self):
         rng = np.random.default_rng(12)
@@ -341,7 +327,7 @@ class TestInsertOverwrite:
         sampler.w[:] = [5.0, 6.0, 7.0, 8.0]
         store.rebuild_index(sampler)
         traj = make_traj(rng)
-        victim = store.insert(traj, sampler, rng)
+        victim = store.insert(traj, sampler)
         assert sampler.w[victim] == 0.0
         assert store.tree.get(victim) == pytest.approx(1.0)  # sqrt(0 + nu)
         assert_row_holds(store, victim, traj)
@@ -350,7 +336,7 @@ class TestInsertOverwrite:
         rng = np.random.default_rng(13)
         store, sampler = filled_store(rng, 1)
         traj = make_traj(rng)
-        assert store.insert(traj, sampler, rng) == 0
+        assert store.insert(traj, sampler) == 0
         assert_row_holds(store, 0, traj)
 
     def test_longer_insert_widens_columns_and_pads(self):
@@ -358,9 +344,9 @@ class TestInsertOverwrite:
         store = WeightedStore(3, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=3))
         short, long = make_traj(rng, length=2), make_traj(rng, length=5)
-        store.insert(short, sampler, rng)
+        store.insert(short, sampler)
         assert store.width == 2
-        store.insert(long, sampler, rng)
+        store.insert(long, sampler)
         assert store.width == 5
         assert_row_holds(store, 0, short)
         assert_row_holds(store, 1, long)
@@ -419,11 +405,10 @@ class TestBlockFill:
     def filled_both_ways(mode, rollouts, blocks):
         capacity = len(rollouts)
         store, sampler, strategy = fill_strategy(mode, capacity, np.random.default_rng(0))
-        insert_rng = np.random.default_rng(1)
         for rollout in rollouts:
             scores = strategy.scores([rollout])
             store.insert(
-                rollout, sampler, insert_rng, score=None if scores is None else float(scores[0])
+                rollout, sampler, score=None if scores is None else float(scores[0])
             )
         want = store, sampler
         store, sampler, strategy = fill_strategy(mode, capacity, np.random.default_rng(0))
@@ -433,8 +418,6 @@ class TestBlockFill:
             store.fill(block, sampler, strategy.scores(block))
             lo += size
         assert lo == capacity
-        # Fill-phase inserts draw nothing, so neither may fill.
-        assert insert_rng.random() == np.random.default_rng(1).random()
         return (store, sampler), want
 
     # The td sweep reads both kinds alike, so 65,000 Trajectory records
@@ -507,7 +490,7 @@ class TestIndexMaintenance:
                 losses = np.array([rng.uniform(0, 5) for _ in slots])
                 store.update_scores(sampler, slots, losses, p[slots])
             elif op == 1:
-                store.insert(make_traj(rng), sampler, rng)
+                store.insert(make_traj(rng), sampler)
             else:
                 if sampler.maybe_reset():
                     store.rebuild_index(sampler)
@@ -632,7 +615,7 @@ class TestReplayStep:
         rows, occupancy = store.take(np.arange(store.capacity)), store.occupancy
         leaves, total = store.tree.leaves(), store.tree.total
         with pytest.raises(ValueError, match="score for slot .* must be finite and non-negative, got nan"):
-            store.insert(make_traj(rng, length=5), sampler, rng, score=np.nan)
+            store.insert(make_traj(rng, length=5), sampler, score=np.nan)
         assert store.occupancy == occupancy and store.width == rows.width
         for name in ("states", "rewards", "lengths"):
             np.testing.assert_array_equal(getattr(store.take(np.arange(store.capacity)), name),
@@ -712,7 +695,7 @@ class TestStoreProbabilities:
                 losses = np.array([rng.uniform(0, 50) for _ in slots])
                 store.update_scores(sampler, slots, losses, p_used)
             elif op == 1:
-                store.insert(make_traj(rng), sampler, rng)
+                store.insert(make_traj(rng), sampler)
             elif sampler.maybe_reset():
                 store.rebuild_index(sampler)
         np.testing.assert_allclose(
@@ -729,7 +712,7 @@ class TestStoreProbabilities:
             if rng.random() < 0.7:
                 slots = np.unique(store.sample_mixture(4, rng))
             else:
-                slots = np.array([store.insert(make_traj(rng), sampler, rng)])
+                slots = np.array([store.insert(make_traj(rng), sampler)])
             priorities[slots] = rng.uniform(0, 10, len(slots))
             store.set_scores(slots, td_scores(priorities[slots]))
             dense = td_scores(priorities) / td_scores(priorities).sum()
@@ -779,7 +762,7 @@ class TestLongRunInvariants:
                 if sampler.maybe_reset():
                     store.rebuild_index(sampler)
             elif op < 0.99:
-                store.insert(pool[step % len(pool)], sampler, rng)
+                store.insert(pool[step % len(pool)], sampler)
             else:
                 store.rebuild_index(sampler)
             if step % self.CHECK_EVERY == 0:
@@ -796,7 +779,7 @@ class TestLongRunInvariants:
             if rng.random() < 0.6:
                 slots, _, _ = store.draw(8, rng)
             else:
-                slots = np.array([store.insert(pool[step % len(pool)], sampler, rng)])
+                slots = np.array([store.insert(pool[step % len(pool)], sampler)])
             priorities[slots] = 10.0 ** rng.uniform(-2, 2, len(slots))
             store.set_scores(slots, td_scores(priorities[slots]))
             if step % self.CHECK_EVERY == 0:
