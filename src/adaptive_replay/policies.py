@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_NOT_FINITE = "policy probabilities are not finite: the weights hold NaN or inf"
+
 
 def cdf_rows(probs: np.ndarray) -> list:
     """Running sums along the last axis divided by their last entry, as lists.
@@ -88,16 +90,18 @@ class LinearSoftmaxPolicy:
         """Every table derived from the weights, built on first use after a change."""
         if self._cache is None:
             logits = self._logits()
-            z = logits - logits.max(axis=1, keepdims=True)
+            top = logits.max(axis=1, keepdims=True)
+            # A NaN or +inf logit, or a row of -inf, leaves its row's maximum
+            # not finite, and the subtraction would warn on it (inf - inf).
+            if not np.isfinite(top).all():
+                raise ValueError(_NOT_FINITE)
+            z = logits - top
             e = np.exp(z)
             total = e.sum(axis=1, keepdims=True)
             probs = e / total
             # Rollouts record these as behavior probabilities, which importance
-            # ratios divide by; a logit gap past ~745 underflows one to 0.  One
-            # test passes valid tables: a NaN minimum fails it too.
+            # ratios divide by; a -inf logit or a gap past ~745 gives a 0.
             if not probs.min() > 0:
-                if not np.isfinite(probs).all():
-                    raise ValueError("policy probabilities are not finite: the weights hold NaN or inf")
                 raise ValueError("policy probabilities must lie in (0, 1]: one underflowed to 0")
             log_probs = z - np.log(total)
             probs.flags.writeable = log_probs.flags.writeable = False
@@ -107,6 +111,9 @@ class LinearSoftmaxPolicy:
         return self._cache
 
     def _logits(self) -> np.ndarray:
+        # A non-finite weight times a zero feature (0 * inf) would warn in the matmul.
+        if not np.isfinite(self.weights).all():
+            raise ValueError(_NOT_FINITE)
         return self.features @ self.weights
 
     def prob_table(self) -> np.ndarray:

@@ -5,11 +5,12 @@ The store keeps its trajectories as padded ``(capacity, width)`` columns
 sampler's ``sqrt(w(i) + nu)`` or a strategy's own), so sampling and score
 maintenance both cost O(log capacity).  Draws follow the mixture
 ``p(i) = (1 - kappa) * leaf(i) / total + kappa / n`` with the store's own
-``kappa``.  When full, a new trajectory overwrites the oldest slot, in the
-order ``0, 1, ..., capacity - 1, 0, ...``, as the FIFO buffers of DDPG and SAC
-do; eviction reads neither the index nor the mixture, so every mode evicts
-alike and the modes differ only in how they sample.  The slot's accumulator
-is zeroed: a fresh trajectory has no history.
+``kappa``.  The store is one FIFO ring, as DDPG's and SAC's buffers are: one
+write counter sends each trajectory to slot ``writes % capacity``, a free slot
+while it fills and then the oldest, in the order ``0, 1, ..., capacity - 1, 0,
+...``; eviction reads neither the index nor the mixture, so the modes differ
+only in how they sample.  The slot's accumulator is zeroed: a fresh trajectory
+has no history.  Index scores are positive and finite; writers reject others.
 A replay step is one call each way: ``draw(batch, rng)`` gives the distinct
 slots drawn, the inverse that rebuilds the draws and the slots' ``p``, and
 ``update_scores(sampler, slots, d, p_used)`` feeds back their losses and
@@ -165,12 +166,10 @@ class TrajectoryBatch:
     def _write_rows(self, lo: int, trajs: Sequence[Episode]) -> None:
         """Store ``trajs`` in rows ``lo, lo + 1, ...``, as a ``write`` per row would.
 
-        One trajectory takes ``write``.  More take, per column, one ``np.fromiter``
-        over their chained lists and one assignment through the ``lengths`` mask,
-        which visits the cells row by row, in the order the steps were chained.
+        Per column, one ``np.fromiter`` over their chained lists and one assignment
+        through the ``lengths`` mask, which visits the cells row by row, in the order
+        the steps were chained; one trajectory too (a store's ``fill`` at ``writes``).
         """
-        if len(trajs) == 1:
-            return self.write(lo, trajs[0])
         lengths = np.fromiter(map(len, trajs), dtype=np.int64, count=len(trajs))
         self._widen(int(lengths.max(initial=0)))
         mask = np.arange(self.width) < lengths[:, None]
@@ -191,18 +190,28 @@ class TrajectoryBatch:
 
 
 def _check_scores(slots, values) -> None:
-    """Reject, by name, leaf scores not of the slots' shape, negative or not finite."""
+    """Reject, by name, leaf scores not of the slots' shape, or not positive and finite.
+
+    Valid scores pass one comparison chain: a NaN fails it.  A zero leaf could
+    be drawn, as a node's ulps of drift past its children's sum can carry the
+    top offsets past the last positive leaf."""
     if np.shape(values) != np.shape(slots):
         raise ValueError(
             f"scores of shape {np.shape(values)} do not align with slots of shape {np.shape(slots)}"
         )
-    check_finite_non_negative(np.asarray(values, dtype=np.float64), slots, "score")
+    values = np.asarray(values, dtype=np.float64)
+    if not 0.0 < values.min(initial=1.0) <= values.max(initial=1.0) < math.inf:
+        check_finite_non_negative(values, slots, "score")
+        i = np.argmin(values.ravel())  # all finite and >= 0: the first zero
+        raise ValueError(
+            f"score for slot {np.ravel(slots)[i]} must be positive, got {values.ravel()[i]}"
+        )
 
 
 class WeightedStore(TrajectoryBatch):
     """One trajectory row per slot plus a sum-tree score index; single-writer.
 
-    Slots fill in order, so the filled rows are ``range(occupancy)``.
+    One counter places every trajectory, so the filled rows are ``range(occupancy)``.
     """
 
     def __init__(self, capacity: int, kappa: float):
@@ -214,8 +223,12 @@ class WeightedStore(TrajectoryBatch):
         self.capacity = int(capacity)
         self.kappa = float(kappa)
         self.tree = SumTree(self.capacity)
-        self.occupancy = 0
-        self._oldest = 0  # the slot the next insert into a full store overwrites
+        self.writes = 0  # trajectories written; the next goes to slot writes % capacity
+
+    @property
+    def occupancy(self) -> int:
+        """Slots holding a trajectory, ``min(writes, capacity)``."""
+        return min(self.writes, self.capacity)
 
     def draw(self, batch: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """One replay draw: ``(slots, drawn, p)`` for ``batch`` mixture draws.
@@ -254,7 +267,7 @@ class WeightedStore(TrajectoryBatch):
         """
         if batch == 0:
             return np.empty(0, dtype=np.int64)
-        if self.occupancy < self.capacity:
+        if self.writes < self.capacity:
             raise NotReadyError(
                 f"buffer holds {self.occupancy}/{self.capacity} trajectories; warm up first"
             )
@@ -277,7 +290,7 @@ class WeightedStore(TrajectoryBatch):
         """Assign index scores, checked; with ``rebuild_index``, the only public writer of leaves.
 
         A repeated or out-of-range slot, ``values`` not of the slots' shape,
-        and a score that is negative or not finite are rejected by name
+        and a score that is not positive or not finite are rejected by name
         before anything is written.  ``fill`` and ``insert`` check a score
         they are given before their first write, and ``update_scores``,
         whose feedback call has checked its slots and losses, writes the
@@ -304,45 +317,38 @@ class WeightedStore(TrajectoryBatch):
         sampler: SamplerState,
         scores: np.ndarray | None = None,
     ) -> None:
-        """Store ``trajs`` in the next free slots; the one fill-phase writer.
+        """Store ``trajs`` in the free slots from ``writes`` on, as an ``insert`` each would.
 
-        The rows are written in bulk, the slots' accumulators zeroed, and
-        their scores, ``scores`` or the fresh accumulators' ``sqrt(nu)``,
-        written in one leaf write.  Each ancestor of the fresh leaves
-        receives the same additions in the same leaf order as under one
-        ``fill`` per trajectory, so the index does not depend on the blocks.
+        The rows are written in bulk, the counter advanced past them, their
+        accumulators zeroed, and ``scores`` (checked first: positive, finite)
+        or fresh ``sqrt(nu)`` written in one leaf write, whose ancestors get
+        the additions, in leaf order, of one ``insert`` per trajectory.
         """
-        lo, hi = self.occupancy, self.occupancy + len(trajs)
-        if hi > self.capacity:
-            raise ValueError(f"{len(trajs)} trajectories do not fit {self.capacity - lo} free slots")
-        slots = np.arange(lo, hi)
+        free = self.capacity - self.occupancy
+        if len(trajs) > free:
+            raise ValueError(f"{len(trajs)} trajectories do not fit {free} free slots")
+        lo = self.writes
+        slots = np.arange(lo, lo + len(trajs))
         if scores is not None:
             _check_scores(slots, scores)
         self._write_rows(lo, trajs)
-        self.occupancy = hi
-        sampler.clear(slice(lo, hi))
-        if scores is None:
-            scores = sampler.scores(slice(lo, hi))
-        self._write_leaves(slots, scores)
+        self.writes += len(trajs)
+        sampler.clear(slots)
+        self._write_leaves(slots, sampler.scores(slots) if scores is None else scores)
 
     def insert(self, traj: Episode, sampler: SamplerState, *, score: float | None = None) -> int:
-        """Store a trajectory, overwriting the oldest slot when full.
+        """Store a trajectory in slot ``writes % capacity``, advance the counter, return the slot.
 
-        During the fill phase it is a one-trajectory ``fill``.  Once full, it
-        overwrites the slots in the order they were filled, ``0, 1, ...,
-        capacity - 1, 0, ...``; the slot's accumulator is zeroed and its leaf
-        set, in one write, to ``score`` or a fresh accumulator's ``sqrt(nu)``.
-        Returns the slot written.
+        The slot is free while the store fills and the oldest once it is full.
+        A given ``score`` is checked (positive, finite) before the first write;
+        the slot's accumulator is zeroed and its leaf set, in one write, to
+        ``score`` or a fresh accumulator's ``sqrt(nu)``.
         """
-        slot = self.occupancy
-        if slot < self.capacity:
-            self.fill([traj], sampler, None if score is None else [score])
-            return slot
-        slot = self._oldest
+        slot = self.writes % self.capacity
         if score is not None:
             _check_scores(slot, score)
         self.write(slot, traj)
-        self._oldest = (slot + 1) % self.capacity
+        self.writes += 1
         sampler.clear(slot)
         self._write_leaves(slot, sampler.scores(slot) if score is None else score)
         return slot

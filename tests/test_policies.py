@@ -151,6 +151,25 @@ def test_infinite_logit_is_named_not_a_matmul_warning():
         policy.tables()
 
 
+# Each would otherwise meet inf - inf or 0 * inf, whose RuntimeWarning the
+# suite turns into the error raised.
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: TabularSoftmaxPolicy(2, 2, logits=[[0.0, 1.0], [np.inf, 0.0]]),
+                     id="tabular-plus-inf"),
+        pytest.param(lambda: TabularSoftmaxPolicy(2, 2, logits=[[0.0, 1.0], [-np.inf, -np.inf]]),
+                     id="tabular-row-of-minus-inf"),
+        pytest.param(lambda: LinearSoftmaxPolicy(np.eye(2), 2, weights=[[0.0, 1.0], [np.inf, 0.0]]),
+                     id="linear-inf-weight"),
+    ],
+)
+def test_non_finite_weights_are_named_without_a_warning(build):
+    message = "policy probabilities are not finite: the weights hold NaN or inf"
+    with pytest.raises(ValueError, match=message):
+        build().tables()
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

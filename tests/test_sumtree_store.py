@@ -354,6 +354,56 @@ class TestInsertOverwrite:
         np.testing.assert_array_equal(store.behavior_probs[2], 1.0)  # never written
         np.testing.assert_array_equal(store.lengths, [2, 5, 0])
 
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_inserts_after_a_partial_fill_continue_the_ring(self, k):
+        # The fill's counter is the insert's: the free slots come first, then
+        # the oldest, and occupancy stops at the capacity.
+        rng = np.random.default_rng(43)
+        n = 5
+        store = WeightedStore(n, kappa=0.1)
+        sampler = SamplerState(SamplerConfig(capacity=n))
+        store.fill([make_traj(rng) for _ in range(k)], sampler)
+        slots, occupancy = [], []
+        for _ in range(n - k + 3):
+            slots.append(store.insert(make_traj(rng), sampler))
+            occupancy.append(store.occupancy)
+        assert slots == [*range(k, n), 0, 1, 2]
+        assert occupancy == [*range(k + 1, n + 1), n, n, n]
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 37])
+@pytest.mark.parametrize("seed", range(20))
+def test_fill_blocks_and_inserts_write_one_ring(capacity, seed):
+    # A drawn mix of fill blocks (1-5 episodes, while free slots remain) and
+    # inserts, some with given scores, writes 3 * capacity trajectories in the
+    # ring order 0, 1, ..., capacity - 1, 0, ... of a model list.
+    rng = np.random.default_rng(seed)
+    nu = 4.0
+    store = WeightedStore(capacity, kappa=0.1)
+    sampler = SamplerState(SamplerConfig(capacity=capacity, nu=nu, kappa=0.1))
+    written = []
+    while len(written) < 3 * capacity:
+        sampler.w[:] = rng.uniform(1.0, 5.0, capacity)  # each victim's must be zeroed
+        free = capacity - store.occupancy
+        size = int(rng.integers(1, min(5, free) + 1)) if free and rng.random() < 0.5 else 0
+        given = rng.random() < 0.5
+        trajs = [make_traj(rng, length=int(rng.integers(1, 6))) for _ in range(max(size, 1))]
+        scores = rng.uniform(0.5, 2.0, len(trajs)) if given else None
+        if size:
+            store.fill(trajs, sampler, scores)
+            slots = list(range(len(written), len(written) + size))
+        else:
+            slots = [store.insert(trajs[0], sampler, score=None if scores is None else scores[0])]
+        assert slots == [i % capacity for i in range(len(written), len(written) + len(trajs))]
+        written += slots
+        assert store.occupancy == min(len(written), capacity)
+        for i, (slot, traj) in enumerate(zip(slots, trajs)):
+            assert_row_holds(store, slot, traj)
+            assert sampler.w[slot] == 0.0
+            assert store.tree.get(slot) == (scores[i] if given else np.sqrt(nu))
+    assert written == [i % capacity for i in range(len(written))]
+    assert store.tree.total == pytest.approx(store.tree.leaves().sum(), rel=1e-12)
+
 
 COLUMNS = ("states", "actions", "behavior_probs", "rewards", "next_states")
 
@@ -625,6 +675,38 @@ class TestReplayStep:
         assert store.tree.total == total
         assert store.tree.consistency_error() < 1e-12
 
+    # Each writer that takes a score from its caller, a zero among valid ones,
+    # and the slot the zero was meant for (a store of 5 holding 2).
+    ZERO_SCORE_WRITERS = {
+        "set_scores": (2, lambda store, sampler, rng: store.set_scores([1, 2], np.array([1.0, 0.0]))),
+        "fill": (3, lambda store, sampler, rng: store.fill(
+            [make_traj(rng), make_traj(rng)], sampler, np.array([1.0, 0.0])
+        )),
+        "insert": (2, lambda store, sampler, rng: store.insert(make_traj(rng), sampler, score=0.0)),
+    }
+
+    @pytest.mark.parametrize("writer", ZERO_SCORE_WRITERS)
+    def test_zero_score_rejected_by_name_before_any_write(self, writer):
+        # A zero leaf is one the descent can reach past a node's ulps of drift.
+        slot, write = self.ZERO_SCORE_WRITERS[writer]
+        rng = np.random.default_rng(30)
+        store = WeightedStore(5, kappa=0.2)
+        sampler = SamplerState(SamplerConfig(capacity=5, nu=2.0, kappa=0.2))
+        store.fill([make_traj(rng) for _ in range(2)], sampler)
+        sampler.w[:] = 1.0
+        rows, occupancy = store.take(np.arange(store.capacity)), store.occupancy
+        leaves, total = store.tree.leaves(), store.tree.total
+        message = f"score for slot {slot} must be positive, got 0.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write(store, sampler, rng)
+        assert store.occupancy == occupancy
+        for name in ("states", "rewards", "lengths"):
+            np.testing.assert_array_equal(getattr(store.take(np.arange(store.capacity)), name),
+                                          getattr(rows, name))
+        np.testing.assert_array_equal(sampler.w, 1.0)
+        np.testing.assert_array_equal(store.tree.leaves(), leaves)
+        assert store.tree.total == total
+
     def test_numpy_int_slot_takes_the_scalar_path(self, monkeypatch):
         store, _ = self.learned_store(capacity=8)
         reference, _ = self.learned_store(capacity=8)
@@ -676,6 +758,29 @@ class TestReplayStep:
         np.testing.assert_array_equal(store.tree.leaves(), leaves)
         assert store.tree.total == total
         assert store.tree.consistency_error() < 1e-12
+
+    @pytest.mark.parametrize("capacity, stores", [(5, 100), (37, 100), (65_000, 3)])
+    def test_top_offset_never_draws_a_zero_slot(self, capacity, stores):
+        # After incremental writes a node can exceed its children's sum by
+        # ulps, so the largest offset can descend past the last real leaf into
+        # padding; the descent's guard then lands on the last slot, which a
+        # positive-score store never leaves at zero.
+        class TopOffset:
+            def random(self, n):  # the largest double Generator.random returns
+                return np.full(n, 1.0 - 2.0**-53)
+
+        one_step = Episode([0], [0], [1.0], [0.0], [0])
+        for seed in range(stores):
+            rng = np.random.default_rng(seed)
+            store = WeightedStore(capacity, kappa=0.0)
+            sampler = SamplerState(SamplerConfig(capacity=capacity, kappa=0.0))
+            store.fill([one_step] * capacity, sampler, rng.uniform(0.1, 10.0, capacity))
+            for _ in range(50):
+                slots = rng.choice(capacity, min(8, capacity), replace=False)
+                store.set_scores(slots, rng.uniform(0.1, 10.0, len(slots)))
+            slots, _, p = store.draw(1, TopOffset())
+            assert 0 <= slots[0] < capacity
+            assert store.tree.get(slots[0]) > 0 and p[0] > 0
 
 
 class TestStoreProbabilities:
