@@ -109,6 +109,8 @@ class ExperimentSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"experiment.family must be one of {tuple(_FAMILIES)}, got {self.family!r}")
         family = _FAMILIES[self.family]
+        if self.sampler and not family.uses_sampler:
+            raise ValueError(f"section [sampler] does not belong to family '{self.family}'")
         experiment = {"seeds": self.seeds, "output_dir": self.output_dir}
         for section, values in (
             ("experiment", experiment), ("sampler", self.sampler), (family.section, self.options)
@@ -124,7 +126,7 @@ class ExperimentSpec:
             raise ValueError(f"experiment.seeds must be non-negative, got {min(self.seeds)}")
         _check_distinct("experiment.seeds", self.seeds)
         _check_distinct("sweep label", [label for label, _ in self.sweep])
-        self.sampler = {**_defaults(_SAMPLER), **self.sampler}
+        self.sampler = {**_defaults(_SAMPLER), **self.sampler} if family.uses_sampler else {}
         self.options = {**_defaults(family.keys), **self.options}
         cell_ids = set()
         for label, overrides in self.sweep:
@@ -222,7 +224,7 @@ def parse_config(path) -> ExperimentSpec:
     family = experiment.get("family", ExperimentSpec.family)
     section = getattr(_FAMILIES.get(family), "section", None)
     for name in sections:
-        if name not in ("sampler", section):
+        if name not in getattr(_FAMILIES.get(family), "sections", ("sampler",)):
             raise ValueError(f"section [{name}] does not belong to family '{family}'")
     return ExperimentSpec(
         **experiment,
@@ -343,11 +345,12 @@ def _run_or_mark(outdir: Path, name: str, run) -> dict:
 
 def _apply_sweep(spec: ExperimentSpec, overrides: dict) -> tuple[dict, dict]:
     """The sampler values and family options of one sweep label."""
+    family = _FAMILIES[spec.family]
     sampler, options = dict(spec.sampler), dict(spec.options)
-    targets = {"sampler": sampler, _FAMILIES[spec.family].section: options}
+    targets = {"sampler": sampler, family.section: options}
     for dotted, value in overrides.items():
         sec, _, key = dotted.partition(".")
-        if sec not in targets:
+        if sec not in family.sections:
             raise ValueError(f"sweep override '{dotted}' does not apply to family {spec.family}")
         targets[sec][key] = value
     return sampler, options
@@ -497,6 +500,12 @@ class _Family(NamedTuple):
     cells: Callable  # (spec, label, sampler, options) -> (cell id, params) pairs
     run: Callable  # (spec, outdir, cell id, params) -> artifact names
     configs: Callable | None = None  # params -> the cell's configs, built when a spec is checked
+    uses_sampler: bool = True  # whether the cells read the [sampler] values
+
+    @property
+    def sections(self) -> tuple[str, ...]:
+        """The spec sections, besides [experiment], that the cells read."""
+        return (self.section, "sampler") if self.uses_sampler else (self.section,)
 
 
 _FAMILIES = {
@@ -526,7 +535,7 @@ _FAMILIES = {
             "constructions": (int, 50), "capacity": (int, 32), "batch": (int, 4),
             "repeats": (int, 400), "orders": (float, 3.5),
         },
-        _variance_cells, _run_variance_cell,
+        _variance_cells, _run_variance_cell, uses_sampler=False,
     ),
 }
 _SECTIONS = {
@@ -553,8 +562,13 @@ def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[
 
 
 def metrics_from_traces(paths, window: int = DEFAULT_WINDOW):
-    """Compute one MetricsRow from trace CSVs forming a seed group."""
+    """Compute one MetricsRow from trace CSVs forming a seed group: one env, one
+    mode and distinct seeds; other traces are rejected, naming each file."""
     traces = [read_trace(Path(p)) for p in paths]
+    seeds = [t["seed"] for t in traces]
+    if len({(t["env"], t["mode"]) for t in traces}) > 1 or len(set(seeds)) < len(seeds):
+        files = "; ".join(f"{p}: {t['env']}/{t['mode']} seed {t['seed']}" for p, t in zip(paths, traces))
+        raise ValueError(f"traces are not one seed group (one env and mode, distinct seeds): {files}")
     return compute_metrics(
         [t["steps"] for t in traces], [t["returns"] for t in traces], window=window
     )

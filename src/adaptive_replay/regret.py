@@ -1,12 +1,13 @@
 """Closed-form competitor distributions, regret accounting, and bound checks.
 
-For per-step losses ``f_t(p) = sum_i d_t(i) / p(i)`` the best fixed simplex
-point over a window has the closed form ``p*(i) ~ sqrt(sum_t d_t(i))`` and
-the best per-step point is ``p_t*(i) ~ sqrt(d_t(i))``; the corresponding
-optimal costs are ``(sum_i sqrt(sum_t d_t(i)))^2`` and
-``(sum_i sqrt(d_t(i)))^2``.  Regret is reported normalized by the squared
-slot count.  The closed forms are cross-checked in the test suite against
-the generic simplex minimizer, which never shares code with them.
+For per-step losses ``f_t(p) = sum_i d_t(i) / p(i)`` the best per-step
+simplex point is ``p_t*(i) ~ sqrt(d_t(i))`` at cost ``(sum_i sqrt(d_t(i)))^2``
+(:func:`dynamic_competitor`, :func:`min_step_cost`).  The best fixed point
+over a window is the same closed form applied to the summed losses
+``sum_t d_t``; the static competitor, its cost and the ledger's prefix optima
+all derive from those two functions.  Regret is reported normalized by the
+squared slot count.  The closed forms are cross-checked in the test suite
+against the generic simplex minimizer, which never shares code with them.
 """
 
 from __future__ import annotations
@@ -23,38 +24,38 @@ from .store import Episode, TrajectoryBatch
 SequenceGenerator = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
-def static_competitor(d_matrix: np.ndarray) -> np.ndarray:
-    """Best fixed distribution for a whole loss sequence: mass ~ sqrt of column sums
+def dynamic_competitor(d_row: np.ndarray) -> np.ndarray:
+    """Best distribution for a single step: mass ~ sqrt of the per-slot losses
     (uniform when every loss is zero)."""
+    d_row = np.asarray(d_row, dtype=np.float64)
+    if d_row.ndim != 1:
+        raise ValueError("expected a 1-d loss row")
+    _validate_losses(d_row)
+    roots = np.sqrt(d_row)
+    total = roots.sum()
+    if total == 0.0:
+        return np.full(len(d_row), 1.0 / len(d_row))
+    return roots / total
+
+
+def static_competitor(d_matrix: np.ndarray) -> np.ndarray:
+    """Best fixed distribution for a whole loss sequence: the dynamic competitor
+    of the summed losses."""
     d_matrix = np.asarray(d_matrix, dtype=np.float64)
     if d_matrix.ndim != 2:
         raise ValueError("expected a (steps, slots) loss matrix")
     _validate_losses(d_matrix)
-    roots = np.sqrt(d_matrix.sum(axis=0))
-    total = roots.sum()
-    if total == 0.0:
-        n = d_matrix.shape[1]
-        return np.full(n, 1.0 / n)
-    return roots / total
+    return dynamic_competitor(d_matrix.sum(axis=0))
 
 
-def dynamic_competitor(d_row: np.ndarray) -> np.ndarray:
-    """Best distribution for a single step: mass ~ sqrt of the per-slot losses."""
-    d_row = np.asarray(d_row, dtype=np.float64)
-    if d_row.ndim != 1:
-        raise ValueError("expected a 1-d loss row")
-    return static_competitor(d_row[None, :])
+def min_step_cost(d: np.ndarray) -> np.ndarray:
+    """min over p of each row's loss, ``(sum_i sqrt(d_t(i)))^2``; a 1-d row gives a scalar."""
+    return np.sqrt(np.asarray(d, dtype=np.float64)).sum(axis=-1) ** 2
 
 
 def best_static_cost(d_matrix: np.ndarray) -> float:
-    """min over p of the summed losses: ``(sum_i sqrt(sum_t d_t(i)))^2``."""
-    d_matrix = np.asarray(d_matrix, dtype=np.float64)
-    return float(np.sqrt(d_matrix.sum(axis=0)).sum() ** 2)
-
-
-def min_step_cost(d_row: np.ndarray) -> float:
-    """min over p of a single step's loss: ``(sum_i sqrt(d_t(i)))^2``."""
-    return float(np.sqrt(np.asarray(d_row, dtype=np.float64)).sum() ** 2)
+    """min over p of the summed losses: the one-step cost of the column sums."""
+    return float(min_step_cost(np.asarray(d_matrix, dtype=np.float64).sum(axis=0)))
 
 
 def _validate_losses(d: np.ndarray) -> None:
@@ -90,8 +91,8 @@ class RegretLedger:
             capacity=capacity,
             realized=realized,
             realized_cum=np.cumsum(realized),
-            static_opt_cum=np.sqrt(np.cumsum(d_matrix, axis=0)).sum(axis=1) ** 2,
-            dynamic_opt_cum=np.cumsum(np.sqrt(d_matrix).sum(axis=1) ** 2),
+            static_opt_cum=min_step_cost(np.cumsum(d_matrix, axis=0)),
+            dynamic_opt_cum=np.cumsum(min_step_cost(d_matrix)),
         )
 
     @property
@@ -132,41 +133,27 @@ def run_regret_experiment(
     """
     if feedback not in ("full", "bandit"):
         raise ValueError(f"unknown feedback mode {feedback!r}")
+    n = sampler_config.capacity
+    every_slot, certain = np.arange(n), np.ones(n)
     ledgers = []
     for seed in seeds:
-        root = np.random.SeedSequence(int(seed))
-        gen_stream, learner_stream = root.spawn(2)
-        d_matrix = sequence_generator(
-            np.random.default_rng(gen_stream), T, sampler_config.capacity
-        )
+        gen_stream, learner_stream = np.random.SeedSequence(int(seed)).spawn(2)
+        d_matrix = sequence_generator(np.random.default_rng(gen_stream), T, n)
         _validate_losses(d_matrix)
-        ledgers.append(
-            _run_single(d_matrix, sampler_config, feedback, batch, np.random.default_rng(learner_stream))
-        )
+        rng = np.random.default_rng(learner_stream)
+        state = SamplerState(sampler_config)
+        realized = np.empty(len(d_matrix))
+        for t, row in enumerate(d_matrix):
+            p = state.distribution()
+            realized[t] = variance_objective(row, p)
+            if feedback == "full":
+                state.record_feedback(every_slot, row, certain)
+            else:
+                sampled = np.unique(rng.choice(n, size=batch, p=p))
+                state.record_feedback(sampled, row[sampled], p[sampled])
+            state.maybe_reset()
+        ledgers.append(RegretLedger.from_sequence(d_matrix, realized))
     return ledgers
-
-
-def _run_single(
-    d_matrix: np.ndarray,
-    config: SamplerConfig,
-    feedback: str,
-    batch: int,
-    rng: np.random.Generator,
-) -> RegretLedger:
-    steps, capacity = d_matrix.shape
-    state = SamplerState(config)
-    realized = np.empty(steps)
-    for t in range(steps):
-        p = state.distribution()
-        row = d_matrix[t]
-        realized[t] = variance_objective(row, p)
-        if feedback == "full":
-            state.record_feedback(np.arange(capacity), row, np.ones(capacity))
-        else:
-            sampled = np.unique(rng.choice(capacity, size=batch, p=p))
-            state.record_feedback(sampled, row[sampled], p[sampled])
-        state.maybe_reset()
-    return RegretLedger.from_sequence(d_matrix, realized)
 
 
 # --- loss sequence generators -------------------------------------------------

@@ -185,16 +185,12 @@ class SamplerState:
         """Apply the configured reset if the step counter hit the period.
 
         Returns True when a reset was applied, and counts it in ``resets``.
-        Hard mode zeroes the accumulators; soft modes multiply them by the
-        current forgetting factor.
+        Every mode multiplies the accumulators by the current forgetting
+        factor; hard mode's is 0, which writes the +0.0 that ``clear`` writes.
         """
-        cfg = self.config
-        if self.step == 0 or self.step % cfg.reset_period != 0:
+        if self.step == 0 or self.step % self.config.reset_period != 0:
             return False
-        if cfg.reset_mode == RESET_HARD:
-            self.clear()
-        else:
-            self.w *= self.current_rho()
+        self.w *= self.current_rho()
         self.resets += 1
         return True
 

@@ -120,19 +120,19 @@ def learned_vs_uniform_variance(
     store, sampler, policy = heteroscedastic_buffer(
         np.random.default_rng(build_ss), capacity=capacity, orders=orders
     )
-    # Learn a distribution from bandit feedback at fixed parameters: the store's
-    # rows and the policy stay frozen, so one gradient pass serves every step.
+    # Learn a distribution from bandit feedback with the training's replay step, at
+    # fixed parameters: the store's rows and the policy stay frozen, so one
+    # gradient pass serves every step.
     grads = trajectory_gradients(store, policy, GAMMA)
     rng = np.random.default_rng(learn_ss)
     for _ in range(learn_steps):
-        p = sampler.distribution()
-        slots = store.draw(LEARN_BATCH, rng)[0]
-        store.update_scores(sampler, slots, grads.d[slots], p[slots])
+        slots, _, p = store.draw(LEARN_BATCH, rng)
+        store.update_scores(sampler, slots, grads.d[slots], p)
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
     var_learned, var_uniform = (
         gradient_variance(grads, p, batch, repeats, np.random.default_rng(probe_seed))
-        for p in (sampler.distribution(), np.full(capacity, 1.0 / capacity))
+        for p in (store.probabilities(np.arange(capacity)), np.full(capacity, 1.0 / capacity))
     )
     return VarianceComparison(
         seed=int(seed),

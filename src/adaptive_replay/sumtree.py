@@ -80,7 +80,9 @@ class SumTree:
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Map mass offsets ``u`` in [0, total) to leaf indices."""
         u = np.asarray(u, dtype=np.float64)
-        # Guard against u == total edge cases landing on zero-score padding.
+        # ``u < total`` always holds for a draw ``random() * total``, but after
+        # incremental writes a node can exceed its children's sum by ulps, so an
+        # offset near the top can descend past the last leaf; clamp it there.
         last = self.capacity - 1
         if len(u) <= SCALAR_DESCENT_MAX:
             tree = self._tree.data  # items are Python floats

@@ -107,6 +107,24 @@ class TestParseConfig:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "text, built, message",
+        [
+            ("[sampler]\nkappa = 0.9\n", {"sampler": {"kappa": 0.9}},
+             "section [sampler] does not belong to family 'variance_study'"),
+            ("[sweep:x]\nsampler.kappa = 0.9\n", {"sweep": (("x", {"sampler.kappa": 0.9}),)},
+             "sweep override 'sampler.kappa' does not apply to family variance_study"),
+        ],
+        ids=["section", "sweep"],
+    )
+    def test_variance_family_rejects_sampler_values(self, tmp_path, text, built, message):
+        # The study learns with its own fixed sampler; no cell reads [sampler].
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(write_spec(tmp_path, f"[experiment]\nfamily = variance_study\n{text}"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(family="variance_study", **built)
+        assert not any(key.startswith("sampler.") for key in ExperimentSpec(family="variance_study").echo())
+
     def test_seed_list_and_family(self, tmp_path):
         spec = parse_config(
             write_spec(
@@ -781,6 +799,27 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("adaptive-replay metrics: error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("case", ["mixed-env-and-mode", "repeated-file"])
+    def test_metrics_rejects_traces_that_are_not_one_seed_group(self, tmp_path, capsys, case):
+        spec = rl_spec(seeds=(1,), modes=("uniform",))
+        spec.options["envs"] = ("two_state_bandit",)
+        run_suite(spec, out=str(tmp_path / "a"))
+        first = next((tmp_path / "a").glob("rl_*.csv"))
+        if case == "repeated-file":
+            traces = [first, first]
+        else:
+            spec = rl_spec(seeds=(2,), modes=("adaptive",), envs=("chain5",))
+            run_suite(spec, out=str(tmp_path / "b"))
+            traces = [first, next((tmp_path / "b").glob("rl_*.csv"))]
+        with pytest.raises(ValueError, match="not one seed group"):
+            metrics_from_traces(traces, window=3)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", *map(str, traces), "--window", "3"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adaptive-replay metrics: error: traces are not one seed group")
+        assert all(str(trace) in err for trace in traces)
 
     def test_metrics_rejects_malformed_trace(self, tmp_path, capsys):
         trace = tmp_path / "bad.csv"

@@ -49,6 +49,10 @@ class TestStaticCompetitor:
             )
             np.testing.assert_allclose(closed, oracle, atol=1e-6)
 
+    def test_is_the_dynamic_competitor_of_the_summed_losses(self):
+        d = np.random.default_rng(2).uniform(0.0, 10.0, size=(30, 9))
+        assert np.array_equal(static_competitor(d), dynamic_competitor(d.sum(axis=0)))
+
     def test_best_static_cost_closed_form(self):
         d = np.array([[4.0, 1.0]])
         assert best_static_cost(d) == pytest.approx(9.0)
@@ -119,6 +123,17 @@ class TestLedger:
         )[0]
         np.testing.assert_allclose(a.static_opt_cum, b.static_opt_cum)
         np.testing.assert_allclose(a.dynamic_opt_cum, b.dynamic_opt_cum)
+
+    def test_columns_match_per_prefix_and_per_row_optima(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            d = rng.uniform(0.0, 10.0, size=(40, 7))
+            d[rng.choice(40, size=4, replace=False)] = 0.0
+            ledger = RegretLedger.from_sequence(d, np.ones(40))
+            static = [best_static_cost(d[: t + 1]) for t in range(40)]
+            dynamic = np.cumsum([min_step_cost(row) for row in d])
+            np.testing.assert_allclose(ledger.static_opt_cum, static, rtol=1e-12)
+            np.testing.assert_allclose(ledger.dynamic_opt_cum, dynamic, rtol=1e-12)
 
     def test_from_sequence_validates_shapes(self):
         with pytest.raises(ValueError, match="match"):
@@ -296,7 +311,7 @@ RECORDED_REGRET = [
                  "bandit", "ff229ab05a6dd346a71af4389bec842358a81445fb5dcee40143aca19f5cbe85",
                  id="drift-hard"),
 ]
-RECORDED_VARIANCE = "0414c1f047a1492d3e364107e003f7f42cab1e2b2fbf03fc3ad4715b645320a9"
+RECORDED_VARIANCE = "1d795bb517c04249bbc6b6ead99d621086b4e2cd329a70ca159746d14289151d"
 
 
 @pytest.mark.parametrize("generator, sampler, feedback, digest", RECORDED_REGRET)

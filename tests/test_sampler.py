@@ -210,6 +210,13 @@ class TestResets:
         assert state.maybe_reset()
         np.testing.assert_array_equal(state.w, [0.0, 0.0])
 
+    def test_hard_reset_writes_positive_zeros(self):
+        # The reset multiplies by a forgetting factor of 0: +0.0, as clear() writes.
+        state = make_state([5.0, 0.0, 2.5], reset_period=1, reset_mode="hard")
+        state.step = 1
+        assert state.maybe_reset()
+        assert np.array_equal(state.w, np.zeros(3)) and not np.signbit(state.w).any()
+
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_applied_resets_are_counted(self, mode):
         state = make_state([5.0, 2.0], reset_period=2, reset_mode=mode)
