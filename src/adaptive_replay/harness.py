@@ -563,12 +563,16 @@ def _aggregate_rl_metrics(spec: ExperimentSpec, outdir: Path, cells: list[tuple[
 
 def metrics_from_traces(paths, window: int = DEFAULT_WINDOW):
     """Compute one MetricsRow from trace CSVs forming a seed group: one env, one
-    mode and distinct seeds; other traces are rejected, naming each file."""
+    mode, distinct seeds and one evaluation schedule; other traces are rejected,
+    naming each file."""
     traces = [read_trace(Path(p)) for p in paths]
     seeds = [t["seed"] for t in traces]
     if len({(t["env"], t["mode"]) for t in traces}) > 1 or len(set(seeds)) < len(seeds):
         files = "; ".join(f"{p}: {t['env']}/{t['mode']} seed {t['seed']}" for p, t in zip(paths, traces))
         raise ValueError(f"traces are not one seed group (one env and mode, distinct seeds): {files}")
+    if len({len(t["steps"]) for t in traces}) > 1:
+        files = "; ".join(f"{p}: {len(t['steps'])} points" for p, t in zip(paths, traces))
+        raise ValueError(f"traces must share the evaluation schedule: {files}")
     return compute_metrics(
         [t["steps"] for t in traces], [t["returns"] for t in traces], window=window
     )

@@ -9,6 +9,7 @@ either no file or a whole one.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -102,11 +103,25 @@ def write_trace(path: Path, trace: TrainingTrace, config_echo: Mapping[str, str]
     write_atomic(path, csv_text(TRACE_SCHEMA, TRACE_HEADER, rows, metadata))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# Per trace column: its parser and, for the error, what its cells must be.
+_INT, _TEXT, _FINITE = (int, "an int"), (str, "text"), (_finite_float, "a finite float")
+_PROBE = (lambda text: float(text) if text else math.nan, "empty or a float")
+_TRACE_FIELDS = (_INT, _TEXT, _TEXT, _INT, _FINITE, _PROBE, _FINITE, _INT)
+
+
 def read_trace(path: Path) -> dict:
-    """Parse a trace CSV back into arrays (missing probes become nan)."""
+    """Parse a trace CSV back into arrays (missing probes become nan); a cell its
+    column cannot hold is rejected, naming the file, the line and the column."""
     meta: dict[str, str] = {}
     rows = []
-    width = len(TRACE_HEADER.split(","))
+    names = TRACE_HEADER.split(",")
     header_seen = False
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
@@ -121,22 +136,30 @@ def read_trace(path: Path) -> dict:
             header_seen = True
             continue
         if line:
-            row = line.split(",")
-            if len(row) != width:
-                raise ValueError(f"trace {path} line {number}: expected {width} fields, got {len(row)}")
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise ValueError(f"trace {path} line {number}: expected {len(names)} fields, got {len(cells)}")
+            row = []
+            for name, cell, (parse, kind) in zip(names, cells, _TRACE_FIELDS):
+                try:
+                    row.append(parse(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"trace {path} line {number}: {name} must be {kind}, got {cell!r}"
+                    ) from None
             rows.append(row)
     if not rows:
         raise ValueError(f"trace {path} contains no rows")
     return {
         "meta": meta,
-        "seed": int(rows[0][0]),
+        "seed": rows[0][0],
         "mode": rows[0][1],
         "env": rows[0][2],
-        "steps": np.array([int(r[3]) for r in rows], dtype=np.int64),
-        "returns": np.array([float(r[4]) for r in rows]),
-        "probes": np.array([float(r[5]) if r[5] else np.nan for r in rows]),
-        "entropies": np.array([float(r[6]) for r in rows]),
-        "reset_counts": np.array([int(r[7]) for r in rows], dtype=np.int64),
+        "steps": np.array([r[3] for r in rows], dtype=np.int64),
+        "returns": np.array([r[4] for r in rows]),
+        "probes": np.array([r[5] for r in rows]),
+        "entropies": np.array([r[6] for r in rows]),
+        "reset_counts": np.array([r[7] for r in rows], dtype=np.int64),
     }
 
 

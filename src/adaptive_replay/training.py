@@ -2,21 +2,20 @@
 
 One loop over updates runs every mode.  Each update draws its slots in one
 store call (``WeightedStore.draw``) and takes one bias-corrected replay
-gradient step (plain gradient ascent on the logits); the modes differ in
-how slots are scored and when episodes are collected:
+gradient step (plain gradient ascent on the logits); after every
+``updates_per_episode``-th update a fresh episode overwrites the oldest
+slot.  The modes differ only in their resolved sampler and slot scores:
 
 ``adaptive``
     Each update samples under the learned FTRL distribution and feeds the
     realized squared-gradient losses back into the accumulators in one call
     (``WeightedStore.update_scores``), resetting them every ``reset_period``
-    updates.  After every ``updates_per_episode``-th update a fresh episode
-    overwrites the oldest slot, as in every mode.
+    updates.
 ``adaptive_epoch``
-    Epoch variant: before the first update of each epoch of
-    ``updates_per_episode`` updates, collect one episode and zero the
-    accumulators.  Its resolved sampler has no periodic reset: its reset
-    period, ``total_steps + 1``, lies past the last update.  The per-episode
-    update count must stay below ``buffer_capacity / batch_size``.
+    ``adaptive`` with a hard reset at each collection: its resolved sampler
+    zeroes the accumulators every ``updates_per_episode`` updates, just
+    before that update's episode is collected.  The per-episode update count
+    must stay below ``buffer_capacity / batch_size``.
 ``uniform``
     The ``adaptive`` schedule with the uniform-mixing coefficient forced to
     1, which fixes the sampling distribution to uniform throughout.
@@ -107,10 +106,11 @@ class TrainingConfig:
 
     def resolved_sampler(self) -> SamplerConfig:
         """The sampler config the run uses, the one place a mode changes it: ``uniform``
-        mixes fully, ``td_priority`` not at all; ``adaptive_epoch`` never resets."""
+        mixes fully, ``td_priority`` not at all; ``adaptive_epoch`` resets hard at
+        each collection, every ``updates_per_episode`` updates."""
         base = self.sampler or SamplerConfig(capacity=self.buffer_capacity)
         changes = {"uniform": {"kappa": 1.0}, "td_priority": {"kappa": 0.0},
-                   "adaptive_epoch": {"reset_period": self.total_steps + 1}}
+                   "adaptive_epoch": {"reset_mode": "hard", "reset_period": self.updates_per_episode}}
         return replace(base, **changes.get(self.selection_mode, {}))
 
     def hash(self, env_name: str) -> str:
@@ -169,10 +169,6 @@ class _AccumulatorStrategy:
         if self.sampler.maybe_reset():
             self.store.rebuild_index(self.sampler)
 
-    def epoch_reset(self) -> None:
-        self.sampler.clear()
-        self.store.rebuild_index(self.sampler)
-
 
 class _TDPriorityStrategy:
     """Proportional prioritization by summed |one-step TD error| per trajectory:
@@ -230,13 +226,9 @@ def run_training(env: TabularEnv, config: TrainingConfig) -> TrainingTrace:
     # Warm-up episodes past the capacity already evict, one insert each.
     for _ in range((config.warmup_episodes or config.buffer_capacity) - config.buffer_capacity):
         state.collect_episode()
-    epochs, every = config.selection_mode == "adaptive_epoch", config.updates_per_episode
     for t in range(1, config.total_steps + 1):
-        if epochs and (t - 1) % every == 0:
-            state.collect_episode()
-            state.strategy.epoch_reset()
         state.update_policy()
-        if not epochs and t % every == 0:
+        if t % config.updates_per_episode == 0:
             state.collect_episode()
         state.maybe_eval(t)
     state.flush_rows()

@@ -657,6 +657,41 @@ class TestTraceRoundtrip:
         with pytest.raises(ValueError, match=message):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "column, cell, kind",
+        [
+            ("seed", "1.5", "an int"),
+            ("step", "26.5", "an int"),
+            ("reset_count", "x", "an int"),
+            ("episodic_test_return", "nan", "a finite float"),
+            ("episodic_test_return", "inf", "a finite float"),
+            ("p_entropy", "-inf", "a finite float"),
+            ("p_entropy", "", "a finite float"),
+            ("variance_probe", "abc", "empty or a float"),
+        ],
+    )
+    def test_bad_cell_rejected_by_file_line_and_column(self, tmp_path, column, cell, kind):
+        cells = dict(zip(TRACE_HEADER.split(","), "1,uniform,chain5,12,0.5,,1.2,0".split(",")))
+        good = ",".join(cells.values())
+        cells[column] = cell
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# schema={TRACE_SCHEMA}\n{TRACE_HEADER}\n{good}\n{','.join(cells.values())}\n")
+        with pytest.raises(ValueError) as error:
+            read_trace(path)
+        assert str(error.value) == f"trace {path} line 4: {column} must be {kind}, got {cell!r}"
+
+    def test_schedule_mismatch_names_each_file_with_its_points(self, tmp_path):
+        paths = []
+        for seed, points in ((1, 6), (2, 5)):
+            rows = "".join(f"{seed},uniform,chain5,{10 * i},0.5,,1.0,0\n" for i in range(1, points + 1))
+            paths.append(tmp_path / f"seed{seed}.csv")
+            paths[-1].write_text(f"{TRACE_HEADER}\n{rows}")
+        with pytest.raises(ValueError) as error:
+            metrics_from_traces(paths, window=3)
+        assert str(error.value) == (
+            f"traces must share the evaluation schedule: {paths[0]}: 6 points; {paths[1]}: 5 points"
+        )
+
     def test_metrics_from_traces(self, tmp_path):
         spec = rl_spec(seeds=(1, 2), modes=("uniform",))
         run_suite(spec, out=str(tmp_path))
@@ -835,6 +870,24 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err == f"adaptive-replay metrics: error: trace {trace} line 2: expected 8 fields, got 4\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,uniform,chain5,26.5,0.5,,1.0,0", "step must be an int, got '26.5'"),
+            ("1,uniform,chain5,12,nan,,1.0,0", "episodic_test_return must be a finite float, got 'nan'"),
+            ("1,uniform,chain5,12,inf,,1.0,0", "episodic_test_return must be a finite float, got 'inf'"),
+        ],
+        ids=["fractional-step", "nan-return", "inf-return"],
+    )
+    def test_metrics_rejects_bad_trace_values(self, tmp_path, capsys, row, message):
+        # These once exited 2 naming no file, or printed an empty or inf row and exited 0.
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"{TRACE_HEADER}\n{row}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(trace), "--window", "3"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"adaptive-replay metrics: error: trace {trace} line 2: {message}\n"
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_metrics_rejects_bad_window(self, tmp_path, value, capsys):

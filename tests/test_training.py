@@ -1,8 +1,11 @@
 """Training loops: schema, mode semantics, equivalences, and sanity directions."""
 
+import ast
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,20 +36,20 @@ def bandit_config(mode, seed, **overrides):
 # Recorded trace digests (chain5): the mid-epoch stop run below and, per
 # mode, a run with evictions, resets and probes.  Any change to a loop's
 # draws, write order or arithmetic moves them.
-EPOCH_STOP_DIGEST = "5aff6a034a8725b747052a2e4086b962b115ec9ace2b5c8812d14f3118565fd4"
+EPOCH_STOP_DIGEST = "3167db49f73a2b5b2dac053087d5a3a0ba3d81fa7a186fd0205c8abef054d892"
 RECORDED_DIGESTS = {
     "uniform": "e1d7b94d7003cde534ce4c99bf183723ee7494efd5c935a7dd9b17dc47aaf77a",
     "td_priority": "adda8b7f6d198b02ab85b0be41ee19e9796c0ca94f75ee1410257eaee64c7ecc",
     "adaptive": "e55ddbd28fc76b244d98ba4076fc9fde3615e94891590bda696d374f709c8310",
-    "adaptive_epoch": "536efff008a20998786d373ecaa490de8668131b3d6c118964f0491a200e48be",
+    "adaptive_epoch": "4b5cba02b60bf2cd9a6d30fc3fb0bc71632a159bf2435852d6333df83cc260fc",
 }
 # The same runs collecting once every three updates, which pins where the
-# loop collects: after every third update, or before each epoch's first.
+# loop collects in every mode: after every third update.
 RECORDED_DIGESTS_EVERY_3 = {
     "uniform": "1a2b62d25ce442ec5d08afff08b67fa43e3335116778c53ffc3254a67afa2e15",
     "td_priority": "baf85110d75c49a94218ac651c020ea0ee2ed1f5ad5fbb4998cef92c48069bc1",
     "adaptive": "9dbf660137e2209d5b46500ea15ae73d77ecaf262bae37d054c53a0a1fcb0b99",
-    "adaptive_epoch": "ecce3ef829d8ead563bc0b9ca9a9c5666d2fdd6642c528b109ceea07fd1b4ee1",
+    "adaptive_epoch": "6865eac6c6311c980159189d866ec898af56fc60af17fda04d90453cd3ce85df",
 }
 RECORDED_CASES = [
     pytest.param(mode, 2 if mode == "adaptive_epoch" else 1, RECORDED_DIGESTS[mode], id=mode)
@@ -55,6 +58,30 @@ RECORDED_CASES = [
     pytest.param(mode, 3, digest, id=f"{mode}-every3")
     for mode, digest in RECORDED_DIGESTS_EVERY_3.items()
 ]
+
+
+# Paired runs of two modes on one seed: short, with resets, evictions and probes.
+PAIR_ENVS = {
+    "chain5": lambda: chain_env(5),
+    "gridworld4x4": lambda: gridworld_env(4, 4),
+    "two_state_bandit": two_state_bandit_env,
+}
+PAIR_SAMPLER = SamplerConfig(capacity=16, reset_period=25, reset_mode="soft", kappa=0.1)
+
+
+def pair_config(mode, seed, every, sampler):
+    return bandit_config(
+        mode, seed, total_steps=60, eval_every=10, probe_every=20, probe_repeats=20,
+        updates_per_episode=every, sampler=sampler,
+    )
+
+
+def assert_same_arrays(a, b, skip=None):
+    """Every trace array (NaN probe rows included) and ``ratio_cap_hits`` agree."""
+    assert a.ratio_cap_hits == b.ratio_cap_hits
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray) and name != skip:
+            np.testing.assert_array_equal(value, getattr(b, name), err_msg=name)
 
 
 def trace_digest(trace):
@@ -158,13 +185,14 @@ class TestConfigValidation:
     def test_each_mode_fixes_its_mixture_weight_in_the_resolved_sampler(self, mode, kappa):
         config = TrainingConfig(
             total_steps=10, batch_size=2, buffer_capacity=8, selection_mode=mode,
-            sampler=SamplerConfig(capacity=8, kappa=0.3),
+            sampler=SamplerConfig(capacity=8, kappa=0.3, reset_mode="soft"),
         )
         assert config.resolved_sampler().kappa == kappa
         assert config.sampler.kappa == 0.3
-        # adaptive_epoch's sampler counts at most total_steps steps, so it never resets.
-        period = 11 if mode == "adaptive_epoch" else config.sampler.reset_period
-        assert config.resolved_sampler().reset_period == period
+        # adaptive_epoch resets hard at each collection, every updates_per_episode updates.
+        epoch = mode == "adaptive_epoch"
+        assert config.resolved_sampler().reset_period == (1 if epoch else config.sampler.reset_period)
+        assert config.resolved_sampler().reset_mode == ("hard" if epoch else config.sampler.reset_mode)
 
 
 class TestTraceSchema:
@@ -218,7 +246,8 @@ class TestModeSemantics:
         np.testing.assert_allclose(trace.entropies, 0.0, atol=1e-12)
 
     def test_epoch_loop_stops_inside_an_epoch(self, monkeypatch):
-        # 10 updates at 3 per episode: the fourth epoch ends after one update.
+        # 10 updates at 3 per episode: three epochs end in a collect, and the
+        # fourth stops after one update, before its collect.
         counts, evals = Counter(), []
         count_calls(monkeypatch, counts, training._LoopState, "collect_episode")
         count_calls(monkeypatch, counts, training._LoopState, "update_policy")
@@ -235,7 +264,8 @@ class TestModeSemantics:
         trace = run_training(chain_env(5), config)
         assert evals == [4, 8, 10]
         assert counts["update_policy"] == 10
-        assert counts["collect_episode"] == math.ceil(10 / 3)
+        assert counts["collect_episode"] == 10 // 3
+        assert trace.reset_counts.tolist() == [1, 2, 3]
         assert trace_digest(trace) == EPOCH_STOP_DIGEST
 
     def test_periodic_resets_counted(self):
@@ -247,7 +277,7 @@ class TestModeSemantics:
     def test_epoch_mode_matches_uniform_when_fully_mixed(self):
         # With full uniform mixing the accumulators cannot influence sampling,
         # so the epoch-reset variant and the uniform baseline are the same
-        # algorithm up to collection order; paired seeds must agree closely.
+        # algorithm; paired seeds must agree closely.
         env = two_state_bandit_env()
         diffs = []
         for seed in (2, 20, 200, 2000, 20000):
@@ -264,6 +294,33 @@ class TestModeSemantics:
             diffs.append(epoch.final_return - uniform.final_return)
         assert abs(np.mean(diffs)) <= 0.05
         assert np.max(np.abs(diffs)) <= 0.2
+
+    @pytest.mark.parametrize("every", (1, 2, 3))
+    @pytest.mark.parametrize("env_name", sorted(PAIR_ENVS))
+    def test_epoch_mode_is_adaptive_with_a_hard_reset_at_each_collection(self, env_name, every):
+        env = PAIR_ENVS[env_name]()
+        hard = replace(PAIR_SAMPLER, reset_mode="hard", reset_period=every)
+        for seed in range(5):
+            epoch = run_training(env, pair_config("adaptive_epoch", seed, every, PAIR_SAMPLER))
+            adaptive = run_training(env, pair_config("adaptive", seed, every, hard))
+            assert_same_arrays(epoch, adaptive)
+
+    @pytest.mark.parametrize("every", (1, 2, 3))
+    @pytest.mark.parametrize("env_name", sorted(PAIR_ENVS))
+    def test_fully_mixed_epoch_mode_is_uniform_but_for_its_resets(self, env_name, every):
+        env = PAIR_ENVS[env_name]()
+        mixed = replace(PAIR_SAMPLER, kappa=1.0)
+        for seed in range(5):
+            epoch = run_training(env, pair_config("adaptive_epoch", seed, every, mixed))
+            uniform = run_training(env, pair_config("uniform", seed, every, mixed))
+            assert_same_arrays(epoch, uniform, skip="reset_counts")
+
+    def test_epoch_resets_are_counted(self):
+        trace = run_training(
+            two_state_bandit_env(), bandit_config("adaptive_epoch", seed=4, updates_per_episode=3)
+        )
+        assert trace.reset_counts[-1] == 300 // 3
+        assert trace.reset_counts.tolist() == [t // 3 for t in range(50, 301, 50)]
 
 
 class TestPolicyImprovement:
@@ -391,7 +448,7 @@ class TestReplayStepCost:
             single = ["set"] if capacity % block == 1 else []
             assert [name for name, leaves in fill if len(leaves) == 1] == single
             collects = phases["collect_episode"]
-            assert len(collects) == math.ceil(config.total_steps / config.updates_per_episode)
+            assert len(collects) == config.total_steps // config.updates_per_episode
             assert all(
                 len(calls) == 1 and calls[0][0] == "set" and len(calls[0][1]) == 1
                 for calls in collects
@@ -541,3 +598,50 @@ class TestNoMidRunUnderflow:
         status = run_suite(spec, out=str(tmp_path))
         assert sorted(p.name for p in tmp_path.glob("*.FAILED")) == []
         assert status == 0
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptive_replay"
+# A mode acts through its resolved sampler and its strategy, both chosen here.
+MODE_READERS = ("TrainingConfig", "_LoopState.__init__")
+
+
+def mode_reads(source):
+    """(scope, line) of each ``.selection_mode`` read in ``source``; the scope is the
+    dotted names of the enclosing classes and functions ("" at module level)."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "selection_mode":
+                reads.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return reads
+
+
+def test_only_the_config_and_the_loop_set_up_read_the_mode():
+    # No loop phase branches on the mode, so a new mode cannot add a schedule.
+    reads = {path.name: mode_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    outside = {
+        name: [(scope, line) for scope, line in found
+               if not any(scope == r or scope.startswith(r + ".") for r in MODE_READERS)]
+        for name, found in reads.items()
+    }
+    assert {name: found for name, found in outside.items() if found} == {}
+    assert {scope for scope, _ in reads["training.py"]} >= {
+        "TrainingConfig.resolved_sampler", "_LoopState.__init__"
+    }
+
+
+def test_mode_reads_names_each_scope():
+    source = (
+        "m = c.selection_mode\n"
+        "class A:\n    def f(self):\n        return self.config.selection_mode\n"
+        "def g(c):\n    def h():\n        return c.selection_mode == 'x'\n"
+        "selection_mode = 1\n"
+    )
+    assert mode_reads(source) == [("", 1), ("A.f", 4), ("g.h", 7)]
