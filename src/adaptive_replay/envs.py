@@ -120,7 +120,9 @@ class TabularEnv:
         ``TrajectoryBatch.write`` assigns into a store row as they are.
 
         Actions come from the policy's cached tables: the greedy action, or
-        ``bisect_right(cdfs[s], rng.random())``.  Start states and
+        ``bisect_right(cdfs[s], rng.random())``.  Neither picks an action of
+        probability 0, so every recorded behavior probability is positive
+        and an importance ratio never divides by 0.  Start states and
         stochastic transitions are drawn the same way, by inverse CDF; each
         such draw takes one ``rng.random()`` and picks the index
         ``rng.choice(n, p=row)`` would pick from it.

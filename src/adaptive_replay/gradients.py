@@ -131,3 +131,12 @@ def gradient_variance(grads: TrajectoryGradients, p, batch: int, repeats: int, r
     draws = rng.choice(n, size=(repeats, batch), p=p)
     estimates = replay_gradient(grads.omega, grads.g, p, n, draws)
     return float(estimates.var(axis=0, ddof=1).sum())
+
+
+def paired_gradient_variance(grads: TrajectoryGradients, p, batch: int, repeats: int, seed):
+    """:func:`gradient_variance` under ``p``, then under uniform, each from its own
+    ``default_rng(seed)``: one probe stream, so only the distribution differs."""
+    uniform = np.full(len(p), 1.0 / len(p))
+    return tuple(
+        gradient_variance(grads, q, batch, repeats, np.random.default_rng(seed)) for q in (p, uniform)
+    )

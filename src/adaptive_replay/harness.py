@@ -285,11 +285,14 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
     cells complete.  A failed cell leaves a ``<cell>.FAILED`` marker with the
     traceback and flips the exit status to 1, but other cells still run; a
     failed rl aggregation leaves ``metrics.FAILED`` the same way.  A rerun
-    into the same directory removes the markers its successes supersede.
+    into the same directory removes the markers its successes supersede, and
+    the earlier manifest before its first cell.
     """
     outdir = resolve_output_dir(spec.output_dir, out)
     outdir.mkdir(parents=True, exist_ok=True)
     cells = _build_cells(spec)
+    # Written last, so a run killed partway leaves none describing other files.
+    (outdir / "manifest.json").unlink(missing_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_cell, [(spec, outdir, cell) for cell in cells]))

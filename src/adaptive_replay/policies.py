@@ -2,10 +2,9 @@
 
 One implementation covers both families: logits are linear in fixed state
 features, ``logits(s) = features[s] @ weights``, and the tabular policy is the
-identity-features case (one logit per state-action pair).  Every action gets
-strictly positive probability.  The score function of a step,
-``grad log pi(a|s) = features[s] (x) (onehot(a) - pi(s))``, is produced for
-whole batches of steps by :meth:`LinearSoftmaxPolicy.scores`, in flat
+identity-features case (one logit per state-action pair).  The score function
+of a step, ``grad log pi(a|s) = features[s] (x) (onehot(a) - pi(s))``, is
+produced for whole batches of steps by :meth:`LinearSoftmaxPolicy.scores`, in flat
 parameter coordinates, so trajectory-level gradients are segment sums.  On a
 replay step's small batch (a few dozen steps) the cost is numpy's calls, not
 arithmetic, so the tabular policy builds its rows with fewer: it places each
@@ -36,12 +35,14 @@ def cdf_rows(probs: np.ndarray) -> list:
 
 
 class PolicyTables(NamedTuple):
-    """Everything derived from one parameter setting; every probability in ``(0, 1]``.
+    """Everything derived from one parameter setting; every probability in ``[0, 1]``.
 
     ``probs`` and ``log_probs`` are read-only ``(n_states, n_actions)``
     arrays.  The rest are Python lists for per-step rollouts:
     ``prob_rows[s][a] = pi(a|s)``, ``cdfs[s]`` is the :func:`cdf_rows` row
     of ``probs[s]`` and ``greedy[s]`` the index of the largest logit of ``s``.
+    A probability that underflowed to 0 (a -inf logit or a gap past ~745) is
+    never drawn: its ``cdfs`` entry equals the one before it (or 0).
     """
 
     probs: np.ndarray
@@ -99,10 +100,6 @@ class LinearSoftmaxPolicy:
             e = np.exp(z)
             total = e.sum(axis=1, keepdims=True)
             probs = e / total
-            # Rollouts record these as behavior probabilities, which importance
-            # ratios divide by; a -inf logit or a gap past ~745 gives a 0.
-            if not probs.min() > 0:
-                raise ValueError("policy probabilities must lie in (0, 1]: one underflowed to 0")
             log_probs = z - np.log(total)
             probs.flags.writeable = log_probs.flags.writeable = False
             self._cache = PolicyTables(

@@ -118,7 +118,8 @@ _TRACE_FIELDS = (_INT, _TEXT, _TEXT, _INT, _FINITE, _PROBE, _FINITE, _INT)
 
 def read_trace(path: Path) -> dict:
     """Parse a trace CSV back into arrays (missing probes become nan); a cell its
-    column cannot hold is rejected, naming the file, the line and the column."""
+    column cannot hold, a row of another seed, mode or env than the first, and a
+    step smaller than the one before are rejected, naming the file and the line."""
     meta: dict[str, str] = {}
     rows = []
     names = TRACE_HEADER.split(",")
@@ -147,6 +148,16 @@ def read_trace(path: Path) -> dict:
                     raise ValueError(
                         f"trace {path} line {number}: {name} must be {kind}, got {cell!r}"
                     ) from None
+            if rows and row[:3] != rows[0][:3]:
+                raise ValueError(
+                    f"trace {path} line {number}: seed, mode and env {tuple(row[:3])} "
+                    f"differ from the first row's {tuple(rows[0][:3])}"
+                )
+            if rows and row[3] < rows[-1][3]:
+                raise ValueError(
+                    f"trace {path} line {number}: step {row[3]} is smaller than "
+                    f"the previous row's {rows[-1][3]}"
+                )
             rows.append(row)
     if not rows:
         raise ValueError(f"trace {path} contains no rows")

@@ -65,9 +65,10 @@ class Episode:
 
     This is the one record layout: stores, estimators and the loss-bound
     check all read its five lists.  A rollout's episode needs no checks, as
-    they hold by construction: the policy tables reject a probability
-    outside ``(0, 1]`` and the env rejects a non-finite reward, each once,
-    when it is built.  Hand-built records go through :class:`Trajectory`.
+    they hold by construction: a rollout never draws an action of
+    probability 0, so it records probabilities in ``(0, 1]``, and the env
+    rejects a non-finite reward once, when it is built.  Hand-built records
+    go through :class:`Trajectory`.
     """
 
     __slots__ = tuple(_COLUMNS)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import gradient_variance, trajectory_gradients
+from .gradients import paired_gradient_variance, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import Trajectory, WeightedStore
@@ -130,9 +130,8 @@ def learned_vs_uniform_variance(
         store.update_scores(sampler, slots, grads.d[slots], p)
     spread = float(np.log10(grads.d.max() / grads.d.min()))
     probe_seed = int(np.random.default_rng(probe_ss).integers(2**63))
-    var_learned, var_uniform = (
-        gradient_variance(grads, p, batch, repeats, np.random.default_rng(probe_seed))
-        for p in (store.probabilities(np.arange(capacity)), np.full(capacity, 1.0 / capacity))
+    var_learned, var_uniform = paired_gradient_variance(
+        grads, store.probabilities(np.arange(capacity)), batch, repeats, probe_seed
     )
     return VarianceComparison(
         seed=int(seed),

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .envs import TabularEnv
-from .gradients import RATIO_LOG_CAP, gradient_variance, replay_gradient, trajectory_gradients
+from .gradients import RATIO_LOG_CAP, paired_gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import WeightedStore
@@ -294,18 +294,12 @@ class _LoopState:
         p = self.store.probabilities(np.arange(n))
         probe = probe_uniform = np.nan
         if cfg.probe_every and update_index % cfg.probe_every == 0:
-            # Paired probe: identical frozen state, gradient terms and probe
-            # stream, only the sampling distribution differs.
             seed = self.probe_rng.integers(2**63)
             grads = trajectory_gradients(
                 self.store, self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
             )
-            probe, probe_uniform = (
-                gradient_variance(
-                    grads, p_choice, cfg.batch_size, cfg.probe_repeats,
-                    np.random.default_rng(seed),
-                )
-                for p_choice in (p, np.full(n, 1.0 / n))
+            probe, probe_uniform = paired_gradient_variance(
+                grads, p, cfg.batch_size, cfg.probe_repeats, seed
             )
         entropy = float(-(p * np.log(p)).sum())
         self._rows.append(

@@ -233,14 +233,18 @@ class TestCachedPolicyTables:
         with pytest.raises(ValueError, match="probabilities are not finite"):
             env.rollout(policy, np.random.default_rng(0))
 
-    def test_underflowed_probability_rejected_by_name(self):
-        # A logit gap past ~745 makes exp underflow, so a probability is 0.
+    def test_underflowed_probability_is_never_recorded(self):
+        # A logit gap past ~745 makes exp underflow, so action 0 has probability
+        # 0: the table builds, and no greedy or sampled step takes that action.
         env = chain_env(5)
         policy = TabularSoftmaxPolicy(5, 2, logits=np.tile([0.0, 800.0], (5, 1)))
-        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
-            policy.tables()
-        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
-            env.rollout(policy, np.random.default_rng(0), greedy=True)
+        assert policy.prob_table()[:, 0].tolist() == [0.0] * 5
+        rng = np.random.default_rng(0)
+        for greedy in (False, True):
+            for _ in range(100):
+                episode = env.rollout(policy, rng, greedy=greedy)
+                assert episode.actions == [1] * 4
+                assert episode.behavior_probs == [1.0] * 4
 
 
 class TestGridworld:

@@ -6,6 +6,7 @@ import pytest
 from adaptive_replay import gradients
 from adaptive_replay.gradients import (
     gradient_variance,
+    paired_gradient_variance,
     replay_gradient,
     trajectory_gradients,
     trajectory_return,
@@ -80,6 +81,24 @@ class TestImportanceRatio:
         policy = TabularSoftmaxPolicy(1, 2)  # target prob 0.5 everywhere
         traj = traj_from([0, 0, 0], [0, 0, 0], [0.25, 0.25, 0.25], [0.0] * 3)
         assert importance_ratio(traj, policy) == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("gap", [800.0, np.inf], ids=["underflowed", "minus-inf-logit"])
+    def test_zero_target_probability_gives_zero_ratio(self, gap):
+        # Action 0 has probability 0 under the target: exp underflowed past a
+        # logit gap of ~745, or its logit is -inf.  A row that took it gets
+        # omega 0 and d 0; every term stays finite, with no warning.
+        target = TabularSoftmaxPolicy(2, 2, logits=np.tile([-gap, 0.0], (2, 1)))
+        assert (target.prob_table()[:, 0] == 0.0).all()
+        batch = TrajectoryBatch.of([
+            traj_from([0, 1], [1, 0], [0.5, 0.5], [1.0, 1.0]),
+            traj_from([0, 1], [1, 1], [0.5, 0.5], [1.0, 1.0]),
+            traj_from([1], [0], [0.25], [-1.0]),
+        ])
+        grads = trajectory_gradients(batch, target, 0.9)
+        np.testing.assert_array_equal(grads.omega, [0.0, 4.0, 0.0])
+        np.testing.assert_array_equal(grads.d[[0, 2]], [0.0, 0.0])
+        assert np.isfinite(grads.g).all() and np.isfinite(grads.d).all()
+        assert grads.cap_hits == 0
 
     def test_cap_activates_and_counts(self):
         policy = TabularSoftmaxPolicy(1, 2)
@@ -508,6 +527,23 @@ class TestEmpiricalVariance:
         value = gradient_variance(grads, p, batch, repeats, np.random.default_rng(15))
         assert calls == [(repeats, batch)]
         assert value == float(loop.var(axis=0, ddof=1).sum())
+
+    def test_paired_probe_is_two_fresh_streams(self):
+        # The pair is gradient_variance under p, then under uniform, each from
+        # its own default_rng(seed); a numpy integer seed gives the same bits.
+        rng = np.random.default_rng(16)
+        policy = random_policy(rng)
+        n = 8
+        store, sampler = self._filled_store(rng, n, policy)
+        grads = trajectory_gradients(store, policy, 0.9)
+        sampler.w[:] = grads.d * 50.0
+        p = sampler.distribution()
+        seed = np.random.default_rng(17).integers(2**63)
+        want = tuple(
+            gradient_variance(grads, q, 3, 40, np.random.default_rng(int(seed)))
+            for q in (p, np.full(n, 1.0 / n))
+        )
+        assert paired_gradient_variance(grads, p, 3, 40, seed) == want
 
     def test_requires_two_repeats(self):
         rng = np.random.default_rng(12)

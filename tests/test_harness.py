@@ -11,6 +11,7 @@ import pytest
 
 from adaptive_replay import cli, harness
 from adaptive_replay.bench import run_bench
+from adaptive_replay.envs import chain_env
 from adaptive_replay.cli import main as cli_main
 from adaptive_replay.harness import (
     _FAMILIES,
@@ -31,8 +32,10 @@ from adaptive_replay.reporting import (
     metrics_text,
     read_trace,
     write_atomic,
+    write_trace,
 )
 from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance, max_orders
+from adaptive_replay.training import TrainingConfig, run_training
 
 
 def write_spec(tmp_path, text):
@@ -568,6 +571,30 @@ class TestRunSuite:
         digests = json.loads((tmp_path / "manifest.json").read_text())["sha256"]
         assert set(digests) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
 
+    def test_killed_rerun_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
+        # A rerun at capacity 8 killed after its first cell: the capacity-16
+        # manifest would no longer match the cell file the rerun replaced.
+        def spec(capacity):
+            options = {"scenario": "stationary", "capacity": capacity, "horizons": (50, 100)}
+            return ExperimentSpec(family="regret_synthetic", seeds=(0, 1), options=options)
+
+        assert run_suite(spec(16), out=str(tmp_path)) == 0
+        first = tmp_path / "regret_stationary_base_T50_seed0.csv"
+        before = first.read_bytes()
+        execute, calls = harness._execute_cell, []
+
+        def killed_at_the_second_cell(args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return execute(args)
+
+        monkeypatch.setattr(harness, "_execute_cell", killed_at_the_second_cell)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(spec(8), out=str(tmp_path))
+        assert first.read_bytes() != before
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_rerun_replaces_the_other_metrics_outcome(self, tmp_path):
         good = rl_spec(seeds=(1,), modes=("uniform",))
         short = rl_spec(seeds=(1,), modes=("uniform",), total_steps=20, eval_every=5)
@@ -628,6 +655,9 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
+ROW_1 = "1,uniform,chain5,10,0.5,,1.0,0"  # a trace row of seed 1, uniform, chain5, step 10
+
+
 class TestTraceRoundtrip:
     def test_read_trace_recovers_arrays(self, tmp_path):
         spec = rl_spec(seeds=(3,), modes=("adaptive",), probe_every=10, probe_repeats=20)
@@ -649,6 +679,16 @@ class TestTraceRoundtrip:
                          id="no-rows"),
             pytest.param(f"# schema={TRACE_SCHEMA}\n{TRACE_HEADER}\n1,uniform,chain5,12\n",
                          "line 3: expected 8 fields, got 4", id="truncated-row"),
+            pytest.param(f"{TRACE_HEADER}\n{ROW_1}\n2,adaptive,gridworld4x4,5,0.5,,1.0,0\n",
+                         re.escape("line 3: seed, mode and env (2, 'adaptive', 'gridworld4x4') "
+                                   "differ from the first row's (1, 'uniform', 'chain5')"),
+                         id="two-runs"),
+            pytest.param(f"{TRACE_HEADER}\n{ROW_1}\n2,uniform,chain5,20,0.5,,1.0,0\n",
+                         re.escape("line 3: seed, mode and env (2, 'uniform', 'chain5') "
+                                   "differ from the first row's (1, 'uniform', 'chain5')"),
+                         id="other-seed"),
+            pytest.param(f"{TRACE_HEADER}\n{ROW_1}\n1,uniform,chain5,5,0.5,,1.0,0\n",
+                         "line 3: step 5 is smaller than the previous row's 10", id="step-back"),
         ],
     )
     def test_malformed_trace_rejected_by_message(self, tmp_path, text, message):
@@ -679,6 +719,19 @@ class TestTraceRoundtrip:
         with pytest.raises(ValueError) as error:
             read_trace(path)
         assert str(error.value) == f"trace {path} line 4: {column} must be {kind}, got {cell!r}"
+
+    def test_repeated_steps_round_trip(self, tmp_path):
+        # Several updates per collected episode leave the env-step count
+        # unchanged between evaluations, so equal steps are one run's rows.
+        config = TrainingConfig(
+            total_steps=12, batch_size=4, buffer_capacity=16, updates_per_episode=3, eval_every=1
+        )
+        trace = run_training(chain_env(5), config)
+        path = tmp_path / "trace.csv"
+        write_trace(path, trace)
+        steps = read_trace(path)["steps"]
+        assert (np.diff(steps) == 0).any() and (np.diff(steps) >= 0).all()
+        np.testing.assert_array_equal(steps, trace.steps)
 
     def test_schedule_mismatch_names_each_file_with_its_points(self, tmp_path):
         paths = []
@@ -870,6 +923,18 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err == f"adaptive-replay metrics: error: trace {trace} line 2: expected 8 fields, got 4\n"
+
+    def test_metrics_rejects_a_trace_of_two_runs(self, tmp_path, capsys):
+        trace = tmp_path / "mixed.csv"
+        trace.write_text(
+            f"{TRACE_HEADER}\n{ROW_1}\n2,adaptive,gridworld4x4,5,0.5,,1.0,0\n"
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["metrics", str(trace), "--window", "1"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            f"adaptive-replay metrics: error: trace {trace} line 3: seed, mode and env"
+        )
 
     @pytest.mark.parametrize(
         "row, message",

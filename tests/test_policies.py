@@ -1,5 +1,6 @@
 """Softmax policy families: probabilities, score functions, measured bounds."""
 
+import warnings
 from bisect import bisect_right
 from dataclasses import fields
 
@@ -135,20 +136,23 @@ class TestTabularSpecifics:
 
 
 def test_nan_is_named_before_an_underflow():
-    # One minimum test passes valid tables; on failure the NaN check still
-    # comes first, as when each check ran on its own.
+    # A NaN is named even beside a row whose softmax underflows to 0.
     policy = TabularSoftmaxPolicy(2, 2, logits=np.array([[np.nan, 0.0], [0.0, 800.0]]))
     with pytest.raises(ValueError, match="probabilities are not finite"):
         policy.tables()
 
 
-def test_infinite_logit_is_named_not_a_matmul_warning():
+def test_minus_inf_logit_is_a_zero_probability_not_a_matmul_warning():
     # The tabular logits are the weights themselves: an identity matmul would
-    # turn the -inf column NaN with a RuntimeWarning, which the suite makes an
-    # error.  The zero probability it gives is rejected by name.
+    # turn the -inf column NaN with a RuntimeWarning.  A -inf logit beside a
+    # finite one is a valid action of probability 0, which no draw lands on.
     policy = TabularSoftmaxPolicy(2, 2, logits=[[0.0, 1.0], [-np.inf, 0.0]])
-    with pytest.raises(ValueError, match=r"policy probabilities must lie in \(0, 1\]"):
-        policy.tables()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = policy.tables()
+    np.testing.assert_array_equal(table.probs[1], [0.0, 1.0])
+    np.testing.assert_array_equal(table.log_probs[1], [-np.inf, 0.0])
+    assert table.cdfs[1] == [0.0, 1.0]
 
 
 # Each would otherwise meet inf - inf or 0 * inf, whose RuntimeWarning the

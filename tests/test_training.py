@@ -571,7 +571,9 @@ class TestDeterminism:
 class TestNoMidRunUnderflow:
     """Stale trajectories kept long under random eviction grew importance ratios
     that pushed a logit past the softmax's underflow gap, and the run raised
-    partway through.  The oldest slot now goes first; these runs each died so."""
+    partway through.  The oldest slot now goes first; these runs each died so.
+    A large-ratio step can still push a gap past ~745, which gives a valid
+    probability of 0; the runs at the harness defaults below raised on it."""
 
     @pytest.mark.parametrize("mode, seed", [("adaptive", 972788408), ("uniform", 67),
                                             ("td_priority", 10)])
@@ -586,6 +588,23 @@ class TestNoMidRunUnderflow:
         )
         trace = run_training(gridworld_env(4, 4), config)
         assert len(trace.returns) == 16 and np.isfinite(trace.returns).all()
+
+    @pytest.mark.parametrize("mode, seed", [
+        ("uniform", 163), ("uniform", 195), ("td_priority", 5), ("td_priority", 8),
+        ("td_priority", 32), ("td_priority", 43), ("td_priority", 70),
+    ])
+    def test_harness_defaults_run_completes(self, mode, seed):
+        # The harness's [training] and [sampler] defaults, the seed set directly.
+        sampler = SamplerConfig(
+            capacity=16, nu=1000.0, kappa=0.1, reset_period=100, reset_mode="soft", rho=0.9
+        )
+        config = TrainingConfig(
+            total_steps=400, batch_size=4, buffer_capacity=16, learning_rate=0.2,
+            selection_mode=mode, seed=seed, eval_every=20, sampler=sampler,
+        )
+        trace = run_training(gridworld_env(4, 4), config)
+        assert len(trace.returns) == 20
+        assert np.isfinite(trace.returns).all() and np.isfinite(trace.entropies).all()
 
     @pytest.mark.slow
     def test_harness_defaults_scan_completes(self, tmp_path):
