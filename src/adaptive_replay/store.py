@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -171,7 +172,10 @@ class TrajectoryBatch:
         through the ``lengths`` mask, which visits the cells row by row, in the order
         the steps were chained; one trajectory too (a store's ``fill`` at ``writes``).
         """
-        lengths = np.fromiter(map(len, trajs), dtype=np.int64, count=len(trajs))
+        # ``len`` of each ``states`` list, all at C level: no ``Episode.__len__`` calls.
+        lengths = np.fromiter(
+            map(len, map(attrgetter("states"), trajs)), dtype=np.int64, count=len(trajs)
+        )
         self._widen(int(lengths.max(initial=0)))
         mask = np.arange(self.width) < lengths[:, None]
         steps = int(lengths.sum())
@@ -272,11 +276,12 @@ class WeightedStore(TrajectoryBatch):
             raise NotReadyError(
                 f"buffer holds {self.occupancy}/{self.capacity} trajectories; warm up first"
             )
-        out = np.empty(batch, dtype=np.int64)
         uniform = rng.random(batch) < self.kappa
         n_uniform = np.count_nonzero(uniform)  # a third of ``uniform.sum()``'s cost
-        if n_uniform:
-            out[uniform] = rng.integers(0, self.capacity, n_uniform)
+        if not n_uniform:  # every td_priority draw: no mask to build or assign through
+            return self.tree.sample(rng.random(batch) * self.tree.total)
+        out = np.empty(batch, dtype=np.int64)
+        out[uniform] = rng.integers(0, self.capacity, n_uniform)
         n_prop = batch - n_uniform
         if n_prop:
             out[~uniform] = self.tree.sample(rng.random(n_prop) * self.tree.total)

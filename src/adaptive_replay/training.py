@@ -172,28 +172,35 @@ class _AccumulatorStrategy:
 
 class _TDPriorityStrategy:
     """Proportional prioritization by summed |one-step TD error| per trajectory:
-    leaves hold ``(priority + eps) ** exponent``, sampled with no uniform mixing."""
+    leaves hold ``(priority + eps) ** exponent``, sampled with no uniform mixing.
+
+    The env is read once, here: the discount and the terminal flags are kept,
+    with the values, as Python floats and lists, so a sweep makes no call on
+    the env (a delegating wrapper's ``__getattr__`` each) and no numpy-scalar
+    arithmetic.  Python floats are IEEE doubles, as float64 scalars are, so
+    the values and priorities keep their bits."""
 
     exponent = 0.6
     eps = 1e-6
 
     def __init__(self, store: WeightedStore, env: TabularEnv, learning_rate: float):
         self.store = store
-        self.env = env
-        self.values = np.zeros(env.n_states)
+        self.gamma = float(env.gamma)
+        self.terminal = env.terminal.tolist()
+        self.values = [0.0] * env.n_states
         self.learning_rate = learning_rate
 
     def _scores(self, priorities: list[float]) -> np.ndarray:
         return (np.array(priorities) + self.eps) ** self.exponent
 
     def _sweep(self, states, rewards, next_states, learn: bool) -> float:
+        gamma, terminal, values, lr = self.gamma, self.terminal, self.values, self.learning_rate
         total = 0.0
-        gamma = self.env.gamma
         for s, r, s_next in zip(states, rewards, next_states):
-            bootstrap = 0.0 if self.env.terminal[s_next] else self.values[s_next]
-            delta = r + gamma * bootstrap - self.values[s]
+            bootstrap = 0.0 if terminal[s_next] else values[s_next]
+            delta = r + gamma * bootstrap - values[s]
             if learn:
-                self.values[s] += self.learning_rate * delta
+                values[s] += lr * delta
             total += abs(delta)
         return total
 
@@ -207,14 +214,15 @@ class _TDPriorityStrategy:
     def after_update(self, unique_slots, d, p_used) -> None:
         store = self.store
         slots = np.asarray(unique_slots, dtype=np.int64)
+        rows = zip(
+            store.states[slots].tolist(),
+            store.rewards[slots].tolist(),
+            store.next_states[slots].tolist(),
+            store.lengths[slots].tolist(),
+        )
         priorities = [
-            self._sweep(
-                store.states[i, :n].tolist(),
-                store.rewards[i, :n].tolist(),
-                store.next_states[i, :n].tolist(),
-                learn=True,
-            )
-            for i, n in zip(slots.tolist(), store.lengths[slots].tolist())
+            self._sweep(states[:n], rewards[:n], next_states[:n], learn=True)
+            for states, rewards, next_states, n in rows
         ]
         store.set_scores(slots, self._scores(priorities))
 
@@ -242,7 +250,9 @@ class _LoopState:
         self.rng, self.eval_rng, self.probe_rng = (
             np.random.default_rng(ss) for ss in np.random.SeedSequence(config.seed).spawn(3)
         )
+        # After this, the loop calls only ``rollout`` and ``evaluate`` on the env.
         self.env = env
+        self.gamma = env.gamma
         self.config = config
         self.policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
         self.sampler = SamplerState(config.resolved_sampler())
@@ -266,8 +276,8 @@ class _LoopState:
                 self.env.rollout(self.policy, self.rng)
                 for _ in range(min(FILL_BLOCK, capacity - lo))
             ]
-            self.env_steps += sum(map(len, block))
             self.store.fill(block, self.sampler, self.strategy.scores(block))
+        self.env_steps += int(self.store.lengths.sum())  # every slot written once, just now
 
     def collect_episode(self) -> None:
         episode = self.env.rollout(self.policy, self.rng)
@@ -280,7 +290,7 @@ class _LoopState:
         cfg = self.config
         unique, drawn, p_unique = self.store.draw(cfg.batch_size, self.rng)
         grads = trajectory_gradients(
-            self.store.take(unique), self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
+            self.store.take(unique), self.policy, self.gamma, log_cap=cfg.ratio_log_cap
         )
         self.trace.ratio_cap_hits += grads.cap_hits
         grad = replay_gradient(grads.omega, grads.g, p_unique, self.store.capacity, drawn)
@@ -296,7 +306,7 @@ class _LoopState:
         if cfg.probe_every and update_index % cfg.probe_every == 0:
             seed = self.probe_rng.integers(2**63)
             grads = trajectory_gradients(
-                self.store, self.policy, self.env.gamma, log_cap=cfg.ratio_log_cap
+                self.store, self.policy, self.gamma, log_cap=cfg.ratio_log_cap
             )
             probe, probe_uniform = paired_gradient_variance(
                 grads, p, cfg.batch_size, cfg.probe_repeats, seed

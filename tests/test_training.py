@@ -51,12 +51,23 @@ RECORDED_DIGESTS_EVERY_3 = {
     "adaptive": "9dbf660137e2209d5b46500ea15ae73d77ecaf262bae37d054c53a0a1fcb0b99",
     "adaptive_epoch": "6865eac6c6311c980159189d866ec898af56fc60af17fda04d90453cd3ce85df",
 }
+# The td_priority run on gridworld4x4: goal and trap terminals reached
+# mid-horizon, exploring starts and sweeps of up to 12 steps, where chain5 has
+# one terminal at the end of the chain.
+RECORDED_TD_GRIDWORLD_DIGEST = "f582f087399f977e6a50d436606dd2d6b3139d4f179790017094b46fb31390cd"
 RECORDED_CASES = [
-    pytest.param(mode, 2 if mode == "adaptive_epoch" else 1, RECORDED_DIGESTS[mode], id=mode)
+    pytest.param(
+        mode, 2 if mode == "adaptive_epoch" else 1, "chain5", RECORDED_DIGESTS[mode], id=mode
+    )
     for mode in MODES
 ] + [
-    pytest.param(mode, 3, digest, id=f"{mode}-every3")
+    pytest.param(mode, 3, "chain5", digest, id=f"{mode}-every3")
     for mode, digest in RECORDED_DIGESTS_EVERY_3.items()
+] + [
+    pytest.param(
+        "td_priority", 1, "gridworld4x4", RECORDED_TD_GRIDWORLD_DIGEST,
+        id="td_priority-gridworld4x4",
+    )
 ]
 
 
@@ -487,15 +498,44 @@ class TestCollectionPath:
         assert counts["__init__"] == 0
 
 
-    @pytest.mark.parametrize("mode, updates_per_episode, digest", RECORDED_CASES)
-    def test_trace_digest_recorded(self, mode, updates_per_episode, digest):
+    @pytest.mark.parametrize("mode, updates_per_episode, env_name, digest", RECORDED_CASES)
+    def test_trace_digest_recorded(self, mode, updates_per_episode, env_name, digest):
         sampler = SamplerConfig(capacity=16, reset_period=25, reset_mode="soft", kappa=0.1)
         config = bandit_config(
             mode, seed=12, total_steps=60, eval_every=10, warmup_episodes=16 + 5,
             probe_every=20, probe_repeats=20, sampler=sampler,
             updates_per_episode=updates_per_episode,
         )
-        assert trace_digest(run_training(chain_env(5), config)) == digest
+        assert trace_digest(run_training(PAIR_ENVS[env_name](), config)) == digest
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_env_is_read_only_at_construction(self, mode):
+        # Past construction the loop calls only rollout and evaluate on the
+        # env, so through a delegating wrapper the other reads do not grow
+        # with the updates.
+        class CountingEnv:
+            def __init__(self, env):
+                self._env = env
+                self.reads = Counter()
+
+            def __getattr__(self, name):
+                self.reads[name] += 1
+                return getattr(self._env, name)
+
+        def reads(total_steps):
+            env = CountingEnv(gridworld_env(4, 4))
+            config = bandit_config(
+                mode, seed=5, total_steps=total_steps, probe_every=50, probe_repeats=5,
+                updates_per_episode=2 if mode == "adaptive_epoch" else 1,
+            )
+            run_training(env, config)
+            return env.reads
+
+        short, long = reads(50), reads(200)
+        assert long["rollout"] > short["rollout"] and long["evaluate"] > short["evaluate"]
+        for counts in (short, long):
+            del counts["rollout"], counts["evaluate"]
+        assert short == long
 
     @pytest.mark.parametrize("mode", MODES)
     def test_block_fill_equals_per_episode_inserts(self, monkeypatch, mode):
