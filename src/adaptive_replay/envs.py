@@ -84,11 +84,6 @@ class TabularEnv:
         self._terminal = self.terminal.tolist()
         self._reward_rows = self.rewards.tolist()
 
-    def draw_start(self, rng: np.random.Generator) -> int:
-        if self._start_cdf is None:
-            return self.start_state
-        return bisect_right(self._start_cdf, rng.random())
-
     @property
     def n_states(self) -> int:
         return self.transitions.shape[0]
@@ -101,12 +96,6 @@ class TabularEnv:
     def reward_bound(self) -> float:
         """Tight bound on |r(s, a)| over the whole table."""
         return float(np.max(np.abs(self.rewards)))
-
-    def step(self, state: int, action: int, rng: np.random.Generator) -> tuple[int, float]:
-        reward = self._reward_rows[state][action]
-        if self.deterministic:
-            return self._next_table[state][action], reward
-        return bisect_right(self._transition_cdfs[state][action], rng.random()), reward
 
     def rollout(
         self,
@@ -127,19 +116,26 @@ class TabularEnv:
         such draw takes one ``rng.random()`` and picks the index
         ``rng.choice(n, p=row)`` would pick from it.
         """
+        # Every table is bound once: the loop makes no attribute lookup.
         table = policy.tables()
-        terminal, random = self._terminal, rng.random
+        prob_rows, cdfs, greedy_actions = table.prob_rows, table.cdfs, table.greedy
+        terminal, reward_rows, random = self._terminal, self._reward_rows, rng.random
+        next_table, transition_cdfs = self._next_table, self._transition_cdfs
         states, actions, probs, rewards, next_states = [], [], [], [], []
-        s = self.draw_start(rng)
+        # Draws in order: the start, then per step the action, then the transition.
+        s = self.start_state if self._start_cdf is None else bisect_right(self._start_cdf, random())
         for _ in range(self.horizon):
             if terminal[s]:
                 break
-            a = table.greedy[s] if greedy else bisect_right(table.cdfs[s], random())
-            s_next, r = self.step(s, a, rng)
+            a = greedy_actions[s] if greedy else bisect_right(cdfs[s], random())
+            if next_table is None:
+                s_next = bisect_right(transition_cdfs[s][a], random())
+            else:
+                s_next = next_table[s][a]
             states.append(s)
             actions.append(a)
-            probs.append(table.prob_rows[s][a])
-            rewards.append(r)
+            probs.append(prob_rows[s][a])
+            rewards.append(reward_rows[s][a])
             next_states.append(s_next)
             s = s_next
         return Episode(states, actions, probs, rewards, next_states)

@@ -293,6 +293,8 @@ def run_suite(spec: ExperimentSpec, out: str | None = None, workers: int = 1) ->
     cells = _build_cells(spec)
     # Written last, so a run killed partway leaves none describing other files.
     (outdir / "manifest.json").unlink(missing_ok=True)
+    # A fork pool starts all its workers at the first submit: no more than there are cells.
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_cell, [(spec, outdir, cell) for cell in cells]))

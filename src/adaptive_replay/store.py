@@ -172,7 +172,8 @@ class TrajectoryBatch:
         through the ``lengths`` mask, which visits the cells row by row, in the order
         the steps were chained; one trajectory too (a store's ``fill`` at ``writes``).
         """
-        # ``len`` of each ``states`` list, all at C level: no ``Episode.__len__`` calls.
+        # Lengths and columns are gathered at C level (``attrgetter`` maps), with no
+        # ``Episode.__len__`` call and no generator frame per trajectory.
         lengths = np.fromiter(
             map(len, map(attrgetter("states"), trajs)), dtype=np.int64, count=len(trajs)
         )
@@ -180,7 +181,7 @@ class TrajectoryBatch:
         mask = np.arange(self.width) < lengths[:, None]
         steps = int(lengths.sum())
         for name, (dtype, _) in _COLUMNS.items():
-            values = chain.from_iterable(getattr(traj, name) for traj in trajs)
+            values = chain.from_iterable(map(attrgetter(name), trajs))
             getattr(self, name)[lo : lo + len(trajs)][mask] = np.fromiter(values, dtype, steps)
         self.lengths[lo : lo + len(trajs)] = lengths
 

@@ -42,13 +42,21 @@ from .store import WeightedStore
 
 MODES = ("uniform", "td_priority", "adaptive", "adaptive_epoch")
 
-# Warm-up episodes written to the store per ``fill`` call.  On the
-# 65,000-slot bandit warm-up (CPU time, median of 10 interleaved runs),
-# blocks of 64 to 1024 all took 0.23-0.26 s, and blocks of one 2.1 s.  The
-# bound keeps small what a block holds and the flush after the last rollout:
-# blocks of 256 raised peak RSS by 0.5 MB and flushed last in 0.3 ms, blocks
-# of 1024 by 1.3 MB in 0.7 ms, and one block of all 65,000 by 52 MB.
-FILL_BLOCK = 256
+# Warm-up episodes written to the store per ``fill`` call.  A block keeps its
+# episodes alive until ``fill``, and each rollout adds about 5.4 to the count
+# of CPython's young generation (its ``Episode`` and five lists, net of the
+# temporaries it frees), whose default threshold is 700: a block past about
+# 130 episodes sets off a collection at every block, each one scanning the
+# block.  Below that cliff a smaller block costs only ``fill``'s fixed ~40 us
+# more.  65,000-slot bandit warm-up through the benchmark's rollout wrapper
+# (CPU time, median of 15 interleaved runs, 2-vCPU VM, Python 3.11): blocks
+# of 64 0.331 s, 80 0.321, 96 0.317, 112 0.314, 128 0.311 (2 collections),
+# 136 0.354 (477 collections), 144 0.346 (451); blocks of 256 set off 507.
+# 96 stays about 35 episodes below the cliff, within 2% of the best.  The
+# bound also keeps small what a block holds and the flush after the last
+# rollout (one block of all 65,000 raised peak RSS by 52 MB).  The process's
+# GC settings are left as they are.
+FILL_BLOCK = 96
 
 
 @dataclass
@@ -271,11 +279,9 @@ class _LoopState:
     def fill_buffer(self) -> None:
         """Roll out one episode per slot, writing them to the store a block at a time."""
         capacity = self.store.capacity
+        rollout, policy, rng = self.env.rollout, self.policy, self.rng
         for lo in range(0, capacity, FILL_BLOCK):
-            block = [
-                self.env.rollout(self.policy, self.rng)
-                for _ in range(min(FILL_BLOCK, capacity - lo))
-            ]
+            block = [rollout(policy, rng) for _ in range(min(FILL_BLOCK, capacity - lo))]
             self.store.fill(block, self.sampler, self.strategy.scores(block))
         self.env_steps += int(self.store.lengths.sum())  # every slot written once, just now
 

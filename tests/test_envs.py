@@ -21,11 +21,14 @@ from adaptive_replay.training import MODES, TrainingConfig, run_training
 
 def reference_rollout(env, policy, rng, greedy=False):
     """Per step, a fresh softmax of ``features[s] @ weights`` computed here,
-    then ``rng.choice`` over it (or its argmax) and its value at the action,
-    sharing nothing with the policy's cached tables: the draws and
+    then ``rng.choice`` over it (or its argmax) and its value at the action;
+    the start and each transition are ``rng.choice`` draws over the env's
+    arrays, with no transition draw in a deterministic env.  It shares
+    nothing with the policy's cached tables or ``rollout``: the draws and
     probabilities ``rollout`` must reproduce."""
+    n = env.n_states
     states, actions, probs, rewards, next_states = [], [], [], [], []
-    s = env.draw_start(rng)
+    s = env.start_state if env.start_dist is None else int(rng.choice(n, p=env.start_dist))
     for _ in range(env.horizon):
         if env.terminal[s]:
             break
@@ -33,7 +36,9 @@ def reference_rollout(env, policy, rng, greedy=False):
         e = np.exp(logits - logits.max())
         pi = e / e.sum()
         a = int(np.argmax(logits)) if greedy else int(rng.choice(len(pi), p=pi))
-        s_next, r = env.step(s, a, rng)
+        row = env.transitions[s, a]
+        s_next = int(np.argmax(row)) if env.deterministic else int(rng.choice(n, p=row))
+        r = env.rewards[s, a]
         states.append(s)
         actions.append(a)
         probs.append(pi[a])

@@ -613,6 +613,37 @@ class TestRunSuite:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
+    def test_pool_never_exceeds_the_cell_count(self, tmp_path, monkeypatch):
+        # A fork pool starts all ``max_workers`` processes at its first submit;
+        # a fake in-process pool records the size asked for and starts none.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        options = {"scenario": "stationary", "capacity": 8, "horizons": (50, 100)}
+        spec = ExperimentSpec(family="regret_synthetic", seeds=(0, 1), options=options)
+        n_cells = len(harness._build_cells(spec))
+        assert n_cells == 4
+        for workers in (5000, n_cells + 1, 2):
+            assert run_suite(spec, out=str(tmp_path / str(workers)), workers=workers) == 0
+        one_cell = ExperimentSpec(
+            family="regret_synthetic", seeds=(0,), options={**options, "horizons": (50,)}
+        )
+        assert run_suite(one_cell, out=str(tmp_path / "one"), workers=5000) == 0
+        assert sizes == [n_cells, n_cells, 2]
+
 
 class TestAtomicWrites:
     """A writer that fails midway leaves no partial target and no temp file."""

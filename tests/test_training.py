@@ -1,6 +1,7 @@
 """Training loops: schema, mode semantics, equivalences, and sanity directions."""
 
 import ast
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from adaptive_replay import gradients, training
-from adaptive_replay.envs import chain_env, gridworld_env, optimal_value, two_state_bandit_env
+from adaptive_replay.envs import (
+    ENVIRONMENTS, chain_env, gridworld_env, optimal_value, two_state_bandit_env,
+)
 from adaptive_replay.harness import ExperimentSpec, run_suite
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.store import Trajectory
@@ -536,6 +539,30 @@ class TestCollectionPath:
         for counts in (short, long):
             del counts["rollout"], counts["evaluate"]
         assert short == long
+
+    @pytest.mark.parametrize("mode", ["adaptive", "td_priority"])
+    @pytest.mark.parametrize("env_name", ["two_state_bandit", "gridworld4x4"])
+    def test_warm_up_sets_off_almost_no_collections(self, env_name, mode):
+        # A block's episodes stay alive until its fill; blocks past CPython's
+        # young-generation threshold set off a collection each (32 at 4,096
+        # slots with blocks of 256), below it about one in all.
+        config = TrainingConfig(
+            total_steps=1, batch_size=8, buffer_capacity=4096, selection_mode=mode, seed=3
+        )
+        state = training._LoopState(ENVIRONMENTS[env_name](), config)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            state.fill_buffer()
+        finally:
+            gc.callbacks.remove(count)
+        assert state.store.occupancy == 4096
+        assert len(collections) < 10, collections
 
     @pytest.mark.parametrize("mode", MODES)
     def test_block_fill_equals_per_episode_inserts(self, monkeypatch, mode):
