@@ -32,7 +32,6 @@ from .policies import LinearSoftmaxPolicy, TabularSoftmaxPolicy
 from .regret import (
     LossBoundCheck,
     RegretLedger,
-    best_static_cost,
     check_loss_bound,
     drifting_sequence,
     dynamic_competitor,
@@ -68,7 +67,6 @@ __all__ = [
     "TrajectoryBatch",
     "TrajectoryGradients",
     "WeightedStore",
-    "best_static_cost",
     "chain_env",
     "check_loss_bound",
     "compute_metrics",

@@ -25,7 +25,7 @@ _EXACT_HORIZON_CAP = 16
 class TabularEnv:
     name: str
     transitions: np.ndarray  # (S, A, S) row-stochastic
-    rewards: np.ndarray  # (S, A), bounded by reward_bound
+    rewards: np.ndarray  # (S, A), finite
     terminal: np.ndarray  # (S,) bool
     start_state: int
     horizon: int
@@ -91,11 +91,6 @@ class TabularEnv:
     @property
     def n_actions(self) -> int:
         return self.transitions.shape[1]
-
-    @property
-    def reward_bound(self) -> float:
-        """Tight bound on |r(s, a)| over the whole table."""
-        return float(np.max(np.abs(self.rewards)))
 
     def rollout(
         self,

@@ -53,11 +53,6 @@ def min_step_cost(d: np.ndarray) -> np.ndarray:
     return np.sqrt(np.asarray(d, dtype=np.float64)).sum(axis=-1) ** 2
 
 
-def best_static_cost(d_matrix: np.ndarray) -> float:
-    """min over p of the summed losses: the one-step cost of the column sums."""
-    return float(min_step_cost(np.asarray(d_matrix, dtype=np.float64).sum(axis=0)))
-
-
 def _validate_losses(d: np.ndarray) -> None:
     if not np.all(np.isfinite(d)):
         raise ValueError("losses must be finite")

@@ -38,9 +38,7 @@ BENCH_HEADER = "capacity,operation,batch,rounds,ops_per_second"
 
 
 def fmt(value) -> str:
-    """Canonical cell formatting: shortest-roundtrip floats, empty for missing."""
-    if value is None:
-        return ""
+    """Canonical cell formatting: shortest-roundtrip floats, empty for NaN."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -112,7 +110,7 @@ def _finite_float(text: str) -> float:
 
 # Per trace column: its parser and, for the error, what its cells must be.
 _INT, _TEXT, _FINITE = (int, "an int"), (str, "text"), (_finite_float, "a finite float")
-_PROBE = (lambda text: float(text) if text else math.nan, "empty or a float")
+_PROBE = (lambda text: _finite_float(text) if text else math.nan, "empty or a finite float")
 _TRACE_FIELDS = (_INT, _TEXT, _TEXT, _INT, _FINITE, _PROBE, _FINITE, _INT)
 
 

@@ -31,22 +31,10 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def _finite_difference_grad(objective: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    h = 1e-7
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] = max(xm[i] - h, 1e-300)
-        g[i] = (objective(xp) - objective(xm)) / (xp[i] - xm[i])
-    return g
-
-
 def minimize_on_simplex(
     objective: Callable[[np.ndarray], float],
     dim: int,
-    grad: Callable[[np.ndarray], np.ndarray] | None = None,
+    grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 100_000,
@@ -65,8 +53,7 @@ def minimize_on_simplex(
     dim:
         Dimension of the simplex.
     grad:
-        Analytic gradient.  Falls back to central finite differences when
-        omitted, which limits achievable accuracy.
+        Analytic gradient of ``objective``.
     tol:
         Stop once the iterate change ``max_i |x_{k+1}(i) - x_k(i)|`` stays
         below this for two consecutive accepted steps.
@@ -76,9 +63,6 @@ def minimize_on_simplex(
     OracleFailure
         If the iteration cap is reached without meeting the tolerance.
     """
-    if grad is None:
-        grad = lambda x: _finite_difference_grad(objective, x)
-
     def safe_obj(x: np.ndarray) -> float:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = objective(x)

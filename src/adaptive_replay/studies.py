@@ -31,15 +31,15 @@ LEARN_BATCH, LEARN_STEPS = 8, 300
 _LOSS_BOUND = 125**2 * 18 * 9  # d <= _LOSS_BOUND * 10^orders
 
 
-def max_orders(capacity: int, repeats: int, learn_steps: int = LEARN_STEPS) -> float:
+def max_orders(capacity: int, repeats: int) -> float:
     """Largest ``orders`` whose study no float overflow can break.
 
     With ``kappa = 0.1``, ``p >= 0.1 / capacity``, so an accumulator gains at
-    most ``10 * capacity * d`` a step and ends below ``learn_steps`` times
+    most ``10 * capacity * d`` a step and ends below ``LEARN_STEPS`` times
     that.  A probe estimate weighs each ``g`` by ``1 / (p n) <= 10``, so the
     variance sums ``repeats`` squared deviations of at most ``400 * d`` each.
     """
-    growth = max(10 * capacity * learn_steps, 400 * repeats)
+    growth = max(10 * capacity * LEARN_STEPS, 400 * repeats)
     return math.log10(sys.float_info.max / (_LOSS_BOUND * growth))
 
 
@@ -48,10 +48,10 @@ def _check_capacity(capacity: int) -> None:
         raise ValueError(f"capacity must be >= 2, got {capacity}")
 
 
-def check_study(capacity: int, repeats: int, orders: float, learn_steps: int = LEARN_STEPS) -> None:
+def check_study(capacity: int, repeats: int, orders: float) -> None:
     """Reject, by name, a study size that cannot be built or whose numbers can overflow."""
     _check_capacity(capacity)
-    if not orders <= (bound := max_orders(capacity, repeats, learn_steps)):
+    if not orders <= (bound := max_orders(capacity, repeats)):
         raise ValueError(f"orders must be at most {bound:.6g} at this capacity and repeats count,"
                          f" or the study can overflow; got {orders}")
 
@@ -106,7 +106,6 @@ def learned_vs_uniform_variance(
     capacity: int = 32,
     batch: int = 4,
     repeats: int = 400,
-    learn_steps: int = LEARN_STEPS,
     orders: float = 3.5,
 ) -> VarianceComparison:
     """One paired construction: learn a distribution, then probe both sides.
@@ -114,7 +113,7 @@ def learned_vs_uniform_variance(
     The probe stream is shared between the learned and uniform measurements,
     so the comparison differs only through the sampling distribution.
     """
-    check_study(capacity, repeats, orders, learn_steps)
+    check_study(capacity, repeats, orders)
     root = np.random.SeedSequence(int(seed))
     build_ss, learn_ss, probe_ss = root.spawn(3)
     store, sampler, policy = heteroscedastic_buffer(
@@ -125,7 +124,7 @@ def learned_vs_uniform_variance(
     # gradient pass serves every step.
     grads = trajectory_gradients(store, policy, GAMMA)
     rng = np.random.default_rng(learn_ss)
-    for _ in range(learn_steps):
+    for _ in range(LEARN_STEPS):
         slots, _, p = store.draw(LEARN_BATCH, rng)
         store.update_scores(sampler, slots, grads.d[slots], p)
     spread = float(np.log10(grads.d.max() / grads.d.min()))

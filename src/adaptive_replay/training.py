@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .envs import TabularEnv
-from .gradients import RATIO_LOG_CAP, paired_gradient_variance, replay_gradient, trajectory_gradients
+from .gradients import paired_gradient_variance, replay_gradient, trajectory_gradients
 from .policies import TabularSoftmaxPolicy
 from .sampler import SamplerConfig, SamplerState
 from .store import WeightedStore
@@ -74,7 +74,6 @@ class TrainingConfig:
     eval_episodes: int = 20
     probe_every: int = 0
     probe_repeats: int = 200
-    ratio_log_cap: float = RATIO_LOG_CAP
 
     def __post_init__(self) -> None:
         if self.selection_mode not in MODES:
@@ -107,8 +106,6 @@ class TrainingConfig:
             raise ValueError("probe_every must be >= 0")
         if self.probe_every and self.probe_every % self.eval_every != 0:
             raise ValueError("probe_every must be a multiple of eval_every")
-        if not self.ratio_log_cap >= 0:  # NaN fails it too; inf disables the clamp
-            raise ValueError(f"ratio_log_cap must be non-negative or inf, got {self.ratio_log_cap}")
         if self.sampler is not None and self.sampler.capacity != self.buffer_capacity:
             raise ValueError("sampler capacity must match buffer_capacity")
 
@@ -141,7 +138,7 @@ class TrainingTrace:
     probes_uniform: np.ndarray = field(default_factory=lambda: np.empty(0))
     entropies: np.ndarray = field(default_factory=lambda: np.empty(0))
     reset_counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    # Importance ratios clamped at ``ratio_log_cap`` by this run's policy updates.
+    # Importance ratios clamped at ``RATIO_LOG_CAP`` by this run's policy updates.
     ratio_cap_hits: int = 0
 
     @property
@@ -295,9 +292,7 @@ class _LoopState:
     def update_policy(self) -> None:
         cfg = self.config
         unique, drawn, p_unique = self.store.draw(cfg.batch_size, self.rng)
-        grads = trajectory_gradients(
-            self.store.take(unique), self.policy, self.gamma, log_cap=cfg.ratio_log_cap
-        )
+        grads = trajectory_gradients(self.store.take(unique), self.policy, self.gamma)
         self.trace.ratio_cap_hits += grads.cap_hits
         grad = replay_gradient(grads.omega, grads.g, p_unique, self.store.capacity, drawn)
         self.policy.set_params(self.policy.get_params() + cfg.learning_rate * grad)
@@ -311,9 +306,7 @@ class _LoopState:
         probe = probe_uniform = np.nan
         if cfg.probe_every and update_index % cfg.probe_every == 0:
             seed = self.probe_rng.integers(2**63)
-            grads = trajectory_gradients(
-                self.store, self.policy, self.gamma, log_cap=cfg.ratio_log_cap
-            )
+            grads = trajectory_gradients(self.store, self.policy, self.gamma)
             probe, probe_uniform = paired_gradient_variance(
                 grads, p, cfg.batch_size, cfg.probe_repeats, seed
             )

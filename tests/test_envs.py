@@ -271,10 +271,6 @@ class TestGridworld:
         down = 1
         assert env.rewards[above, down] == -1.0
 
-    def test_reward_bound(self):
-        env = gridworld_env(4, 4)
-        assert env.reward_bound == 1.0
-
 
 class TestExactAgainstMonteCarlo:
     def test_dp_matches_mc_within_3_sigma(self):

@@ -3,13 +3,13 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptive_replay import cli, harness
+from adaptive_replay import cli, harness, studies
 from adaptive_replay.bench import run_bench
 from adaptive_replay.envs import chain_env
 from adaptive_replay.cli import main as cli_main
@@ -344,6 +344,14 @@ def test_readme_family_sections_match_the_family_table():
         for section, keys in re.findall(r"`\[(\w+)\]`\s+\(([^)]*)\)", line)
     }
     assert named == {family.section: set(family.keys) for family in _FAMILIES.values()}
+
+
+def test_every_training_config_field_has_a_setter():
+    # Each field is a [training] key or set by _rl_config, save warmup_episodes,
+    # which stays only because perfbench/worker.py reads it (ROADMAP item 9).
+    keys = set(_FAMILIES["rl_comparison"].keys) - {"envs", "modes"}
+    setters = keys | {"selection_mode", "seed", "sampler"} | {"warmup_episodes"}
+    assert {f.name for f in fields(TrainingConfig)} == setters
 
 
 def test_readme_spec_parses(tmp_path):
@@ -738,7 +746,11 @@ class TestTraceRoundtrip:
             ("episodic_test_return", "inf", "a finite float"),
             ("p_entropy", "-inf", "a finite float"),
             ("p_entropy", "", "a finite float"),
-            ("variance_probe", "abc", "empty or a float"),
+            ("variance_probe", "abc", "empty or a finite float"),
+            ("variance_probe", "inf", "empty or a finite float"),
+            ("variance_probe", "-inf", "empty or a finite float"),
+            ("variance_probe", "nan", "empty or a finite float"),
+            ("variance_probe", "1e400", "empty or a finite float"),
         ],
     )
     def test_bad_cell_rejected_by_file_line_and_column(self, tmp_path, column, cell, kind):
@@ -1076,8 +1088,9 @@ class TestCli:
 
 
 class TestVarianceStudyUnit:
-    def test_paired_comparison_shares_probe_stream(self):
-        comp = learned_vs_uniform_variance(seed=0, capacity=16, repeats=100, learn_steps=80)
+    def test_paired_comparison_shares_probe_stream(self, monkeypatch):
+        monkeypatch.setattr(studies, "LEARN_STEPS", 80)
+        comp = learned_vs_uniform_variance(seed=0, capacity=16, repeats=100)
         assert comp.loss_spread_orders >= 1.0
         assert comp.var_learned > 0 and comp.var_uniform > 0
 

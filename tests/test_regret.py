@@ -9,7 +9,6 @@ from adaptive_replay.envs import chain_env
 from adaptive_replay.policies import TabularSoftmaxPolicy
 from adaptive_replay.regret import (
     RegretLedger,
-    best_static_cost,
     check_loss_bound,
     drifting_sequence,
     dynamic_competitor,
@@ -55,7 +54,7 @@ class TestStaticCompetitor:
 
     def test_best_static_cost_closed_form(self):
         d = np.array([[4.0, 1.0]])
-        assert best_static_cost(d) == pytest.approx(9.0)
+        assert min_step_cost(d.sum(axis=0)) == pytest.approx(9.0)
         assert variance_cost(d.sum(axis=0), static_competitor(d)) == pytest.approx(9.0)
 
 
@@ -130,7 +129,7 @@ class TestLedger:
             d = rng.uniform(0.0, 10.0, size=(40, 7))
             d[rng.choice(40, size=4, replace=False)] = 0.0
             ledger = RegretLedger.from_sequence(d, np.ones(40))
-            static = [best_static_cost(d[: t + 1]) for t in range(40)]
+            static = [min_step_cost(d[: t + 1].sum(axis=0)) for t in range(40)]
             dynamic = np.cumsum([min_step_cost(row) for row in d])
             np.testing.assert_allclose(ledger.static_opt_cum, static, rtol=1e-12)
             np.testing.assert_allclose(ledger.dynamic_opt_cum, dynamic, rtol=1e-12)
@@ -222,7 +221,7 @@ class TestLossBound:
         beta = float(np.exp(policy.log_prob_table()).min())
         check = check_loss_bound(
             trajs, policy, env.gamma, beta=beta,
-            score_norm_cap=policy.max_score_norm(), reward_cap=env.reward_bound,
+            score_norm_cap=policy.max_score_norm(), reward_cap=np.abs(env.rewards).max(),
             horizon=env.horizon,
         )
         assert check.ratio_ok

@@ -64,12 +64,6 @@ class TestMinimizer:
         )
         np.testing.assert_allclose(p, target, atol=1e-7)
 
-    def test_finite_difference_gradient_fallback(self):
-        d = np.array([2.0, 8.0])
-        p = minimize_on_simplex(lambda x: float(np.sum(d / x)), 2)
-        expected = np.sqrt(d) / np.sqrt(d).sum()
-        np.testing.assert_allclose(p, expected, atol=1e-4)
-
     def test_iteration_cap_raises_oracle_failure(self):
         d = np.array([1e6, 1e-6, 1.0])
         with pytest.raises(OracleFailure):
@@ -86,6 +80,7 @@ class TestMinimizer:
     "x0", [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])], ids=["first", "last"]
 )
 def test_start_point_with_non_finite_objective_rejected(x0):
-    # The start keeps zero coordinates, where sum(1/x) is infinite.
+    # The start keeps zero coordinates, where sum(1/x) is infinite; the check
+    # raises before the gradient is first called.
     with pytest.raises(ValueError, match="objective is not finite at the starting point"):
-        minimize_on_simplex(lambda x: float(np.sum(1.0 / x)), 3, x0=x0)
+        minimize_on_simplex(lambda x: float(np.sum(1.0 / x)), 3, grad=lambda x: -1.0 / x**2, x0=x0)

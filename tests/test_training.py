@@ -164,20 +164,11 @@ class TestConfigValidation:
                          "learning_rate must be a positive finite real, got nan", id="nan-learning-rate"),
             pytest.param({"eval_every": 50, "probe_every": 75},
                          "probe_every must be a multiple of eval_every", id="probe-off-schedule"),
-            pytest.param({"ratio_log_cap": math.nan},
-                         "ratio_log_cap must be non-negative or inf, got nan", id="nan-ratio-cap"),
-            pytest.param({"ratio_log_cap": -5.0},
-                         "ratio_log_cap must be non-negative or inf, got -5.0", id="negative-ratio-cap"),
         ],
     )
     def test_invalid_schedule_rejected_by_message(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, **overrides)
-
-    def test_infinite_ratio_cap_accepted(self):
-        # inf turns the clamp off; only NaN and negative caps are rejected.
-        config = TrainingConfig(total_steps=10, batch_size=2, buffer_capacity=8, ratio_log_cap=math.inf)
-        assert config.ratio_log_cap == math.inf
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_updates_per_episode_rejected_in_every_mode(self, mode):
@@ -586,30 +577,34 @@ class TestCollectionPath:
 
 
 class TestRatioCapHits:
-    def test_small_cap_is_hit_and_counted_per_run(self):
+    def test_small_cap_is_hit_and_counted_per_run(self, monkeypatch):
+        original = gradients.trajectory_gradients
+        monkeypatch.setattr(
+            training, "trajectory_gradients", lambda *args: original(*args, log_cap=0.5)
+        )
         env = chain_env(4, horizon=6)
-        config = bandit_config("adaptive", seed=3, total_steps=100, ratio_log_cap=0.5)
+        config = bandit_config("adaptive", seed=3, total_steps=100)
         first = run_training(env, config)
         second = run_training(env, config)
         assert first.ratio_cap_hits > 0
         assert first.ratio_cap_hits == second.ratio_cap_hits
 
     def test_probe_uses_the_run_cap(self, monkeypatch):
-        # The probe's whole-store pass clamps ratios as the run's updates do.
-        caps = []
+        # Neither the updates' passes nor the probe's whole-store pass names a
+        # cap, so both clamp at the default RATIO_LOG_CAP.
+        calls = []
         original = gradients.trajectory_gradients
 
         def recorded(trajs, *args, **kwargs):
-            caps.append((len(trajs), kwargs.get("log_cap")))
+            calls.append((len(trajs), len(args), kwargs))
             return original(trajs, *args, **kwargs)
 
         monkeypatch.setattr(training, "trajectory_gradients", recorded)
-        config = bandit_config(
-            "adaptive", seed=3, total_steps=100, probe_every=50, probe_repeats=5,
-            ratio_log_cap=0.5,
-        )
+        config = bandit_config("adaptive", seed=3, total_steps=100, probe_every=50, probe_repeats=5)
         run_training(chain_env(4, horizon=6), config)
-        assert [cap for n, cap in caps if n == config.buffer_capacity] == [0.5, 0.5]
+        assert [n for n, _, _ in calls].count(config.buffer_capacity) == 2
+        assert len(calls) > 2
+        assert all(n_args == 2 and not kwargs for _, n_args, kwargs in calls)
 
     def test_default_cap_is_not_hit(self):
         trace = run_training(two_state_bandit_env(), bandit_config("adaptive", seed=3))

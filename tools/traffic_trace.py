@@ -1,0 +1,211 @@
+"""List every ``src/adaptive_replay`` function that the project's own traffic never calls.
+
+Traffic is what the package is for, not its unit tests:
+
+- each benchmark workload of ``perfbench/workloads.py``, with fewer updates,
+  through the benchmark's own worker and its invariant check;
+- the four demos;
+- ``adaptive-replay run`` on one spec per family and regret scenario, one of
+  them with a sweep, an ``annealed_soft`` reset and ``--seed-list``;
+- ``adaptive-replay metrics`` and ``adaptive-replay bench --out``;
+- the 13 acceptance criteria, ``tests/test_acceptance.py``.
+
+A ``sys.settrace`` hook records each code object of the package that starts
+to run.  A function it never records is reached, if at all, only by the unit
+tests, and is a candidate for deletion.  The script prints each one and
+exits 1 if there is one; it exits 0 when the traffic reaches every function.
+It writes only to a temporary directory and takes a minute or two::
+
+    python tools/traffic_trace.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import inspect
+import io
+import json
+import runpy
+import sys
+import tempfile
+import threading
+import time
+import types
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "adaptive_replay"
+# Fewer updates per benchmark workload; its other settings stay as declared.
+WORKLOAD_UPDATES = {"grid32_adaptive": 250, "bandit65k_adaptive": 60, "bandit65k_td": 60}
+
+SPECS = {
+    "regret_stationary": """
+[experiment]
+family = regret_synthetic
+[regret]
+scenario = stationary
+horizons = 40,80
+""",
+    "regret_bandit_rate": """
+[experiment]
+family = regret_synthetic
+[regret]
+scenario = bandit_rate
+horizons = 40,80
+""",
+    "regret_drifting": """
+[experiment]
+family = regret_synthetic
+[regret]
+scenario = drifting
+horizons = 80
+""",
+    "rl": """
+[experiment]
+family = rl_comparison
+seeds = 0
+[training]
+envs = two_state_bandit,chain5,gridworld4x4
+modes = uniform,td_priority,adaptive,adaptive_epoch
+total_steps = 40
+buffer_capacity = 16
+eval_every = 4
+probe_every = 20
+probe_repeats = 20
+[sweep:annealed]
+sampler.reset_mode = annealed_soft
+sampler.rho_start = 0.7
+sampler.rho_end = 0.2
+sampler.anneal_steps = 30
+""",
+    "variance": """
+[experiment]
+family = variance_study
+[variance]
+constructions = 3
+capacity = 8
+repeats = 20
+""",
+}
+
+def package_functions() -> dict[tuple[str, int, str], str]:
+    """Every function, method and lambda of the package, keyed as the hook records them."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            # Module and class bodies are not functions; a comprehension is
+            # reported through the function around it.
+            if code.co_flags & inspect.CO_OPTIMIZED and (code.co_name == "<lambda>" or not code.co_name.startswith("<")):
+                name = getattr(code, "co_qualname", code.co_name)
+                found[(code.co_filename, code.co_firstlineno, code.co_name)] = (
+                    f"{path.name}:{code.co_firstlineno} {name}"
+                )
+    return found
+
+
+def run_workloads(tmp: Path) -> None:
+    spec = importlib.util.spec_from_file_location("perfbench_worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    shortened = {name: replace(w, updates=WORKLOAD_UPDATES[name]) for name, w in worker.WORKLOADS.items()}
+    worker.WORKLOADS = shortened
+    for name in shortened:
+        argv = ["worker.py", "--workload", name, "--seed", "0",
+                "--spawned-at", str(time.perf_counter()), "--trace-out", str(tmp / f"{name}.npz")]
+        out = io.StringIO()
+        with _argv(argv), contextlib.redirect_stdout(out):
+            worker.main()
+        result = json.loads(out.getvalue())
+        failed = [a for a in result["absent"] if a.startswith("invariants")]
+        if failed or result["checks"].get("invariants"):
+            raise RuntimeError(f"workload {name}: invariant check {failed or result['checks']}")
+
+
+@contextlib.contextmanager
+def _argv(argv):
+    saved, sys.argv = sys.argv, argv
+    try:
+        yield
+    finally:
+        sys.argv = saved
+
+
+def run_demos() -> None:
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(path), run_name="__main__")
+
+
+def run_cli(tmp: Path) -> None:
+    from adaptive_replay.cli import main
+
+    def cli(*args) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(list(args))
+        if status != 0:
+            raise RuntimeError(f"adaptive-replay {' '.join(args)} exited {status}")
+
+    for name, text in SPECS.items():
+        path = tmp / f"{name}.ini"
+        path.write_text(text)
+        extra = ["--seed-list", "0,1"] if name == "rl" else []
+        cli("run", str(path), "--out", str(tmp / name), *extra)
+    traces = sorted(str(p) for p in (tmp / "rl").glob("rl_chain5_adaptive_annealed_seed*.csv"))
+    cli("metrics", *traces, "--window", "5")
+    cli("bench", "--capacity", "1000", "--batch", "16", "--rounds", "5", "--out", str(tmp / "bench"))
+
+
+def run_criteria() -> None:
+    import pytest
+
+    status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])
+    if status != 0:
+        raise RuntimeError(f"the acceptance criteria exited {status}")
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    import adaptive_replay
+
+    if Path(adaptive_replay.__file__).resolve().parent != PACKAGE:
+        raise ImportError(f"adaptive_replay was imported from {adaptive_replay.__file__}, not {PACKAGE}")
+    functions = package_functions()
+    called: set[tuple[str, int, str]] = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        steps = {
+            "benchmark workloads": lambda: run_workloads(Path(tmp)),
+            "demos": run_demos,
+            "cli": lambda: run_cli(Path(tmp)),
+            "acceptance criteria": run_criteria,
+        }
+        for label, step in steps.items():
+            start = time.perf_counter()
+            threading.settrace(hook)
+            sys.settrace(hook)
+            try:
+                step()
+            finally:
+                installed, _ = sys.gettrace(), sys.settrace(None)
+                threading.settrace(None)
+            if installed is not hook:
+                raise RuntimeError(f"{label} replaced the trace hook; its calls went unrecorded")
+            print(f"{label}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    unreached = [text for key, text in sorted(functions.items()) if key not in called]
+    for text in unreached:
+        print(text)
+    print(f"{len(functions) - len(unreached)} of {len(functions)} functions reached", file=sys.stderr)
+    return 1 if unreached else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
