@@ -70,14 +70,12 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# The [sampler] keys as (converter, default); a ``None`` default leaves the key
-# to SamplerConfig's own default and out of the echo.  The family sections'
-# keys are in ``_FAMILIES``; the [experiment] keys, in ``_SECTIONS``, default
-# to ExperimentSpec's values.
+# The [sampler] keys as (converter, default).  The family sections' keys are
+# in ``_FAMILIES``; the [experiment] keys, in ``_SECTIONS``, default to
+# ExperimentSpec's values.
 _SAMPLER = {
     "kappa": (float, 0.1), "nu": (float, 1000.0), "reset_period": (int, 100),
     "reset_mode": (str.strip, "soft"), "rho": (float, 0.9),
-    "rho_start": (float, None), "rho_end": (float, None), "anneal_steps": (int, None),
 }
 # Every number of these sections is positive and finite.  Sampler and training
 # values are checked by the config objects the cells build.
@@ -174,7 +172,7 @@ def _echo_value(value) -> str:
 
 
 def _defaults(keys: dict) -> dict:
-    return {key: default for key, (_, default) in keys.items() if default is not None}
+    return {key: default for key, (_, default) in keys.items()}
 
 
 def _check_distinct(name: str, values) -> None:

@@ -28,9 +28,8 @@ import numpy as np
 
 RESET_HARD = "hard"
 RESET_SOFT = "soft"
-RESET_ANNEALED_SOFT = "annealed_soft"
 
-_RESET_MODES = (RESET_HARD, RESET_SOFT, RESET_ANNEALED_SOFT)
+_RESET_MODES = (RESET_HARD, RESET_SOFT)
 
 
 @dataclass
@@ -52,9 +51,7 @@ class SamplerConfig:
         Accumulators are reset every ``reset_period`` feedback steps.
     reset_mode:
         ``"hard"`` zeroes the accumulators, ``"soft"`` multiplies them by the
-        forgetting factor ``rho``, ``"annealed_soft"`` interpolates the
-        forgetting factor linearly from ``rho_start`` to ``rho_end`` over
-        ``anneal_steps`` feedback steps (clamped afterwards).
+        forgetting factor ``rho``.
     """
 
     capacity: int
@@ -63,9 +60,6 @@ class SamplerConfig:
     reset_period: int = 100
     reset_mode: str = RESET_HARD
     rho: float = 0.9
-    rho_start: float = 0.8
-    rho_end: float = 0.2
-    anneal_steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -78,14 +72,8 @@ class SamplerConfig:
             raise ValueError(f"reset_period must be >= 1, got {self.reset_period}")
         if self.reset_mode not in _RESET_MODES:
             raise ValueError(f"reset_mode must be one of {_RESET_MODES}, got {self.reset_mode!r}")
-        for name in ("rho", "rho_start", "rho_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.anneal_steps is not None and self.anneal_steps < 1:
-            raise ValueError(f"anneal_steps must be >= 1, got {self.anneal_steps}")
-        if self.reset_mode == RESET_ANNEALED_SOFT and self.anneal_steps is None:
-            raise ValueError("anneal_steps must be set for the annealed_soft reset")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
 
 
 def check_slots(slots, capacity: int) -> None:
@@ -171,26 +159,16 @@ class SamplerState:
         self.w[slots] += d / p_used
         self.step += 1
 
-    def current_rho(self) -> float:
-        """Forgetting factor in effect at the current step (annealed if configured)."""
-        cfg = self.config
-        if cfg.reset_mode == RESET_SOFT:
-            return cfg.rho
-        if cfg.reset_mode == RESET_ANNEALED_SOFT:
-            frac = min(1.0, self.step / cfg.anneal_steps)
-            return cfg.rho_start + frac * (cfg.rho_end - cfg.rho_start)
-        return 0.0
-
     def maybe_reset(self) -> bool:
         """Apply the configured reset if the step counter hit the period.
 
         Returns True when a reset was applied, and counts it in ``resets``.
-        Every mode multiplies the accumulators by the current forgetting
-        factor; hard mode's is 0, which writes the +0.0 that ``clear`` writes.
+        Both modes multiply the accumulators by one factor: hard mode's is 0,
+        which writes the +0.0 that ``clear`` writes, and soft mode's is ``rho``.
         """
         if self.step == 0 or self.step % self.config.reset_period != 0:
             return False
-        self.w *= self.current_rho()
+        self.w *= 0.0 if self.config.reset_mode == RESET_HARD else self.config.rho
         self.resets += 1
         return True
 

@@ -271,8 +271,6 @@ class WeightedStore(TrajectoryBatch):
         the index scores otherwise, which is exactly the sampler's current
         distribution when ``kappa`` is the sampler's and the scores are in sync.
         """
-        if batch == 0:
-            return np.empty(0, dtype=np.int64)
         if self.writes < self.capacity:
             raise NotReadyError(
                 f"buffer holds {self.occupancy}/{self.capacity} trajectories; warm up first"

@@ -34,6 +34,7 @@ from adaptive_replay.reporting import (
     write_atomic,
     write_trace,
 )
+from adaptive_replay.sampler import SamplerConfig
 from adaptive_replay.studies import heteroscedastic_buffer, learned_vs_uniform_variance, max_orders
 from adaptive_replay.training import TrainingConfig, run_training
 
@@ -61,18 +62,15 @@ class TestParseConfig:
                 [sampler]
                 kappa = 0.2
                 nu = 10000
-                reset_mode = annealed_soft
-                rho_start = 0.7
-                rho_end = 0.2
-                anneal_steps = 500
+                reset_mode = hard
+                rho = 0.7
                 """,
             )
         )
         assert spec.sampler["kappa"] == 0.2
         assert spec.sampler["nu"] == 10000.0
-        assert spec.sampler["reset_mode"] == "annealed_soft"
-        assert spec.sampler["rho_start"] == 0.7
-        assert spec.sampler["rho_end"] == 0.2
+        assert spec.sampler["reset_mode"] == "hard"
+        assert spec.sampler["rho"] == 0.7
 
     def test_out_of_range_value_names_key(self, tmp_path):
         with pytest.raises(ValueError, match="sampler.kappa"):
@@ -202,8 +200,8 @@ def set_both_ways(section, key, value):
 # Values an earlier, separate copy of the range rules in the parser rejected.
 _REJECTED = [
     ("sampler", "kappa", 1.5), ("sampler", "kappa", -0.1), ("sampler", "rho", 1.5),
-    ("sampler", "rho_start", -0.1), ("sampler", "rho_end", 2), ("sampler", "nu", 0),
-    ("sampler", "nu", -1), ("sampler", "reset_period", 0), ("sampler", "anneal_steps", 0),
+    ("sampler", "rho", -0.1), ("sampler", "rho", float("nan")),
+    ("sampler", "nu", 0), ("sampler", "nu", -1), ("sampler", "reset_period", 0),
     ("training", "probe_every", -50), ("training", "total_steps", 0),
     ("training", "batch_size", 0), ("training", "buffer_capacity", 0),
     ("training", "learning_rate", 0), ("training", "learning_rate", -0.5),
@@ -226,8 +224,8 @@ _UNKNOWN_NAMES = [("training", "envs", "nope"), ("training", "modes", "nope")]
 _CELL_FAILURES = [
     pytest.param(RL + "[training]\nbatch_size = 40\nbuffer_capacity = 8\n", "training.batch_size",
                  id="batch-over-capacity"),
-    pytest.param("[sampler]\nreset_mode = annealed_soft\n", "sampler.anneal_steps",
-                 id="annealed-without-steps"),
+    pytest.param("[sampler]\nreset_mode = annealed_soft\n", "sampler.reset_mode",
+                 id="annealed-reset-mode"),
     pytest.param(RL + "[sweep:x]\ntraining.batch_size = abc\n", "training.batch_size",
                  id="sweep-not-an-int"),
     pytest.param(RL + "[training]\nprobe_every = 40\nprobe_repeats = 1\n", "training.probe_repeats",
@@ -302,6 +300,25 @@ def test_directly_built_spec_rejected_by_key(section, key, value, as_sweep):
         ExperimentSpec(family=_FAMILY_OF[section], **values)
 
 
+@pytest.mark.parametrize("as_sweep", [False, True], ids=["own", "sweep"])
+@pytest.mark.parametrize("key", ["rho_start", "rho_end", "anneal_steps"])
+def test_annealing_keys_rejected_as_unknown(tmp_path, capsys, key, as_sweep):
+    if as_sweep:
+        text, built = f"[sweep:x]\nsampler.{key} = 1\n", {"sweep": (("x", {f"sampler.{key}": 1}),)}
+        message = f"unknown sweep override 'sampler.{key}'"
+    else:
+        text, built = f"[sampler]\n{key} = 1\n", {"sampler": {key: 1}}
+        message = f"unknown key 'sampler.{key}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(write_spec(tmp_path, text))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**built)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", str(write_spec(tmp_path, text)), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("seeds", 5), ("seeds", ("1",)), ("seeds", (1.5,)), ("output_dir", 5), ("seeds", (-1,)),
@@ -352,6 +369,11 @@ def test_every_training_config_field_has_a_setter():
     keys = set(_FAMILIES["rl_comparison"].keys) - {"envs", "modes"}
     setters = keys | {"selection_mode", "seed", "sampler"} | {"warmup_episodes"}
     assert {f.name for f in fields(TrainingConfig)} == setters
+
+
+def test_sampler_keys_are_the_sampler_config_fields():
+    # Each [sampler] key sets the SamplerConfig field of its name; a cell sets the capacity.
+    assert {f.name for f in fields(SamplerConfig)} - {"capacity"} == set(harness._SAMPLER)
 
 
 def test_readme_spec_parses(tmp_path):

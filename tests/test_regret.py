@@ -297,10 +297,6 @@ RECORDED_REGRET = [
     pytest.param(stationary_sequence(), {"kappa": 0.0, "reset_mode": "soft", "reset_period": 40},
                  "full", "a03168bc2ec70abcbec427f877172e77348f7451a3d6ee962dc119b59b808f28",
                  id="full-soft"),
-    pytest.param(stationary_sequence(),
-                 {"kappa": 0.0, "reset_mode": "annealed_soft", "reset_period": 40, "anneal_steps": 100},
-                 "full", "675f9c3794601b29c83c4df168aaf185e50ff0341e03669adff851fd5c633cde",
-                 id="full-annealed"),
     pytest.param(scaled_noise_sequence(orders=2.0),
                  {"kappa": 0.3, "reset_mode": "soft", "reset_period": 40},
                  "bandit", "b587f75735cf194aeb80b19b9c326441ed6dc04de3348a9782373f46fa9761e5",
@@ -309,6 +305,10 @@ RECORDED_REGRET = [
                  {"kappa": 0.0, "reset_mode": "hard", "reset_period": 10},
                  "bandit", "ff229ab05a6dd346a71af4389bec842358a81445fb5dcee40143aca19f5cbe85",
                  id="drift-hard"),
+    pytest.param(drifting_sequence(interval=10, n_replace=2),
+                 {"kappa": 0.0, "reset_mode": "soft", "reset_period": 10, "rho": 0.5},
+                 "bandit", "b80473e39d3e17e1f62c783b559501082dd09e95ff8d035eb9372d0907d714c1",
+                 id="drift-soft"),
 ]
 RECORDED_VARIANCE = "1d795bb517c04249bbc6b6ead99d621086b4e2cd329a70ca159746d14289151d"
 

@@ -1,6 +1,7 @@
 """Closed-form distribution, feedback accumulation, resets, and their invariants."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,13 @@ class TestResets:
         assert state.maybe_reset()
         np.testing.assert_allclose(state.w, [9.0, 0.0])
 
+    def test_soft_reset_is_one_multiply_by_rho(self):
+        w = np.array([0.1, 3.3, 7.7, 1e-300])
+        state = make_state(w.copy(), reset_period=1, reset_mode="soft", rho=0.37)
+        state.step = 1
+        assert state.maybe_reset()
+        np.testing.assert_array_equal(state.w, w * 0.37)
+
     def test_off_period_is_a_no_op(self):
         state = make_state([5.0, 2.0], reset_period=4, reset_mode="hard")
         state.step = 3
@@ -250,31 +258,6 @@ class TestResets:
         state = make_state([5.0], reset_period=1)
         assert not state.maybe_reset()
         np.testing.assert_array_equal(state.w, [5.0])
-
-    def test_annealed_forgetting_interpolates_linearly_and_clamps(self):
-        state = make_state(
-            [8.0, 4.0],
-            reset_period=1,
-            reset_mode="annealed_soft",
-            rho_start=0.8,
-            rho_end=0.2,
-            anneal_steps=10,
-        )
-        state.step = 5
-        assert state.current_rho() == pytest.approx(0.5)
-        assert state.maybe_reset()
-        np.testing.assert_allclose(state.w, [4.0, 2.0])
-        state.step = 99
-        assert state.current_rho() == pytest.approx(0.2)
-
-    def test_annealed_mode_requires_schedule_length(self):
-        with pytest.raises(ValueError, match="anneal_steps"):
-            SamplerConfig(capacity=2, reset_mode="annealed_soft")
-
-    def test_schedule_length_must_be_positive_in_any_mode(self):
-        for mode in ("hard", "soft", "annealed_soft"):
-            with pytest.raises(ValueError, match="anneal_steps must be >= 1"):
-                SamplerConfig(capacity=2, reset_mode=mode, anneal_steps=0)
 
 
 def lambda_ratio(p, k):
@@ -311,6 +294,17 @@ class TestConfigValidation:
     def test_reset_period_positive(self):
         with pytest.raises(ValueError, match="reset_period"):
             SamplerConfig(capacity=2, reset_period=0)
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_rho_range_checked_in_any_mode(self, mode):
+        for rho in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="rho must lie in"):
+                SamplerConfig(capacity=2, reset_mode=mode, rho=rho)
+
+    def test_annealed_reset_mode_rejected(self):
+        message = "reset_mode must be one of ('hard', 'soft')"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SamplerConfig(capacity=2, reset_mode="annealed_soft")
 
     def test_defaults_match_documented_values(self):
         config = SamplerConfig(capacity=4)

@@ -228,8 +228,9 @@ class TestMixtureSampling:
         store = WeightedStore(4, kappa=0.1)
         sampler = SamplerState(SamplerConfig(capacity=4))
         store.insert(make_traj(rng), sampler)
-        with pytest.raises(NotReadyError):
-            store.sample_mixture(8, rng)
+        for batch in (8, 0):
+            with pytest.raises(NotReadyError):
+                store.sample_mixture(batch, rng)
 
     def test_zero_batch_gives_empty(self):
         rng = np.random.default_rng(0)

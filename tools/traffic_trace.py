@@ -6,26 +6,34 @@ Traffic is what the package is for, not its unit tests:
   through the benchmark's own worker and its invariant check;
 - the four demos;
 - ``adaptive-replay run`` on one spec per family and regret scenario, one of
-  them with a sweep, an ``annealed_soft`` reset and ``--seed-list``;
+  them with a sweep, a hard reset and ``--seed-list``; one more run with
+  ``--workers 2``, and one with the output root from the environment;
 - ``adaptive-replay metrics`` and ``adaptive-replay bench --out``;
 - the 13 acceptance criteria, ``tests/test_acceptance.py``.
 
 A ``sys.settrace`` hook records each code object of the package that starts
-to run.  A function it never records is reached, if at all, only by the unit
-tests, and is a candidate for deletion.  The script prints each one and
-exits 1 if there is one; it exits 0 when the traffic reaches every function.
-It writes only to a temporary directory and takes a minute or two::
+to run, and each line of the package that runs.  A function it never records
+is reached, if at all, only by the unit tests, and is a candidate for
+deletion.  The script prints each one and exits 1 if there is one; it exits 0
+when the traffic reaches every function.  After them, for information only,
+it prints to stderr each line of a reached function that no traffic ran, save
+the lines of an ``except`` handler, of a ``raise`` and of an ``if``/``else``
+body that ends in a ``raise``.  It writes only to a temporary directory and
+takes about two minutes::
 
     python tools/traffic_trace.py
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dis
 import importlib.util
 import inspect
 import io
 import json
+import os
 import runpy
 import sys
 import tempfile
@@ -34,6 +42,7 @@ import time
 import types
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "adaptive_replay"
@@ -74,11 +83,12 @@ buffer_capacity = 16
 eval_every = 4
 probe_every = 20
 probe_repeats = 20
-[sweep:annealed]
-sampler.reset_mode = annealed_soft
-sampler.rho_start = 0.7
-sampler.rho_end = 0.2
-sampler.anneal_steps = 30
+[sampler]
+reset_period = 10
+[sweep:soft]
+sampler.reset_mode = soft
+[sweep:hard]
+sampler.reset_mode = hard
 """,
     "variance": """
 [experiment]
@@ -90,22 +100,45 @@ repeats = 20
 """,
 }
 
-def package_functions() -> dict[tuple[str, int, str], str]:
-    """Every function, method and lambda of the package, keyed as the hook records them."""
+def package_code() -> dict[tuple[str, int, str], tuple[str, list[types.CodeType]]]:
+    """Every function, method and lambda of the package, keyed as the hook records them:
+    its report text, its code and the code of the comprehensions it holds."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [(compile(path.read_text(), str(path), "exec"), None)]
         while stack:
-            code = stack.pop()
-            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            code, owner = stack.pop()
             # Module and class bodies are not functions; a comprehension is
             # reported through the function around it.
             if code.co_flags & inspect.CO_OPTIMIZED and (code.co_name == "<lambda>" or not code.co_name.startswith("<")):
+                owner = (code.co_filename, code.co_firstlineno, code.co_name)
                 name = getattr(code, "co_qualname", code.co_name)
-                found[(code.co_filename, code.co_firstlineno, code.co_name)] = (
-                    f"{path.name}:{code.co_firstlineno} {name}"
-                )
+                found[owner] = (f"{path.name}:{code.co_firstlineno} {name}", [])
+            if owner is not None:
+                found[owner][1].append(code)
+            stack.extend((c, owner) for c in code.co_consts if isinstance(c, types.CodeType))
     return found
+
+
+def body_lines(code: types.CodeType) -> set[int]:
+    """The lines of ``code``'s instructions after its prologue, which ends at
+    ``RESUME``: a line that holds only the prologue never sees a line event."""
+    body = next((i.offset for i in dis.get_instructions(code) if i.opname == "RESUME"), -2) + 2
+    return {line for _, end, line in code.co_lines() if line and end > body}
+
+
+def exempt_lines(path: Path) -> set[int]:
+    """Lines of an ``except`` handler, of a ``raise``, or of an ``if``/``else``
+    body that ends in one."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        blocks = [[node]] if isinstance(node, (ast.ExceptHandler, ast.Raise)) else []
+        if isinstance(node, ast.If):
+            blocks += [body for body in (node.body, node.orelse)
+                       if body and isinstance(body[-1], ast.Raise)]
+        for block in blocks:
+            lines.update(range(block[0].lineno, block[-1].end_lineno + 1))
+    return lines
 
 
 def run_workloads(tmp: Path) -> None:
@@ -143,6 +176,7 @@ def run_demos() -> None:
 
 def run_cli(tmp: Path) -> None:
     from adaptive_replay.cli import main
+    from adaptive_replay.harness import OUTPUT_ROOT_ENV
 
     def cli(*args) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -155,15 +189,20 @@ def run_cli(tmp: Path) -> None:
         path.write_text(text)
         extra = ["--seed-list", "0,1"] if name == "rl" else []
         cli("run", str(path), "--out", str(tmp / name), *extra)
-    traces = sorted(str(p) for p in (tmp / "rl").glob("rl_chain5_adaptive_annealed_seed*.csv"))
+    traces = sorted(str(p) for p in (tmp / "rl").glob("rl_chain5_adaptive_hard_seed*.csv"))
     cli("metrics", *traces, "--window", "5")
     cli("bench", "--capacity", "1000", "--batch", "16", "--rounds", "5", "--out", str(tmp / "bench"))
+    cli("run", str(tmp / "regret_stationary.ini"), "--out", str(tmp / "pool"), "--workers", "2")
+    with mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: str(tmp)}):
+        cli("run", str(tmp / "variance.ini"))
 
 
 def run_criteria() -> None:
     import pytest
 
-    status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])
+    # Its report goes to stderr: stdout holds only the functions no traffic called.
+    with contextlib.redirect_stdout(sys.stderr):
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_acceptance.py")])
     if status != 0:
         raise RuntimeError(f"the acceptance criteria exited {status}")
 
@@ -174,12 +213,20 @@ def main() -> int:
 
     if Path(adaptive_replay.__file__).resolve().parent != PACKAGE:
         raise ImportError(f"adaptive_replay was imported from {adaptive_replay.__file__}, not {PACKAGE}")
-    functions = package_functions()
+    functions = package_code()
+    files = {key[0] for key in functions}
     called: set[tuple[str, int, str]] = set()
+    ran: set[tuple[str, int]] = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
 
     def hook(frame, event, arg):
         code = frame.f_code
         called.add((code.co_filename, code.co_firstlineno, code.co_name))
+        return lines if code.co_filename in files else None
 
     with tempfile.TemporaryDirectory() as tmp:
         steps = {
@@ -200,10 +247,19 @@ def main() -> int:
             if installed is not hook:
                 raise RuntimeError(f"{label} replaced the trace hook; its calls went unrecorded")
             print(f"{label}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    unreached = [text for key, text in sorted(functions.items()) if key not in called]
+    unreached = [text for key, (text, _) in sorted(functions.items()) if key not in called]
     for text in unreached:
         print(text)
     print(f"{len(functions) - len(unreached)} of {len(functions)} functions reached", file=sys.stderr)
+    unrun = {(key[0], line) for key, (_, codes) in functions.items() if key in called
+             for code in codes for line in body_lines(code)}
+    exempt = {(str(path), line) for path in PACKAGE.glob("*.py") for line in exempt_lines(path)}
+    unrun = sorted(unrun - ran - exempt)
+    print(f"{len(unrun)} lines of reached functions never ran, handlers and raises aside:",
+          file=sys.stderr)
+    for filename, line in unrun:
+        source = Path(filename).read_text().splitlines()[line - 1].strip()
+        print(f"  {Path(filename).name}:{line} {source}", file=sys.stderr)
     return 1 if unreached else 0
 
 
