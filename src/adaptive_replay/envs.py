@@ -27,10 +27,9 @@ class TabularEnv:
     transitions: np.ndarray  # (S, A, S) row-stochastic
     rewards: np.ndarray  # (S, A), finite
     terminal: np.ndarray  # (S,) bool
-    start_state: int
+    start_dist: np.ndarray  # (S,); one non-zero entry starts there without a draw
     horizon: int
     gamma: float = 0.99
-    start_dist: np.ndarray | None = None  # defaults to a point mass on start_state
     deterministic: bool = field(init=False, default=False)
     # Per-step lookups as Python lists, built once from the fields above,
     # which stay fixed after construction.
@@ -38,39 +37,37 @@ class TabularEnv:
     _reward_rows: list = field(init=False, repr=False)
     _next_table: list | None = field(init=False, default=None, repr=False)
     _transition_cdfs: list = field(init=False, repr=False)
+    _start_state: int | None = field(init=False, default=None, repr=False)
     _start_cdf: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.terminal = np.asarray(self.terminal, dtype=bool)
+        self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
         shape = self.transitions.shape
         if len(shape) != 3 or shape[2] != shape[0]:
             raise ValueError(f"transitions must have shape (S, A, S), got {shape}")
-        tables = {"rewards": shape[:2], "terminal": shape[:1]}
-        if self.start_dist is not None:
-            self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
-            tables["start_dist"] = shape[:1]
+        tables = {"rewards": shape[:2], "terminal": shape[:1], "start_dist": shape[:1]}
         for name, expected in tables.items():
             if (got := getattr(self, name).shape) != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {got}")
-        if not 0 <= self.start_state < shape[0]:
-            raise ValueError(f"start_state must lie in [0, {shape[0]}), got {self.start_state}")
         if not np.isfinite(self.rewards).all():
             raise ValueError("rewards must be finite")
         if np.any(self.transitions < 0):
             raise ValueError("transition probabilities must be non-negative")
         if not np.allclose(self.transitions.sum(axis=2), 1.0, atol=1e-12):
             raise ValueError("transition rows must sum to 1")
-        if self.terminal[self.start_state]:
-            raise ValueError("start state cannot be terminal")
-        if self.start_dist is not None:
-            if np.any(self.start_dist < 0):
-                raise ValueError("start distribution must be non-negative")
-            if not np.isclose(self.start_dist.sum(), 1.0, atol=1e-12):
-                raise ValueError("start distribution must sum to 1")
-            if np.any(self.start_dist[self.terminal] > 0):
-                raise ValueError("start distribution must not touch terminal states")
+        if np.any(self.start_dist < 0):
+            raise ValueError("start distribution must be non-negative")
+        if not np.isclose(self.start_dist.sum(), 1.0, atol=1e-12):
+            raise ValueError("start distribution must sum to 1")
+        if np.any(self.start_dist[self.terminal] > 0):
+            raise ValueError("start distribution must not touch terminal states")
+        support = np.flatnonzero(self.start_dist)
+        if len(support) == 1:
+            self._start_state = int(support[0])
+        else:
             self._start_cdf = cdf_rows(self.start_dist)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
@@ -109,7 +106,9 @@ class TabularEnv:
         and an importance ratio never divides by 0.  Start states and
         stochastic transitions are drawn the same way, by inverse CDF; each
         such draw takes one ``rng.random()`` and picks the index
-        ``rng.choice(n, p=row)`` would pick from it.
+        ``rng.choice(n, p=row)`` would pick from it.  A start distribution
+        with one non-zero entry starts there without a draw, as a
+        deterministic transition takes none.
         """
         # Every table is bound once: the loop makes no attribute lookup.
         table = policy.tables()
@@ -118,7 +117,7 @@ class TabularEnv:
         next_table, transition_cdfs = self._next_table, self._transition_cdfs
         states, actions, probs, rewards, next_states = [], [], [], [], []
         # Draws in order: the start, then per step the action, then the transition.
-        s = self.start_state if self._start_cdf is None else bisect_right(self._start_cdf, random())
+        s = self._start_state if self._start_cdf is None else bisect_right(self._start_cdf, random())
         for _ in range(self.horizon):
             if terminal[s]:
                 break
@@ -153,12 +152,6 @@ def _check_exact_size(env: TabularEnv) -> None:
         raise ValueError(f"exact computation refused: horizon {env.horizon} exceeds cap")
 
 
-def _start_average(env: TabularEnv, value: np.ndarray) -> float:
-    if env.start_dist is None:
-        return float(value[env.start_state])
-    return float(env.start_dist @ value)
-
-
 def _backward_induction(env: TabularEnv, state_value) -> float:
     """Start value after ``horizon`` backups; ``state_value(s, q)`` combines state
     ``s``'s action values ``q`` into its value."""
@@ -170,13 +163,13 @@ def _backward_induction(env: TabularEnv, state_value) -> float:
                 continue
             step_value[s] = state_value(s, env.rewards[s] + env.gamma * env.transitions[s] @ value)
         value = step_value
-    return _start_average(env, value)
+    return float(env.start_dist @ value)
 
 
 def exact_policy_value(env: TabularEnv, policy) -> float:
     """Expected discounted return of a stochastic policy, by backward induction."""
     _check_exact_size(env)
-    probs = policy.prob_table()
+    probs = policy.tables().probs
     return _backward_induction(env, lambda s, q: probs[s] @ q)
 
 
@@ -204,7 +197,7 @@ def chain_env(n_states: int = 5, horizon: int = 8, gamma: float = 0.99) -> Tabul
         transitions=transitions,
         rewards=rewards,
         terminal=terminal,
-        start_state=0,
+        start_dist=np.eye(n_states)[0],
         horizon=horizon,
         gamma=gamma,
     )
@@ -218,15 +211,15 @@ def gridworld_env(
     horizon: int = 12,
     gamma: float = 0.99,
     step_cost: float = 0.02,
-    exploring_starts: bool = True,
 ) -> TabularEnv:
     """Deterministic gridworld: +1 for entering the goal, -1 for entering a trap,
     minus a small per-move cost so every trajectory carries gradient signal.
 
     Actions are up/down/left/right; moves off the grid leave the state
-    unchanged.  Goal and traps are terminal.  With ``exploring_starts``
-    episodes begin uniformly over the non-terminal cells, the standard remedy
-    for sparse coverage in tabular policy-gradient training.
+    unchanged.  Goal and traps are terminal.  Starts are exploring: episodes
+    begin uniformly over the non-terminal cells, the standard remedy for
+    sparse coverage in tabular policy-gradient training.  For a fixed start,
+    ``dataclasses.replace(env, start_dist=...)``.
     """
     if goal is None:
         goal = (rows - 1, cols - 1)
@@ -256,19 +249,16 @@ def gridworld_env(
     terminal[goal_s] = True
     for s in trap_s:
         terminal[s] = True
-    start_dist = None
-    if exploring_starts:
-        start_dist = (~terminal).astype(np.float64)
-        start_dist /= start_dist.sum()
+    start_dist = (~terminal).astype(np.float64)
+    start_dist /= start_dist.sum()
     return TabularEnv(
         name=f"gridworld{rows}x{cols}",
         transitions=transitions,
         rewards=rewards,
         terminal=terminal,
-        start_state=0,
+        start_dist=start_dist,
         horizon=horizon,
         gamma=gamma,
-        start_dist=start_dist,
     )
 
 
@@ -286,7 +276,7 @@ def two_state_bandit_env(
         transitions=transitions,
         rewards=reward_table,
         terminal=terminal,
-        start_state=0,
+        start_dist=np.array([1.0, 0.0]),
         horizon=horizon,
         gamma=gamma,
     )

@@ -71,7 +71,7 @@ def trajectory_gradients(
     rewards = batch.rewards[mask]
     step = np.nonzero(mask)[1]
 
-    log_ratio = target.log_prob_table()[states, actions] - np.log(behavior)
+    log_ratio = target.tables().log_probs[states, actions] - np.log(behavior)
     log_omega = np.add.reduceat(log_ratio, starts)
     capped = log_omega > log_cap
     omega = np.exp(np.where(capped, log_cap, log_omega))

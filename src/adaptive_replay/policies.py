@@ -37,10 +37,12 @@ def cdf_rows(probs: np.ndarray) -> list:
 class PolicyTables(NamedTuple):
     """Everything derived from one parameter setting; every probability in ``[0, 1]``.
 
-    ``probs`` and ``log_probs`` are read-only ``(n_states, n_actions)``
-    arrays.  The rest are Python lists for per-step rollouts:
-    ``prob_rows[s][a] = pi(a|s)``, ``cdfs[s]`` is the :func:`cdf_rows` row
-    of ``probs[s]`` and ``greedy[s]`` the index of the largest logit of ``s``.
+    :meth:`LinearSoftmaxPolicy.tables` is the one way to read them.
+    ``probs`` (``pi(a|s)``) and ``log_probs`` (``log pi(a|s)``) are
+    read-only ``(n_states, n_actions)`` arrays.  The rest are Python lists
+    for per-step rollouts: ``prob_rows[s][a] = pi(a|s)``, ``cdfs[s]`` is the
+    :func:`cdf_rows` row of ``probs[s]`` and ``greedy[s]`` the index of the
+    largest logit of ``s``.
     A probability that underflowed to 0 (a -inf logit or a gap past ~745) is
     never drawn: its ``cdfs`` entry equals the one before it (or 0).
     """
@@ -55,9 +57,10 @@ class PolicyTables(NamedTuple):
 class LinearSoftmaxPolicy:
     """Logits are linear in fixed state features: ``logits(s) = features[s] @ weights``.
 
-    The :class:`PolicyTables` are computed once per parameter setting and
-    kept until :meth:`set_params` or :meth:`copy`; change ``weights``
-    through ``set_params`` only.
+    Probabilities are read through :meth:`tables` only, for example
+    ``policy.tables().probs``.  The :class:`PolicyTables` are computed once
+    per parameter setting and kept until :meth:`set_params` or
+    :meth:`copy`; change ``weights`` through ``set_params`` only.
     """
 
     def __init__(
@@ -113,14 +116,6 @@ class LinearSoftmaxPolicy:
             raise ValueError(_NOT_FINITE)
         return self.features @ self.weights
 
-    def prob_table(self) -> np.ndarray:
-        """``pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
-        return self.tables().probs
-
-    def log_prob_table(self) -> np.ndarray:
-        """``log pi(a|s)`` for every (state, action), shape ``(n_states, n_actions)``."""
-        return self.tables().log_probs
-
     def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step score functions ``grad log pi(a_t|s_t)``, one flat row per step."""
         states, residual = self._residuals(states, actions)
@@ -130,7 +125,7 @@ class LinearSoftmaxPolicy:
     def _residuals(self, states, actions) -> tuple[np.ndarray, np.ndarray]:
         """``states`` as ints and each step's ``onehot(a_t) - pi(s_t)``, from the log table."""
         states = np.asarray(states, dtype=np.int64)
-        residual = -np.exp(self.log_prob_table()[states])
+        residual = -np.exp(self.tables().log_probs[states])
         residual[np.arange(len(states)), actions] += 1.0
         return states, residual
 
@@ -141,7 +136,7 @@ class LinearSoftmaxPolicy:
         ``||features[s]|| * ||onehot(a) - pi(s)||`` with
         ``||onehot(a) - pi(s)||^2 = pi(s) . pi(s) - 2 pi(a|s) + 1``.
         """
-        pi = np.exp(self.log_prob_table())
+        pi = np.exp(self.tables().log_probs)
         residual_sq = (pi * pi).sum(axis=1, keepdims=True) - 2.0 * pi + 1.0
         feature_sq = (self.features**2).sum(axis=1, keepdims=True)
         return float(np.sqrt((feature_sq * residual_sq).max()))

@@ -1,9 +1,12 @@
 """Square-root FTRL accumulators and the mixed sampling distribution over buffer slots.
 
 The sampler maintains one non-negative accumulator ``w(i)`` per buffer slot.
-Each policy-update step feeds back an inverse-probability-weighted loss for
-the slots that were sampled, and the sampling distribution is the closed-form
-follow-the-regularized-leader solution
+Each policy-update step feeds back an inverse-probability-weighted loss
+``d / p`` once per distinct slot of its batch of ``B`` draws.  A slot is in
+the batch with probability ``1 - (1 - p)^B``, so its expected gain per step
+is ``d * (1 - (1 - p)^B) / p``: exactly ``d`` at ``B = 1``, about ``B * d``
+for small ``p`` and less for large ``p``.  The sampling distribution is the
+closed-form follow-the-regularized-leader solution
 
     p(i) = (1 - kappa) * sqrt(w(i) + nu) / sum_j sqrt(w(j) + nu) + kappa / n
 
@@ -142,9 +145,13 @@ class SamplerState:
         """Add ``d / p_used`` to the accumulators of ``slots``; advance the step counter.
 
         Aligned 1-d arrays: distinct in-range slots, their finite non-negative
-        losses, and the probabilities they were drawn with, which makes the
-        update an unbiased estimate of the full loss vector.  Full-information
-        feedback is every slot at probability 1.
+        losses, and the probabilities they were drawn with.  When ``slots``
+        are the distinct slots of ``B`` i.i.d. draws, a slot of probability
+        ``p`` gains ``d * (1 - (1 - p)^B) / p`` in expectation per call.  That
+        is an unbiased estimate of its loss ``d`` only at ``B = 1``; for
+        small ``p`` it is about ``B * d``, and it is less for large ``p``.
+        Full-information feedback, every slot at probability 1, adds ``d``
+        exactly.
         """
         slots = np.asarray(slots, dtype=np.int64)
         d, p_used = np.asarray(d, dtype=np.float64), np.asarray(p_used, dtype=np.float64)

@@ -253,6 +253,9 @@ class WeightedStore(TrajectoryBatch):
     def update_scores(self, sampler: SamplerState, slots, d, p_used) -> None:
         """Feed back the losses ``d`` of ``slots`` drawn with ``p_used``; refresh their leaves.
 
+        Each distinct slot of a batch gets ``d / p_used`` once, however often
+        it was drawn, so over ``B`` draws a slot's expected gain is
+        ``d * (1 - (1 - p)^B) / p``, not ``d`` (see ``record_feedback``).
         ``sampler.record_feedback`` checks the slots (distinct, in range) and
         the losses before anything is written; the slots' order is the order
         of the index's additions.

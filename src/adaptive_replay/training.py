@@ -10,7 +10,10 @@ slot.  The modes differ only in their resolved sampler and slot scores:
     Each update samples under the learned FTRL distribution and feeds the
     realized squared-gradient losses back into the accumulators in one call
     (``WeightedStore.update_scores``), resetting them every ``reset_period``
-    updates.
+    updates.  The feedback is ``d / p`` once per distinct slot of the
+    ``batch_size`` draws, so a slot's expected gain per update is
+    ``d * (1 - (1 - p)^B) / p``: ``d`` only at ``B = 1``, about ``B * d``
+    for small ``p`` and less for large ``p``.
 ``adaptive_epoch``
     ``adaptive`` with a hard reset at each collection: its resolved sampler
     zeroes the accumulators every ``updates_per_episode`` updates, just

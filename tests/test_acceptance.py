@@ -174,8 +174,8 @@ def test_criterion_05_loss_bound_never_violated():
     n_states, n_actions, horizon, reward_cap = 5, 3, 8, 2.0
     target = random_policy(rng, n_states, n_actions)
     behavior = random_policy(rng, n_states, n_actions)
-    beta = min(float(np.exp(p.log_prob_table()).min()) for p in (target, behavior))
-    table = behavior.prob_table()
+    beta = min(float(np.exp(p.tables().log_probs).min()) for p in (target, behavior))
+    table = behavior.tables().probs
     trajs = []
     for _ in range(10_000):
         length = int(rng.integers(1, horizon + 1))
@@ -424,10 +424,10 @@ def test_criterion_12_gradient_and_value_checks():
             shifted = params.copy()
             shifted[i] += h
             probe.set_params(shifted)
-            up = sum(probe.log_prob_table()[traj.states, traj.actions])
+            up = sum(probe.tables().log_probs[traj.states, traj.actions])
             shifted[i] -= 2 * h
             probe.set_params(shifted)
-            down = sum(probe.log_prob_table()[traj.states, traj.actions])
+            down = sum(probe.tables().log_probs[traj.states, traj.actions])
             fd[i] = (up - down) / (2 * h) * ret
         scale = max(1.0, float(np.max(np.abs(analytic))))
         worst_rel = max(worst_rel, float(np.max(np.abs(analytic - fd)) / scale))

@@ -1,5 +1,7 @@
 """Toy MDPs: exact values against Monte Carlo, rollout semantics, size caps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,14 @@ def reference_rollout(env, policy, rng, greedy=False):
     """Per step, a fresh softmax of ``features[s] @ weights`` computed here,
     then ``rng.choice`` over it (or its argmax) and its value at the action;
     the start and each transition are ``rng.choice`` draws over the env's
-    arrays, with no transition draw in a deterministic env.  It shares
+    arrays, with no start draw from a one-state start distribution and no
+    transition draw in a deterministic env.  It shares
     nothing with the policy's cached tables or ``rollout``: the draws and
     probabilities ``rollout`` must reproduce."""
     n = env.n_states
     states, actions, probs, rewards, next_states = [], [], [], [], []
-    s = env.start_state if env.start_dist is None else int(rng.choice(n, p=env.start_dist))
+    support = np.flatnonzero(env.start_dist)
+    s = int(support[0]) if len(support) == 1 else int(rng.choice(n, p=env.start_dist))
     for _ in range(env.horizon):
         if env.terminal[s]:
             break
@@ -65,7 +69,7 @@ def coin_env():
         transitions=transitions,
         rewards=np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 0.0]]),
         terminal=np.array([False, False, True]),
-        start_state=0,
+        start_dist=np.array([1.0, 0.0, 0.0]),
         horizon=7,
     )
 
@@ -225,7 +229,8 @@ class TestCachedPolicyTables:
 
     def test_cached_arrays_are_read_only(self):
         policy = TabularSoftmaxPolicy(3, 2)
-        for table in (policy.prob_table(), policy.log_prob_table(), policy.prob_table()[0]):
+        tables = policy.tables()
+        for table in (tables.probs, tables.log_probs, tables.probs[0]):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
 
@@ -243,7 +248,7 @@ class TestCachedPolicyTables:
         # 0: the table builds, and no greedy or sampled step takes that action.
         env = chain_env(5)
         policy = TabularSoftmaxPolicy(5, 2, logits=np.tile([0.0, 800.0], (5, 1)))
-        assert policy.prob_table()[:, 0].tolist() == [0.0] * 5
+        assert policy.tables().probs[:, 0].tolist() == [0.0] * 5
         rng = np.random.default_rng(0)
         for greedy in (False, True):
             for _ in range(100):
@@ -254,17 +259,16 @@ class TestCachedPolicyTables:
 
 class TestGridworld:
     def test_optimal_fixed_start_no_costs(self):
-        env = gridworld_env(4, 4, traps=(), step_cost=0.0, exploring_starts=False)
+        env = replace(gridworld_env(4, 4, traps=(), step_cost=0.0), start_dist=np.eye(16)[0])
         assert optimal_value(env) == pytest.approx(0.99**5)
 
     def test_exploring_starts_average_over_cells(self):
         env = gridworld_env(4, 4)
-        assert env.start_dist is not None
         assert abs(env.start_dist.sum() - 1.0) < 1e-12
         assert np.all(env.start_dist[env.terminal] == 0.0)
 
     def test_trap_is_terminal_with_penalty(self):
-        env = gridworld_env(4, 4, traps=((1, 2),), exploring_starts=False)
+        env = gridworld_env(4, 4, traps=((1, 2),))
         trap_state = 1 * 4 + 2
         assert env.terminal[trap_state]
         above = 0 * 4 + 2
@@ -297,7 +301,7 @@ class TestExactAgainstMonteCarlo:
             transitions=transitions,
             rewards=np.array([[1.0, 2.0], [0.0, 0.0]]),
             terminal=np.array([False, True]),
-            start_state=0,
+            start_dist=np.array([1.0, 0.0]),
             horizon=3,
             gamma=0.9,
         )
@@ -335,7 +339,7 @@ class TestValidation:
                 transitions=np.zeros((2, 1, 2)),
                 rewards=np.zeros((2, 1)),
                 terminal=np.array([False, True]),
-                start_state=0,
+                start_dist=np.array([1.0, 0.0]),
                 horizon=2,
             )
 
@@ -350,7 +354,7 @@ class TestValidation:
                 transitions=transitions,
                 rewards=np.zeros((2, 2)),
                 terminal=np.array([False, True]),
-                start_state=0,
+                start_dist=np.array([1.0, 0.0]),
                 horizon=2,
             )
 
@@ -363,9 +367,8 @@ class TestValidation:
                 transitions=transitions,
                 rewards=np.zeros((3, 1)),
                 terminal=np.array([False, False, True]),
-                start_state=0,
-                horizon=2,
                 start_dist=np.array([1.5, -0.5, 0.0]),
+                horizon=2,
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -380,7 +383,7 @@ class TestValidation:
                 transitions=transitions,
                 rewards=rewards,
                 terminal=np.array([False, True]),
-                start_state=0,
+                start_dist=np.array([1.0, 0.0]),
                 horizon=2,
             )
 
@@ -393,7 +396,7 @@ class TestValidation:
                 transitions=transitions,
                 rewards=np.zeros((2, 1)),
                 terminal=np.array([True, False]),
-                start_state=0,
+                start_dist=np.array([1.0, 0.0]),
                 horizon=2,
             )
 
@@ -404,7 +407,8 @@ def three_state_env(**overrides):
     transitions[:, :, 2] = 1.0
     fields = dict(
         name="three", transitions=transitions, rewards=np.zeros((3, 1)),
-        terminal=np.array([False, False, True]), start_state=0, horizon=2,
+        terminal=np.array([False, False, True]), start_dist=np.array([1.0, 0.0, 0.0]),
+        horizon=2,
     )
     return TabularEnv(**{**fields, **overrides})
 
@@ -441,10 +445,6 @@ def test_invalid_env_rejected_by_message(build, message):
                      r"terminal must have shape \(3,\), got \(2,\)", id="terminal-short"),
         pytest.param({"start_dist": np.array([0.5, 0.5])},
                      r"start_dist must have shape \(3,\), got \(2,\)", id="start-dist-short"),
-        pytest.param({"start_state": -2},
-                     r"start_state must lie in \[0, 3\), got -2", id="start-negative"),
-        pytest.param({"start_state": 3},
-                     r"start_state must lie in \[0, 3\), got 3", id="start-past-end"),
         pytest.param({"transitions": np.ones((3, 1))},
                      r"transitions must have shape \(S, A, S\), got \(3, 1\)", id="transitions-2d"),
         pytest.param({"transitions": np.full((3, 1, 2), 0.5)},
@@ -456,3 +456,53 @@ def test_mismatched_table_shapes_rejected_by_name(overrides, message):
     # Each table is valid on its own; only its shape against transitions is wrong.
     with pytest.raises(ValueError, match=message):
         three_state_env(**overrides)
+
+
+class TestStartDistribution:
+    """One start field: a one-state distribution starts there without a draw;
+    any other takes one ``rng.random()``, picked as ``rng.choice`` would."""
+
+    @pytest.mark.parametrize("build, start", [
+        pytest.param(lambda: three_state_env(start_dist=np.array([0.0, 1.0, 0.0])), 1, id="three"),
+        pytest.param(lambda: chain_env(5), 0, id="chain5"),
+        pytest.param(two_state_bandit_env, 0, id="two_state_bandit"),
+    ])
+    def test_one_state_start_takes_no_draw(self, build, start):
+        env = build()
+        assert env.deterministic
+        policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        episode = env.rollout(policy, rng, greedy=True)
+        assert rng.bit_generator.state == before
+        assert episode.states[0] == start
+
+    def test_two_state_start_takes_one_draw(self):
+        start_dist = np.array([0.3, 0.7, 0.0])
+        env = three_state_env(start_dist=start_dist)
+        policy = TabularSoftmaxPolicy(3, 1)
+        starts = set()
+        for seed in range(40):
+            rng, choice_rng, random_rng = (np.random.default_rng(seed) for _ in range(3))
+            episode = env.rollout(policy, rng, greedy=True)
+            assert episode.states[0] == choice_rng.choice(3, p=start_dist)
+            random_rng.random()
+            assert rng.bit_generator.state == random_rng.bit_generator.state
+            assert choice_rng.bit_generator.state == random_rng.bit_generator.state
+            starts.add(episode.states[0])
+        assert starts == {0, 1}
+
+    def test_replaced_start_is_fixed(self):
+        env = replace(gridworld_env(4, 4), start_dist=np.eye(16)[0])
+        policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
+        rng = np.random.default_rng(0)
+        for greedy in (False, True):
+            for _ in range(50):
+                assert env.rollout(policy, rng, greedy=greedy).states[0] == 0
+        before = rng.bit_generator.state
+        env.rollout(policy, rng, greedy=True)
+        assert rng.bit_generator.state == before
+
+    def test_start_state_is_not_a_field(self):
+        with pytest.raises(TypeError, match="start_state"):
+            three_state_env(start_state=0)

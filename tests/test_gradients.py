@@ -66,7 +66,7 @@ class TestImportanceRatio:
         policy = random_policy(rng)
         states = rng.integers(0, 4, 5)
         actions = rng.integers(0, 3, 5)
-        probs = policy.prob_table()[states, actions]
+        probs = policy.tables().probs[states, actions]
         traj = traj_from(states, actions, probs, np.zeros(5))
         assert importance_ratio(traj, policy) == pytest.approx(1.0)
 
@@ -88,7 +88,7 @@ class TestImportanceRatio:
         # logit gap of ~745, or its logit is -inf.  A row that took it gets
         # omega 0 and d 0; every term stays finite, with no warning.
         target = TabularSoftmaxPolicy(2, 2, logits=np.tile([-gap, 0.0], (2, 1)))
-        assert (target.prob_table()[:, 0] == 0.0).all()
+        assert (target.tables().probs[:, 0] == 0.0).all()
         batch = TrajectoryBatch.of([
             traj_from([0, 1], [1, 0], [0.5, 0.5], [1.0, 1.0]),
             traj_from([0, 1], [1, 1], [0.5, 0.5], [1.0, 1.0]),
@@ -141,10 +141,10 @@ class TestScoreReturnGrad:
                 shifted = params.copy()
                 shifted[i] += h
                 probe.set_params(shifted)
-                up = sum(probe.log_prob_table()[traj.states, traj.actions])
+                up = sum(probe.tables().log_probs[traj.states, traj.actions])
                 shifted[i] -= 2 * h
                 probe.set_params(shifted)
-                down = sum(probe.log_prob_table()[traj.states, traj.actions])
+                down = sum(probe.tables().log_probs[traj.states, traj.actions])
                 fd[i] = (up - down) / (2 * h) * ret
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) / scale < 1e-5
@@ -196,8 +196,9 @@ class TestReplayGradient:
 
 def enumerate_exact_gradient(env, policy):
     """Exhaustive oracle: sum p(traj) * grad log p(traj) * R(traj) over every
-    realizable trajectory (deterministic transitions, H <= 4).  Enumeration
-    stops at terminal states so each trajectory is counted exactly once."""
+    realizable trajectory (one start state, deterministic transitions,
+    H <= 4).  Enumeration stops at terminal states so each trajectory is
+    counted exactly once."""
     total = np.zeros(policy.weights.size)
 
     def recurse(s, depth, prob, score, ret, discount):
@@ -206,7 +207,7 @@ def enumerate_exact_gradient(env, policy):
             total += prob * score * ret
             return
         for a in range(env.n_actions):
-            pi = policy.prob_table()[s, a]
+            pi = policy.tables().probs[s, a]
             recurse(
                 int(np.argmax(env.transitions[s, a])),
                 depth + 1,
@@ -216,7 +217,8 @@ def enumerate_exact_gradient(env, policy):
                 discount * env.gamma,
             )
 
-    recurse(env.start_state, 0, 1.0, np.zeros(policy.weights.size), 0.0, 1.0)
+    (start,) = np.flatnonzero(env.start_dist)
+    recurse(int(start), 0, 1.0, np.zeros(policy.weights.size), 0.0, 1.0)
     return total
 
 

@@ -20,10 +20,10 @@ def finite_difference_log_prob_grad(policy, state, action, h=1e-6):
         shifted = params.copy()
         shifted[i] += h
         probe.set_params(shifted)
-        up = probe.log_prob_table()[state, action]
+        up = probe.tables().log_probs[state, action]
         shifted[i] -= 2 * h
         probe.set_params(shifted)
-        down = probe.log_prob_table()[state, action]
+        down = probe.tables().log_probs[state, action]
         grad[i] = (up - down) / (2 * h)
     return grad
 
@@ -47,13 +47,13 @@ class TestBothFamilies:
     def test_probabilities_positive_and_normalized(self, factory):
         policy = factory(np.random.default_rng(0))
         for s in range(policy.n_states):
-            probs = policy.prob_table()[s]
+            probs = policy.tables().probs[s]
             assert np.all(probs > 0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_log_prob_consistent_with_prob(self, factory):
         policy = factory(np.random.default_rng(1))
-        assert policy.log_prob_table() == pytest.approx(np.log(policy.prob_table()))
+        assert policy.tables().log_probs == pytest.approx(np.log(policy.tables().probs))
 
     def test_score_function_matches_finite_differences(self, factory):
         rng = np.random.default_rng(2)
@@ -86,7 +86,7 @@ class TestBothFamilies:
 class TestTabularSpecifics:
     def test_equal_logits_give_uniform(self):
         policy = TabularSoftmaxPolicy(2, 2)
-        np.testing.assert_allclose(policy.prob_table()[0], [0.5, 0.5])
+        np.testing.assert_allclose(policy.tables().probs[0], [0.5, 0.5])
 
     def test_score_is_onehot_minus_distribution(self):
         policy = TabularSoftmaxPolicy(1, 2)

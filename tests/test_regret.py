@@ -218,7 +218,7 @@ class TestLossBound:
         env = chain_env(4, horizon=4)
         policy = TabularSoftmaxPolicy(env.n_states, env.n_actions)
         trajs = [env.rollout(policy, rng) for _ in range(50)]
-        beta = float(np.exp(policy.log_prob_table()).min())
+        beta = float(np.exp(policy.tables().log_probs).min())
         check = check_loss_bound(
             trajs, policy, env.gamma, beta=beta,
             score_norm_cap=policy.max_score_norm(), reward_cap=np.abs(env.rewards).max(),
@@ -236,8 +236,8 @@ class TestLossBound:
         behavior = TabularSoftmaxPolicy(
             n_states, n_actions, logits=rng.uniform(-1, 1, (n_states, n_actions))
         )
-        beta = min(float(np.exp(p.log_prob_table()).min()) for p in (target, behavior))
-        table = behavior.prob_table()
+        beta = min(float(np.exp(p.tables().log_probs).min()) for p in (target, behavior))
+        table = behavior.tables().probs
         trajs = []
         for _ in range(500):
             length = int(rng.integers(1, horizon + 1))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from adaptive_replay.gradients import replay_gradient
 from adaptive_replay.sampler import SamplerConfig, SamplerState
 from adaptive_replay.simplex import minimize_on_simplex
+from adaptive_replay.store import Trajectory, WeightedStore
 
 
 def make_state(w, nu=1.0, kappa=0.0, **kwargs):
@@ -202,6 +203,37 @@ class TestFeedback:
         state.record_feedback(np.arange(2), np.array([0.5, 1.5]), np.ones(2))
         np.testing.assert_allclose(state.w, [1.5, 3.5])
         assert state.step == 1
+
+
+class TestDistinctSlotFeedback:
+    """A replay step feeds back ``d / p`` once per distinct slot of its ``B`` draws,
+    so a slot's expected gain per step is ``d * (1 - (1 - p)^B) / p``: ``d`` only
+    at ``B = 1``, more than ``d`` (up to ``B * d``) at larger ``B``."""
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_mean_gain_matches_inclusion_probability(self, batch):
+        n, steps, d = 32, 20_000, 1.5
+        store = WeightedStore(n, kappa=0.1)
+        sampler = SamplerState(SamplerConfig(capacity=n, nu=1.0, kappa=0.1, reset_period=10**9))
+        store.fill([Trajectory([0], [0], [1.0], [0.0], [0]) for _ in range(n)], sampler)
+        # Scores 100^(i/31) spread n * p over about 0.14-4.1; the leaves stay
+        # fixed, so every step draws from the same p.
+        store.set_scores(np.arange(n), 100.0 ** (np.arange(n) / (n - 1)))
+        p = store.probabilities(np.arange(n))
+        assert 0.13 < n * p.min() < 0.15 and 4.0 < n * p.max() < 4.2
+        losses = np.full(n, d)
+        rng = np.random.default_rng(1616)
+        for _ in range(steps):
+            slots, _, p_used = store.draw(batch, rng)
+            sampler.record_feedback(slots, losses[slots], p_used)
+        included = 1.0 - (1.0 - p) ** batch
+        expected = d * included / p
+        sem = d / p * np.sqrt(included * (1.0 - included) / steps)
+        assert np.all(np.abs(sampler.w / steps - expected) <= 4.0 * sem)
+        if batch == 1:
+            np.testing.assert_allclose(expected, d, rtol=1e-12)
+        else:
+            assert np.all(expected > d) and np.all(expected < batch * d)
 
 
 class TestResets:

@@ -18,8 +18,14 @@ deletion.  The script prints each one and exits 1 if there is one; it exits 0
 when the traffic reaches every function.  After them, for information only,
 it prints to stderr each line of a reached function that no traffic ran, save
 the lines of an ``except`` handler, of a ``raise`` and of an ``if``/``else``
-body that ends in a ``raise``.  It writes only to a temporary directory and
-takes about two minutes::
+body that ends in a ``raise``.  Last, also to stderr and for information,
+it lists for each reached function the parameters that no traffic moved off
+their default: candidates for parameters that only tests pass.  A parameter
+moved when a call's value is not its default, compared by identity, then by
+``==`` between values of one type; a comparison that raises counts as a
+move.  The functions are those defined in the package's modules and classes,
+``__init__``s that ``dataclass`` generates among them.  It writes only to a
+temporary directory and takes about two minutes::
 
     python tools/traffic_trace.py
 """
@@ -120,6 +126,40 @@ def package_code() -> dict[tuple[str, int, str], tuple[str, list[types.CodeType]
     return found
 
 
+def parameter_defaults() -> dict[types.CodeType, tuple[str, dict[str, object]]]:
+    """Each package function that has a parameter with a default, keyed by its
+    code: its report text and those parameters' defaults."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "adaptive_replay" if path.stem == "__init__" else f"adaptive_replay.{path.stem}"
+        module = importlib.import_module(name)
+        owners = [module, *(c for c in vars(module).values()
+                            if inspect.isclass(c) and c.__module__ == module.__name__)]
+        for owner in owners:
+            for obj in vars(owner).values():
+                func = getattr(obj, "__func__", obj)  # a staticmethod's or classmethod's function
+                if not inspect.isfunction(func) or func.__module__ != module.__name__:
+                    continue
+                params = inspect.signature(func).parameters.values()
+                defaults = {p.name: p.default for p in params if p.default is not p.empty}
+                if defaults:
+                    found[func.__code__] = (f"{path.name} {func.__qualname__}", defaults)
+    return found
+
+
+def moved_off(value, default) -> bool:
+    """Whether ``value`` is not ``default``: identity, then ``==`` between values
+    of one type; a comparison that raises counts as a move."""
+    if value is default:
+        return False
+    if type(value) is not type(default):
+        return True
+    try:
+        return not bool(value == default)
+    except Exception:
+        return True
+
+
 def body_lines(code: types.CodeType) -> set[int]:
     """The lines of ``code``'s instructions after its prologue, which ends at
     ``RESUME``: a line that holds only the prologue never sees a line event."""
@@ -215,6 +255,8 @@ def main() -> int:
         raise ImportError(f"adaptive_replay was imported from {adaptive_replay.__file__}, not {PACKAGE}")
     functions = package_code()
     files = {key[0] for key in functions}
+    # Each entry keeps the parameters no call has moved yet.
+    unmoved = parameter_defaults()
     called: set[tuple[str, int, str]] = set()
     ran: set[tuple[str, int]] = set()
 
@@ -226,6 +268,10 @@ def main() -> int:
     def hook(frame, event, arg):
         code = frame.f_code
         called.add((code.co_filename, code.co_firstlineno, code.co_name))
+        if code in unmoved:
+            defaults, values = unmoved[code][1], frame.f_locals
+            for name in [name for name, default in defaults.items() if moved_off(values[name], default)]:
+                del defaults[name]
         return lines if code.co_filename in files else None
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -260,6 +306,12 @@ def main() -> int:
     for filename, line in unrun:
         source = Path(filename).read_text().splitlines()[line - 1].strip()
         print(f"  {Path(filename).name}:{line} {source}", file=sys.stderr)
+    never_moved = sorted((text, list(defaults)) for code, (text, defaults) in unmoved.items()
+                         if defaults and (code.co_filename, code.co_firstlineno, code.co_name) in called)
+    print(f"{sum(len(names) for _, names in never_moved)} parameters of reached functions "
+          "never moved off their default:", file=sys.stderr)
+    for text, names in never_moved:
+        print(f"  {text}: {', '.join(names)}", file=sys.stderr)
     return 1 if unreached else 0
 
 
